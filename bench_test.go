@@ -902,7 +902,7 @@ func BenchmarkAdviceQueryThroughput(b *testing.B) {
 		eng := queryengine.New(store, 0)
 		return func(i int) error {
 			f := queryBenchFilters[i%len(queryBenchFilters)]
-			if eng.AdviceTable(f, pareto.ByTime) == "" {
+			if eng.AdviceTable(eng.Snapshot(), f, pareto.ByTime) == "" {
 				return fmt.Errorf("empty advice")
 			}
 			return nil
@@ -1059,7 +1059,7 @@ func BenchmarkHotFrontServe(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			store.Add(appendPoint(i))
-			if len(eng.Advice(filters[i%len(filters)], pareto.ByTime)) == 0 {
+			if len(eng.Advice(eng.Snapshot(), filters[i%len(filters)], pareto.ByTime)) == 0 {
 				b.Fatal("empty advice")
 			}
 		}
@@ -1204,7 +1204,7 @@ func BenchmarkPredictedAdviceThroughput(b *testing.B) {
 					f := filters[int(i)%len(filters)]
 					// The table always carries a header; require actual
 					// predicted content so a gate regression fails the bench.
-					if !strings.Contains(eng.PredictedAdviceTable(f, pareto.ByTime, cfg), "predicted/") {
+					if !strings.Contains(eng.PredictedAdviceTable(eng.Snapshot(), f, pareto.ByTime, cfg), "predicted/") {
 						atomic.StoreInt32(&failed, 1)
 						return
 					}
@@ -1465,7 +1465,7 @@ func BenchmarkAPIServeThroughput(b *testing.B) {
 						return
 					}
 					f := queryBenchFilters[int(i)%len(queryBenchFilters)]
-					if eng.AdviceTable(f, pareto.ByTime) == "" {
+					if eng.AdviceTable(eng.Snapshot(), f, pareto.ByTime) == "" {
 						panic("empty advice")
 					}
 				}

@@ -18,9 +18,11 @@ var snapshotPinPackages = map[string]bool{
 // SnapshotPin enforces the ETag-coherence rule PR 5's hardening
 // established: a request handler fetches the live snapshot (or its
 // generation) at most once, pins it in a local, and renders everything —
-// rows, tables, SVGs, the stamped generation — from that pin via the *At
-// variants. Two live fetches in one request path can straddle a concurrent
-// append and put a newer body under an older ETag (or vice versa).
+// rows, tables, SVGs, the stamped generation — from that pin, passing it
+// to every query engine call (each engine query takes the snapshot as its
+// first argument). Two live fetches in one request path can straddle a
+// concurrent append and put a newer body under an older ETag (or vice
+// versa).
 //
 // Concretely, inside any one function in service/api/gui, the analyzer
 // counts "live fetches": calls to .Snapshot() plus calls to .Generation()
@@ -56,7 +58,7 @@ type fetchSite struct {
 
 func checkSnapshotPin(pass *analysis.Pass, fd *ast.FuncDecl) {
 	// First pass: names pinned by `sn := x.Snapshot()` style assignments,
-	// plus closure parameters of snapshot type (the queryengine CachedAt
+	// plus closure parameters of snapshot type (the queryengine Cached
 	// render callbacks receive the pinned *dataset.Snapshot as a param).
 	pinned := map[string]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -111,7 +113,7 @@ func checkSnapshotPin(pass *analysis.Pass, fd *ast.FuncDecl) {
 	for _, fetch := range fetches[1:] {
 		pass.Reportf(fetch.pos,
 			"second live %s in one request path (first at %s); pin one snapshot "+
-				"and use the *At variants so the body and ETag share a generation",
+				"and pass it to every engine query so the body and ETag share a generation",
 			fetch.what, pass.Fset().Position(fetches[0].pos))
 	}
 }

@@ -6,7 +6,7 @@ type engine struct{}
 
 func (engine) Snapshot() *Snapshot { return nil }
 func (engine) Generation() uint64  { return 0 }
-func (engine) CachedAt(sn *Snapshot, render func(sn *Snapshot) any) any {
+func (engine) Cached(sn *Snapshot, render func(sn *Snapshot) any) any {
 	return render(sn)
 }
 
@@ -26,11 +26,11 @@ func singleGeneration(eng engine) uint64 {
 	return eng.Generation()
 }
 
-// renderCallback mirrors the queryengine CachedAt shape: the closure's
+// renderCallback mirrors the queryengine Cached shape: the closure's
 // snapshot parameter is the pin, so its Generation reads are pinned too.
 func renderCallback(eng engine) any {
 	sn := eng.Snapshot()
-	return eng.CachedAt(sn, func(sn *Snapshot) any {
+	return eng.Cached(sn, func(sn *Snapshot) any {
 		return sn.Generation()
 	})
 }

@@ -346,7 +346,7 @@ func (s *Server) handlePredictedAdvice(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stampCaching(w, gen)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write(body)
+	s.writeBody(w, body)
 }
 
 func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
@@ -370,7 +370,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stampCaching(w, gen)
 	w.Header().Set("Content-Type", "image/svg+xml")
-	_, _ = w.Write(data)
+	s.writeBody(w, data)
 }
 
 type scenariosResponse struct {
@@ -477,5 +477,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("hpcadvisor_collect_tasks_resumed_total", "Journaled tasks restored on resume without re-collection.", col.TasksResumed)
 	counter("hpcadvisor_collect_tasks_rerun_total", "Journaled tasks re-collected on resume (datapoint was not durable).", col.TasksRerun)
 	counter("hpcadvisor_collect_journal_records_total", "Records appended to the sweep journal.", col.JournalRecords)
-	_, _ = w.Write([]byte(b.String()))
+	s.writeBody(w, []byte(b.String()))
 }

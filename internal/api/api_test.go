@@ -542,13 +542,16 @@ func TestWriteErrorsCounted(t *testing.T) {
 	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/advice", nil))
 	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/advice?minnodes=bogus", nil))
-	if got := srv.writeErrors.Load(); got != 3 {
-		t.Errorf("writeErrors = %d, want 3 (advice, healthz, error body)", got)
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/plots/pareto.svg", nil))
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/predicted-advice", nil))
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if got := srv.writeErrors.Load(); got != 6 {
+		t.Errorf("writeErrors = %d, want 6 (advice, healthz, error body, svg, predicted advice, metrics)", got)
 	}
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), "hpcadvisor_http_write_errors_total 3") {
+	if !strings.Contains(rec.Body.String(), "hpcadvisor_http_write_errors_total 6") {
 		t.Error("/metrics does not expose the write error counter")
 	}
 	if !strings.Contains(rec.Body.String(), "hpcadvisor_http_encode_errors_total 0") {

@@ -424,22 +424,27 @@ type PlotSet = plot.Set
 // Plots computes the plot set over the dataset (Table II: "plot"), served
 // and memoized by the query engine.
 func (a *Advisor) Plots(f dataset.Filter) PlotSet {
-	return a.Engine().PlotSet(f)
+	eng := a.Engine()
+	return eng.PlotSet(eng.Snapshot(), f)
 }
 
 // WritePlotsSVG renders the plot set into dir and returns the file paths.
 // When using the CLI, "the plots are generated in the current folder"
-// (paper Section III-D).
+// (paper Section III-D). All five files are rendered from one snapshot, so
+// a set written while a collection appends never mixes generations.
 func (a *Advisor) WritePlotsSVG(dir string, f dataset.Filter) ([]string, error) {
 	eng := a.Engine()
-	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.SVG(name, f) })
+	sn := eng.Snapshot()
+	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.SVG(sn, name, f) })
 }
 
-// WritePredictedPlotsSVG renders the overlaid plot set into dir and returns
-// the file paths, served from the engine's predicted-SVG cache.
+// WritePredictedPlotsSVG renders the overlaid plot set into dir from one
+// snapshot and returns the file paths, served from the engine's
+// predicted-SVG cache.
 func (a *Advisor) WritePredictedPlotsSVG(dir string, f dataset.Filter, cfg predictor.Config) ([]string, error) {
 	eng := a.Engine()
-	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.PredictedSVG(name, f, cfg) })
+	sn := eng.Snapshot()
+	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.PredictedSVG(sn, name, f, cfg) })
 }
 
 // writeSVGs renders every plot of the set through render and writes one
@@ -470,12 +475,14 @@ func writeSVGs(dir string, render func(name string) ([]byte, error)) ([]string, 
 // execution time or cost (Table II: "advice"; Section III-E), served and
 // memoized by the query engine.
 func (a *Advisor) Advice(f dataset.Filter, order pareto.SortOrder) []dataset.Point {
-	return a.Engine().Advice(f, order)
+	eng := a.Engine()
+	return eng.Advice(eng.Snapshot(), f, order)
 }
 
 // AdviceTable renders the advice exactly as the paper's Listings 3-4.
 func (a *Advisor) AdviceTable(f dataset.Filter, order pareto.SortOrder) string {
-	return a.Engine().AdviceTable(f, order)
+	eng := a.Engine()
+	return eng.AdviceTable(eng.Snapshot(), f, order)
 }
 
 // PredictorConfig builds the predictor configuration for this advisor's
@@ -495,24 +502,28 @@ func (a *Advisor) PredictorConfig(region string, grid []int) predictor.Config {
 // point — and stays visibly marked when it does. Served and memoized by the
 // query engine.
 func (a *Advisor) PredictedAdvice(f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
-	return a.Engine().PredictedAdvice(f, order, cfg)
+	eng := a.Engine()
+	return eng.PredictedAdvice(eng.Snapshot(), f, order, cfg)
 }
 
 // PredictedAdviceTable renders the merged advice with Source markings.
 func (a *Advisor) PredictedAdviceTable(f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) string {
-	return a.Engine().PredictedAdviceTable(f, order, cfg)
+	eng := a.Engine()
+	return eng.PredictedAdviceTable(eng.Snapshot(), f, order, cfg)
 }
 
 // PredictedPlots computes the plot set with predicted overlays (fitted
 // curves and interval bands) on the exectime and cost plots.
 func (a *Advisor) PredictedPlots(f dataset.Filter, cfg predictor.Config) PlotSet {
-	return a.Engine().PredictedPlotSet(f, cfg)
+	eng := a.Engine()
+	return eng.PredictedPlotSet(eng.Snapshot(), f, cfg)
 }
 
 // Backtest reports the predictor's leave-one-out accuracy per model family
 // over the filtered dataset.
 func (a *Advisor) Backtest(f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
-	return a.Engine().Backtest(f, cfg)
+	eng := a.Engine()
+	return eng.Backtest(eng.Snapshot(), f, cfg)
 }
 
 // RepriceAdvice recomputes scenario costs under different pricing terms —
@@ -522,7 +533,7 @@ func (a *Advisor) Backtest(f dataset.Filter, cfg predictor.Config) predictor.Bac
 // what-if questions a user has after one collection: "what would the advice
 // be in westeurope?", "what if I run production on spot?".
 func (a *Advisor) RepriceAdvice(f dataset.Filter, order pareto.SortOrder, region string, spot bool) ([]dataset.Point, error) {
-	pts := a.Engine().Select(f)
+	pts := a.Engine().Snapshot().Select(f)
 	// A sweep has few distinct VM types but many points per type: look each
 	// SKU's hourly rate up once, not once per point.
 	rates := make(map[string]float64)

@@ -9,6 +9,9 @@
 //
 // The engine is safe for concurrent use and never blocks writers: it reads
 // through immutable dataset.Snapshots (see internal/dataset/snapshot.go).
+// Every query takes the snapshot it answers at as its first argument; the
+// caller pins one with Snapshot and passes it to each query of a request,
+// so nothing the engine returns can mix generations.
 package queryengine
 
 import (
@@ -79,13 +82,10 @@ func New(src Source, maxEntries int) *Engine {
 	}
 }
 
-// Snapshot exposes the engine's current read view.
+// Snapshot exposes the engine's current read view. It is the only method
+// that reads the live dataset; every query takes the snapshot it answers
+// at.
 func (e *Engine) Snapshot() *dataset.Snapshot { return e.src.Snapshot() }
-
-// Generation returns the generation of the current read view — the value
-// every cached result of that view is keyed under, and what the API layer
-// folds into ETags so HTTP revalidation tracks cache invalidation exactly.
-func (e *Engine) Generation() uint64 { return e.src.Snapshot().Generation() }
 
 // Stats returns a copy of the cache counters.
 func (e *Engine) Stats() Stats {
@@ -163,39 +163,27 @@ func orderKey(order pareto.SortOrder) string {
 	return "time"
 }
 
-// Cached memoizes an arbitrary derivation of one snapshot under the
+// Cached memoizes an arbitrary derivation of the snapshot sn under the
 // engine's LRU and single-flight, keyed like every built-in kind: (kind,
 // generation, canonical filter, extra). Serving layers use it to cache
 // renderings the engine does not know about — e.g. the API's encoded JSON
 // response bodies — with the same generation-based invalidation as advice
-// and SVG. compute receives the exact snapshot the key's generation names,
-// so a cached value can never mix generations. External kinds are
-// namespaced with "x:" and can never collide with the engine's own.
-func (e *Engine) Cached(kind string, f dataset.Filter, extra string, compute func(sn *dataset.Snapshot) any) any {
-	return e.CachedAt(e.src.Snapshot(), kind, f, extra, compute)
-}
-
-// CachedAt is Cached pinned to one snapshot (see AdviceAt).
-func (e *Engine) CachedAt(sn *dataset.Snapshot, kind string, f dataset.Filter, extra string, compute func(sn *dataset.Snapshot) any) any {
+// and SVG. compute receives sn itself, the exact snapshot the key's
+// generation names, so a cached value can never mix generations. External
+// kinds are namespaced with "x:" and can never collide with the engine's
+// own.
+func (e *Engine) Cached(sn *dataset.Snapshot, kind string, f dataset.Filter, extra string, compute func(sn *dataset.Snapshot) any) any {
 	c := f.Canonical()
 	return e.get(key("x:"+kind, sn.Generation(), &c, extra), func() any { return compute(sn) })
 }
 
-// Select returns the filtered points from the current snapshot. It is an
-// index probe, not a scan, and is left uncached: the snapshot already makes
-// it cheap, and callers (repricing) may mutate the returned copies.
-func (e *Engine) Select(f dataset.Filter) []dataset.Point {
-	return e.src.Snapshot().Select(f)
-}
-
-// adviceAt memoizes the Pareto front at one captured snapshot; the shared
-// cached slice must not be modified. Hot filters — the snapshot
-// precomputes fronts for the top-K single-field filters — are a slice
-// handoff from the snapshot; only cold filters pay a Select plus an
-// on-demand front. Both paths are byte-identical (the equivalence suite
-// pins them to the scan baseline), so the cache key does not care which
-// one produced the value.
-func (e *Engine) adviceAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) []dataset.Point {
+// front memoizes the Pareto front at sn; the shared cached slice must not
+// be modified. Hot filters — the snapshot precomputes fronts for the top-K
+// single-field filters — are a slice handoff from the snapshot; only cold
+// filters pay a Select plus an on-demand front. Both paths are
+// byte-identical (the equivalence suite pins them to the scan baseline),
+// so the cache key does not care which one produced the value.
+func (e *Engine) front(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) []dataset.Point {
 	c := f.Canonical()
 	v := e.get(key("advice", sn.Generation(), &c, orderKey(order)), func() any {
 		if rows, ok := sn.HotAdvice(&c, order == pareto.ByCost); ok {
@@ -206,62 +194,35 @@ func (e *Engine) adviceAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.S
 	return v.([]dataset.Point)
 }
 
-// Advice returns the Pareto front over the filtered dataset in the given
-// order, memoized per (filter, order, generation). The returned slice is a
-// fresh copy; callers may modify it.
-func (e *Engine) Advice(f dataset.Filter, order pareto.SortOrder) []dataset.Point {
-	return e.AdviceAt(e.src.Snapshot(), f, order)
-}
-
-// AdviceAt is Advice pinned to one snapshot, for callers that must tie a
-// result to the exact generation they advertise (the API binds response
-// bodies to ETags this way). The returned slice is a fresh copy.
-func (e *Engine) AdviceAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) []dataset.Point {
-	rows := e.adviceAt(sn, f, order)
+// Advice returns the Pareto front over the filtered dataset at sn in the
+// given order, memoized per (filter, order, generation). The returned slice
+// is a fresh copy; callers may modify it.
+func (e *Engine) Advice(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) []dataset.Point {
+	rows := e.front(sn, f, order)
 	out := make([]dataset.Point, len(rows))
 	copy(out, rows)
 	return out
 }
 
-// AdviceTable returns the advice rendered exactly as the paper's Listings
-// 3-4, memoized separately from Advice so repeated table requests skip even
-// the formatting. Its compute layers on the memoized front, so a cold table
-// after a cold Advice (the GUI does both per request) formats the cached
-// rows instead of re-running the Pareto computation.
-func (e *Engine) AdviceTable(f dataset.Filter, order pareto.SortOrder) string {
-	return e.AdviceTableAt(e.src.Snapshot(), f, order)
-}
-
-// AdviceTableAt is AdviceTable pinned to one snapshot (see AdviceAt).
-func (e *Engine) AdviceTableAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) string {
+// AdviceTable returns the advice at sn rendered exactly as the paper's
+// Listings 3-4, memoized separately from Advice so repeated table requests
+// skip even the formatting. Its compute layers on the memoized front, so a
+// cold table after a cold Advice (the GUI does both per request) formats
+// the cached rows instead of re-running the Pareto computation.
+func (e *Engine) AdviceTable(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) string {
 	c := f.Canonical()
 	v := e.get(key("advicetable", sn.Generation(), &c, orderKey(order)), func() any {
-		return pareto.FormatAdviceTable(e.adviceAt(sn, f, order))
+		return pareto.FormatAdviceTable(e.front(sn, f, order))
 	})
 	return v.(string)
 }
 
-// GroupSeries returns the per-(SKU, input) series of the filtered dataset,
-// memoized per (filter, generation). The map is a fresh shallow copy; the
-// point slices are shared and must be treated as read-only.
-func (e *Engine) GroupSeries(f dataset.Filter) map[dataset.SeriesKey][]dataset.Point {
-	sn := e.src.Snapshot()
-	c := f.Canonical()
-	v := e.get(key("groups", sn.Generation(), &c, ""), func() any {
-		return sn.GroupSeries(f)
-	})
-	cached := v.(map[dataset.SeriesKey][]dataset.Point)
-	out := make(map[dataset.SeriesKey][]dataset.Point, len(cached))
-	for k, pts := range cached {
-		out[k] = pts
-	}
-	return out
-}
-
-// plotSetAt memoizes the plot set at one captured snapshot, so every
+// PlotSet returns all five plots for the filter, computed from sn so the
+// set is internally consistent, memoized per (filter, generation): every
 // consumer of one (filter, generation) — PlotSet calls and all five SVG
-// renders — shares a single set computation pinned to that generation.
-func (e *Engine) plotSetAt(sn *dataset.Snapshot, f dataset.Filter) plot.Set {
+// renders — shares a single set computation. The set is returned by value;
+// its series slices are shared and read-only.
+func (e *Engine) PlotSet(sn *dataset.Snapshot, f dataset.Filter) plot.Set {
 	c := f.Canonical()
 	v := e.get(key("plotset", sn.Generation(), &c, ""), func() any {
 		return plot.BuildSet(&memoSource{sn: sn}, f)
@@ -269,41 +230,27 @@ func (e *Engine) plotSetAt(sn *dataset.Snapshot, f dataset.Filter) plot.Set {
 	return v.(plot.Set)
 }
 
-// PlotSet returns all five plots for the filter, computed from one snapshot
-// so the set is internally consistent, memoized per (filter, generation).
-// The set is returned by value; its series slices are shared and read-only.
-func (e *Engine) PlotSet(f dataset.Filter) plot.Set {
-	return e.plotSetAt(e.src.Snapshot(), f)
-}
-
-// SVG returns the named plot of the set rendered as SVG bytes, memoized per
-// (name, filter, generation) — the bytes are rendered from the same
-// snapshot the key's generation names, never a newer one. The returned
-// bytes are shared with the cache and must not be modified. Unknown names
-// error.
-func (e *Engine) SVG(name string, f dataset.Filter) ([]byte, error) {
-	return e.SVGAt(e.src.Snapshot(), name, f)
-}
-
-// SVGAt is SVG pinned to one snapshot (see AdviceAt).
-func (e *Engine) SVGAt(sn *dataset.Snapshot, name string, f dataset.Filter) ([]byte, error) {
+// SVG returns the named plot of the set at sn rendered as SVG bytes,
+// memoized per (name, filter, generation). The returned bytes are shared
+// with the cache and must not be modified. Unknown names error.
+func (e *Engine) SVG(sn *dataset.Snapshot, name string, f dataset.Filter) ([]byte, error) {
 	c := f.Canonical()
 	if _, ok := (plot.Set{}).ByName(name); !ok {
 		return nil, fmt.Errorf("queryengine: unknown plot %q", name)
 	}
 	v := e.get(key("svg", sn.Generation(), &c, name), func() any {
-		p, _ := e.plotSetAt(sn, f).ByName(name)
+		p, _ := e.PlotSet(sn, f).ByName(name)
 		return plot.RenderSVG(p)
 	})
 	return v.([]byte), nil
 }
 
-// predictedAdviceAt memoizes the merged measured+predicted front at one
-// captured snapshot; the shared cached slice must not be modified. The key
-// adds the predictor configuration: distinct grids, gates, or regions cache
-// independently, and any append to the store invalidates by generation like
-// every other kind.
-func (e *Engine) predictedAdviceAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
+// predictedFront memoizes the merged measured+predicted front at sn; the
+// shared cached slice must not be modified. The key adds the predictor
+// configuration: distinct grids, gates, or regions cache independently,
+// and any append to the store invalidates by generation like every other
+// kind.
+func (e *Engine) predictedFront(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
 	c := f.Canonical()
 	v := e.get(key("predadvice", sn.Generation(), &c, orderKey(order)+"|"+cfg.Key()), func() any {
 		return predictor.Advice(sn.Select(f), cfg, order)
@@ -312,46 +259,29 @@ func (e *Engine) predictedAdviceAt(sn *dataset.Snapshot, f dataset.Filter, order
 }
 
 // PredictedAdvice returns the merged measured+predicted Pareto front over
-// the filtered dataset, memoized per (filter, order, config, generation).
-// The returned slice is a fresh copy; callers may modify it.
-func (e *Engine) PredictedAdvice(f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
-	return e.PredictedAdviceAt(e.src.Snapshot(), f, order, cfg)
-}
-
-// PredictedAdviceAt is PredictedAdvice pinned to one snapshot (see
-// AdviceAt). The returned slice is a fresh copy.
-func (e *Engine) PredictedAdviceAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
-	rows := e.predictedAdviceAt(sn, f, order, cfg)
+// the filtered dataset at sn, memoized per (filter, order, config,
+// generation). The returned slice is a fresh copy; callers may modify it.
+func (e *Engine) PredictedAdvice(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
+	rows := e.predictedFront(sn, f, order, cfg)
 	out := make([]predictor.Row, len(rows))
 	copy(out, rows)
 	return out
 }
 
-// PredictedAdviceTable renders the merged advice with its Source markings,
-// memoized separately so repeated table requests skip the formatting; its
-// compute layers on the memoized rows.
-func (e *Engine) PredictedAdviceTable(f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) string {
-	return e.PredictedAdviceTableAt(e.src.Snapshot(), f, order, cfg)
-}
-
-// PredictedAdviceTableAt is PredictedAdviceTable pinned to one snapshot
-// (see AdviceAt).
-func (e *Engine) PredictedAdviceTableAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) string {
+// PredictedAdviceTable renders the merged advice at sn with its Source
+// markings, memoized separately so repeated table requests skip the
+// formatting; its compute layers on the memoized rows.
+func (e *Engine) PredictedAdviceTable(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) string {
 	c := f.Canonical()
 	v := e.get(key("predtable", sn.Generation(), &c, orderKey(order)+"|"+cfg.Key()), func() any {
-		return predictor.FormatAdviceTable(e.predictedAdviceAt(sn, f, order, cfg))
+		return predictor.FormatAdviceTable(e.predictedFront(sn, f, order, cfg))
 	})
 	return v.(string)
 }
 
 // Backtest runs the predictor's leave-one-out backtest over the filtered
-// dataset, memoized per (filter, config, generation).
-func (e *Engine) Backtest(f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
-	return e.BacktestAt(e.src.Snapshot(), f, cfg)
-}
-
-// BacktestAt is Backtest pinned to one snapshot (see AdviceAt).
-func (e *Engine) BacktestAt(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
+// dataset at sn, memoized per (filter, config, generation).
+func (e *Engine) Backtest(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
 	c := f.Canonical()
 	v := e.get(key("backtest", sn.Generation(), &c, cfg.Key()), func() any {
 		return predictor.Backtest(sn.Select(f), cfg)
@@ -359,39 +289,30 @@ func (e *Engine) BacktestAt(sn *dataset.Snapshot, f dataset.Filter, cfg predicto
 	return v.(predictor.BacktestReport)
 }
 
-// predictedPlotSetAt memoizes the overlaid plot set at one captured
-// snapshot: the measured set (shared with the plain PlotSet kind) plus the
-// predictor's fitted-curve, interval-band, and predicted-cost series.
-func (e *Engine) predictedPlotSetAt(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) plot.Set {
+// PredictedPlotSet returns the plot set at sn with predicted overlays on
+// the exectime and cost plots: the measured set (shared with the plain
+// PlotSet kind) plus the predictor's fitted-curve, interval-band, and
+// predicted-cost series, memoized per (filter, config, generation). The
+// set is returned by value; its series slices are shared and read-only.
+func (e *Engine) PredictedPlotSet(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) plot.Set {
 	c := f.Canonical()
 	v := e.get(key("predplots", sn.Generation(), &c, cfg.Key()), func() any {
-		return predictor.Overlay(e.plotSetAt(sn, f), sn.Select(f), cfg)
+		return predictor.Overlay(e.PlotSet(sn, f), sn.Select(f), cfg)
 	})
 	return v.(plot.Set)
 }
 
-// PredictedPlotSet returns the plot set with predicted overlays on the
-// exectime and cost plots, memoized per (filter, config, generation). The
-// set is returned by value; its series slices are shared and read-only.
-func (e *Engine) PredictedPlotSet(f dataset.Filter, cfg predictor.Config) plot.Set {
-	return e.predictedPlotSetAt(e.src.Snapshot(), f, cfg)
-}
-
-// PredictedSVG returns the named overlaid plot rendered as SVG bytes,
-// memoized per (name, filter, config, generation). The returned bytes are
-// shared with the cache and must not be modified. Unknown names error.
-func (e *Engine) PredictedSVG(name string, f dataset.Filter, cfg predictor.Config) ([]byte, error) {
-	return e.PredictedSVGAt(e.src.Snapshot(), name, f, cfg)
-}
-
-// PredictedSVGAt is PredictedSVG pinned to one snapshot (see AdviceAt).
-func (e *Engine) PredictedSVGAt(sn *dataset.Snapshot, name string, f dataset.Filter, cfg predictor.Config) ([]byte, error) {
+// PredictedSVG returns the named overlaid plot at sn rendered as SVG
+// bytes, memoized per (name, filter, config, generation). The returned
+// bytes are shared with the cache and must not be modified. Unknown names
+// error.
+func (e *Engine) PredictedSVG(sn *dataset.Snapshot, name string, f dataset.Filter, cfg predictor.Config) ([]byte, error) {
 	c := f.Canonical()
 	if _, ok := (plot.Set{}).ByName(name); !ok {
 		return nil, fmt.Errorf("queryengine: unknown plot %q", name)
 	}
 	v := e.get(key("predsvg", sn.Generation(), &c, name+"|"+cfg.Key()), func() any {
-		p, _ := e.predictedPlotSetAt(sn, f, cfg).ByName(name)
+		p, _ := e.PredictedPlotSet(sn, f, cfg).ByName(name)
 		return plot.RenderSVG(p)
 	})
 	return v.([]byte), nil

@@ -79,7 +79,7 @@ func TestAdviceTableByteIdenticalToScanPath(t *testing.T) {
 	for _, f := range equivalenceFilters {
 		for _, order := range []pareto.SortOrder{pareto.ByTime, pareto.ByCost} {
 			want := pareto.FormatAdviceTable(pareto.Advice(adv.Store.SelectScan(f), order))
-			got := eng.AdviceTable(f, order)
+			got := eng.AdviceTable(eng.Snapshot(), f, order)
 			if got != want {
 				t.Errorf("filter %+v order %v: advice table diverges\n--- scan path:\n%s--- engine:\n%s", f, order, want, got)
 			}
@@ -123,14 +123,14 @@ func TestHotFrontAdviceByteIdenticalToScanPath(t *testing.T) {
 			if want == nil {
 				want = []dataset.Point{} // Advice hands out non-nil copies
 			}
-			got := eng.Advice(f, order)
+			got := eng.Advice(eng.Snapshot(), f, order)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("filter %+v order %v: advice rows diverge from scan path (%d vs %d rows)",
 					f, order, len(got), len(want))
 			}
 			// The formatted table goes through the same cached rows.
 			wantTable := pareto.FormatAdviceTable(want)
-			if gotTable := eng.AdviceTable(f, order); gotTable != wantTable {
+			if gotTable := eng.AdviceTable(eng.Snapshot(), f, order); gotTable != wantTable {
 				t.Errorf("filter %+v order %v: advice table diverges\n--- scan:\n%s--- engine:\n%s",
 					f, order, wantTable, gotTable)
 			}
@@ -141,7 +141,7 @@ func TestHotFrontAdviceByteIdenticalToScanPath(t *testing.T) {
 		SKUAlias: "hc44rs", NNodes: 3, ExecTimeSec: 0.001, CostUSD: 0.0001})
 	f := dataset.Filter{AppName: "lammps"}
 	want := pareto.Advice(adv.Store.SelectScan(f), pareto.ByTime)
-	if got := eng.Advice(f, pareto.ByTime); !reflect.DeepEqual(got, want) {
+	if got := eng.Advice(eng.Snapshot(), f, pareto.ByTime); !reflect.DeepEqual(got, want) {
 		t.Errorf("after append: hot front served stale rows (%d vs %d)", len(got), len(want))
 	}
 }
@@ -151,14 +151,14 @@ func TestPlotSetAndSVGByteIdenticalToScanPath(t *testing.T) {
 	eng := queryengine.New(adv.Store, 0)
 	for _, f := range equivalenceFilters {
 		wantSet := plot.BuildSet(scanSource{adv.Store}, f)
-		gotSet := eng.PlotSet(f)
+		gotSet := eng.PlotSet(eng.Snapshot(), f)
 		if !reflect.DeepEqual(wantSet, gotSet) {
 			t.Errorf("filter %+v: plot set diverges from scan path", f)
 		}
 		for _, name := range plot.SetNames {
 			p, _ := wantSet.ByName(name)
 			want := plot.RenderSVG(p)
-			got, err := eng.SVG(name, f)
+			got, err := eng.SVG(eng.Snapshot(), name, f)
 			if err != nil {
 				t.Fatalf("SVG(%s): %v", name, err)
 			}
@@ -166,7 +166,7 @@ func TestPlotSetAndSVGByteIdenticalToScanPath(t *testing.T) {
 				t.Errorf("filter %+v plot %s: SVG bytes diverge", f, name)
 			}
 			// Cached serve stays identical.
-			again, _ := eng.SVG(name, f)
+			again, _ := eng.SVG(eng.Snapshot(), name, f)
 			if !bytes.Equal(want, again) {
 				t.Errorf("filter %+v plot %s: cached SVG diverges", f, name)
 			}
