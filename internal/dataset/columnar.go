@@ -175,32 +175,20 @@ func sortByTimeCost(idx []int32, exec, cost []float64) {
 }
 
 // frontPositions computes the Pareto front of the filter's matches
-// straight from the columns: candidate positions (already in canonical
-// select order) are stably sorted by (time, cost) and swept once. The
-// sweep replicates pareto.Front expression for expression — including the
-// NaN-tolerant minCost seed — so materializing the surviving positions
-// equals pareto.Front(sn.Select(f)) byte for byte without copying the
-// candidate points first. The returned positions are in by-time order and
-// are exactly what the v2 snapshot format persists per hot front.
+// straight from the columns: the matching positions (in canonical select
+// order), minus failed rows, are stably sorted by (time, cost) and swept
+// once. The sweep replicates pareto.Front expression for expression —
+// including the NaN-tolerant minCost seed — so materializing the surviving
+// positions equals pareto.Front(sn.Select(f)) byte for byte without
+// copying the candidate points first. The returned positions are in
+// by-time order and are exactly what the v2 snapshot format persists per
+// hot front.
 func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
-	cf, ok := sn.resolve(c)
-	if !ok {
-		return nil
-	}
-	var cand []int32
-	if list, indexed := sn.postings(c); indexed {
-		cand = make([]int32, 0, len(list))
-		for _, i := range list {
-			if !sn.col.failedBit(int(i)) && sn.matchAt(&cf, int(i)) {
-				cand = append(cand, i)
-			}
-		}
-	} else {
-		cand = make([]int32, 0, len(sn.sorted))
-		for i := range sn.sorted {
-			if !sn.col.failedBit(i) && sn.matchAt(&cf, i) {
-				cand = append(cand, int32(i))
-			}
+	pos := sn.matchPositions(c)
+	cand := pos[:0] // pareto.Front skips failed runs: drop them in place
+	for _, i := range pos {
+		if !sn.col.failedBit(int(i)) {
+			cand = append(cand, i)
 		}
 	}
 	if len(cand) == 0 {
@@ -215,20 +203,6 @@ func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 			front = append(front, i)
 			minCost = cost[i]
 		}
-	}
-	return front
-}
-
-// frontCanonical materializes the front rows in by-time order.
-func (sn *Snapshot) frontCanonical(c *CanonicalFilter) []Point {
-	pos := sn.frontPositions(c)
-	if len(pos) == 0 {
-		return nil
-	}
-	front := make([]Point, len(pos))
-	for i, p := range pos {
-		sn.ensureRow(int(p))
-		front[i] = sn.sorted[p]
 	}
 	return front
 }

@@ -73,9 +73,15 @@ func hotCandidateFilters(sn *Snapshot) []Filter {
 // The columnar Select must agree with the scan baseline on the non-indexed
 // corners the property test only hits probabilistically: tag-only filters,
 // IncludeFailed, node bounds alone, alias vs full-SKU spelling, absent
-// symbols, and the empty filter.
+// symbols, the empty filter, and non-ASCII case, where strings.EqualFold
+// and the lowercased index keys disagree ("ſ" folds to "s" and final "ς"
+// to "σ", but neither lowercases to it).
 func TestColumnarSelectCorners(t *testing.T) {
 	s := randomStore(rand.New(rand.NewSource(7)), 400)
+	s.Add(Point{ScenarioID: "greek", AppName: "ΟΔΟΣ", SKU: "Standard_HBΣ", SKUAlias: "hbσ",
+		NNodes: 2, ExecTimeSec: 10, CostUSD: 1})
+	s.Add(Point{ScenarioID: "long-s", AppName: "ſwift", SKU: "Standard_HC44rs", SKUAlias: "hc44rs",
+		NNodes: 4, ExecTimeSec: 20, CostUSD: 2})
 	corners := []Filter{
 		{},
 		{IncludeFailed: true},
@@ -94,6 +100,14 @@ func TestColumnarSelectCorners(t *testing.T) {
 		{InputDesc: "atoms=864M", MinNodes: 4}, // indexed + residual
 		{AppName: "lammps", SKU: "hb120rs_v3", InputDesc: "cells=8M", MinNodes: 2, MaxNodes: 16,
 			Tags: map[string]string{"run": "r0"}, IncludeFailed: true},
+		{AppName: "ΟΔΟΣ"},                 // lowercases to the stored key
+		{AppName: "οδος"},                 // final sigma: folds, does not lowercase
+		{AppName: "ſwift"},                // exact
+		{AppName: "swift"},                // long s: folds, does not lowercase
+		{SKU: "STANDARD_HBΣ"},             // full name, lowercased
+		{SKU: "hbς"},                      // alias, final sigma
+		{SKU: "ſtandard_hc44rs"},          // full name, long s
+		{AppName: "ſwift", SKU: "HC44RS"}, // non-ASCII app + folded alias
 	}
 	for i, f := range corners {
 		got, want := s.Select(f), s.SelectScan(f)
@@ -261,23 +275,6 @@ func TestSortByTimeCostStable(t *testing.T) {
 	}
 }
 
-// asciiOnly strips non-ASCII bytes from fuzz-generated filter strings.
-// strings.EqualFold (the scan oracle) and the ToLower-keyed indexes
-// disagree on a few exotic folds (e.g. U+017F LATIN SMALL LETTER LONG S
-// folds to "s" but does not lowercase to it) — a divergence that predates
-// the columnar path, since posting keys were always ToLower. The suite
-// pins columnar and scan together on the byte range where the two folds
-// agree.
-func asciiOnly(s string) string {
-	b := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] < 0x80 {
-			b = append(b, s[i])
-		}
-	}
-	return string(b)
-}
-
 // FuzzColumnarSelect drives arbitrary filters at randomized stores and
 // requires the columnar Select and GroupSeries to match the scan baseline
 // exactly.
@@ -290,9 +287,9 @@ func FuzzColumnarSelect(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomStore(rng, 30+int(uint64(seed)%150))
 		fl := Filter{
-			AppName:       asciiOnly(app),
-			SKU:           asciiOnly(sku),
-			InputDesc:     asciiOnly(input),
+			AppName:       app,
+			SKU:           sku,
+			InputDesc:     input,
 			MinNodes:      minN % 64,
 			MaxNodes:      maxN % 64,
 			IncludeFailed: includeFailed,

@@ -335,8 +335,10 @@ func (f Filter) Match(p Point) bool {
 
 // Select returns points passing the filter, ordered by (SKU, input, nodes),
 // ties in append order. It is served from the current Snapshot: an index
-// probe over the smallest matching posting list, falling back to a scan of
-// the sorted points only for tag-only filters.
+// probe over the smallest posting list of the constrained app, SKU and
+// input fields, or a scan of the sorted points when the filter constrains
+// none of them (empty, tag-only and node-bound-only filters, with or
+// without IncludeFailed).
 func (s *Store) Select(f Filter) []Point {
 	return s.Snapshot().Select(f)
 }

@@ -39,10 +39,10 @@ func pointLess(a, b *Point) bool {
 type tagPair struct{ k, v string }
 
 // CanonicalFilter is a Filter pre-processed for repeated matching: the
-// case-insensitive fields are folded once, and the tag map is flattened into
-// a sorted slice, so matching a point does no per-point canonicalization and
-// no map iteration. It also renders a canonical cache key, which the query
-// engine combines with the store generation.
+// case-insensitive fields are lowercased once, and the tag map is flattened
+// into a sorted slice, so matching a point does no map iteration. It also
+// renders a canonical cache key, which the query engine combines with the
+// store generation.
 type CanonicalFilter struct {
 	app   string // lowercased AppName; "" matches all
 	sku   string // lowercased SKU name or alias; "" matches all
@@ -73,15 +73,19 @@ func (f Filter) Canonical() CanonicalFilter {
 	return c
 }
 
-// Match reports whether a point passes the canonicalized filter.
+// Match reports whether a point passes the canonicalized filter. App and
+// SKU compare as strings.ToLower keys, the same keys the snapshot's indexes
+// and symbol columns use, so the scan baseline agrees with the indexed
+// Select on every string (strings.EqualFold would not: it folds "ſ" to "s"
+// and final "ς" to "σ", which lowercasing does not).
 func (c *CanonicalFilter) Match(p *Point) bool {
 	if !c.includeFailed && p.Failed {
 		return false
 	}
-	if c.app != "" && !strings.EqualFold(c.app, p.AppName) {
+	if c.app != "" && c.app != strings.ToLower(p.AppName) {
 		return false
 	}
-	if c.sku != "" && !strings.EqualFold(c.sku, p.SKU) && !strings.EqualFold(c.sku, p.SKUAlias) {
+	if c.sku != "" && c.sku != strings.ToLower(p.SKU) && c.sku != strings.ToLower(p.SKUAlias) {
 		return false
 	}
 	if c.input != "" && c.input != p.InputDesc {
@@ -152,7 +156,7 @@ type Snapshot struct {
 	inputs []string // distinct InputDescs, sorted
 
 	// col is the struct-of-arrays mirror of sorted (see columnar.go):
-	// interned symbol IDs and typed columns, so selectCanonical compares
+	// interned symbol IDs and typed columns, so matchPositions compares
 	// uint32s over contiguous memory instead of case-folding strings per
 	// candidate. Immutable after build, like the rest of the snapshot.
 	col columns
@@ -205,9 +209,9 @@ func (sn *Snapshot) Inputs() []string {
 // postings returns the candidate positions for the filter's indexed
 // fields: the smallest applicable posting list intersected with the
 // others (all lists are ascending, so the intersection is a linear merge
-// that preserves canonical order). The second result is false when no
-// indexed field is constrained — tag-only or unconstrained filters fall
-// back to scanning the sorted points.
+// that preserves canonical order). The second result is false when the
+// filter constrains none of app, SKU and input — empty, tag-only and
+// node-bound-only filters — and every row is a candidate.
 func (sn *Snapshot) postings(c *CanonicalFilter) ([]int32, bool) {
 	var lists [][]int32
 	if c.app != "" {
@@ -257,58 +261,49 @@ func intersectPostings(a, b []int32) []int32 {
 	return out
 }
 
-// Select returns points passing the filter in canonical (SKU alias, input,
-// nodes) order. Indexed fields probe the smallest posting list; only the
-// residual predicates are evaluated per candidate.
-func (sn *Snapshot) Select(f Filter) []Point {
-	c := f.Canonical()
-	return sn.selectCanonical(&c)
-}
-
-func (sn *Snapshot) selectCanonical(c *CanonicalFilter) []Point {
+// matchPositions returns the positions of the points passing the filter,
+// ascending and so in canonical order. It walks the smallest posting list
+// of the constrained indexed fields, or every row when the filter
+// constrains none of them, evaluating only the residual predicates per
+// candidate. The result is always a fresh slice, so callers may filter it
+// in place.
+func (sn *Snapshot) matchPositions(c *CanonicalFilter) []int32 {
 	cf, ok := sn.resolve(c)
 	if !ok {
 		return nil // a constrained symbol is absent: nothing can match
 	}
 	list, indexed := sn.postings(c)
-	if indexed && len(list) == 0 {
-		return nil
-	}
-	// Large candidate domains fan out across cores; the cutoff keeps small
-	// snapshots and tight index probes on the single-threaded path (see
-	// parallel.go). Both paths emit candidates in the same order, so the
-	// output is byte-identical either way.
-	domain := len(sn.sorted)
-	if indexed {
-		domain = len(list)
-	}
-	if workers := selectParallelism(); workers > 1 && domain >= parallelSelectMinCandidates {
-		if !indexed {
-			list = nil
-		}
-		return sn.selectParallel(&cf, list, domain, workers)
-	}
-	if indexed {
-		// Preallocate from the posting length; return nil (not an empty
-		// non-nil slice) when nothing matches, like the scan baseline.
-		out := make([]Point, 0, len(list))
-		for _, i := range list {
-			if sn.matchAt(&cf, int(i)) {
-				sn.ensureRow(int(i))
-				out = append(out, sn.sorted[i])
+	if !indexed {
+		out := make([]int32, 0, len(sn.sorted))
+		for i := range sn.sorted {
+			if sn.matchAt(&cf, i) {
+				out = append(out, int32(i))
 			}
-		}
-		if len(out) == 0 {
-			return nil
 		}
 		return out
 	}
-	var out []Point
-	for i := range sn.sorted {
-		if sn.matchAt(&cf, i) {
-			sn.ensureRow(i)
-			out = append(out, sn.sorted[i])
+	out := make([]int32, 0, len(list))
+	for _, i := range list {
+		if sn.matchAt(&cf, int(i)) {
+			out = append(out, i)
 		}
+	}
+	return out
+}
+
+// Select returns points passing the filter in canonical (SKU alias, input,
+// nodes) order. The candidate walk runs first, so the rows are copied once,
+// into a slice of their final size.
+func (sn *Snapshot) Select(f Filter) []Point {
+	c := f.Canonical()
+	pos := sn.matchPositions(&c)
+	if len(pos) == 0 {
+		return nil // nil, not an empty non-nil slice, like the scan baseline
+	}
+	out := make([]Point, len(pos))
+	for k, i := range pos {
+		sn.ensureRow(int(i))
+		out[k] = sn.sorted[i]
 	}
 	return out
 }

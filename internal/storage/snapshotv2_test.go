@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -134,8 +135,13 @@ func TestV2LoadMmapVsHeapVsV1Identical(t *testing.T) {
 	}
 }
 
+// TestV2SelectAndGenerationMatchHeap holds mapped and heap-loaded stores to
+// the same generation and the same Select rows, and the mapped rows to the
+// SelectScan oracle. The store spans several 1024-row lazy chunks, and every
+// filter selects from a freshly opened mapped store, so each one decodes its
+// rows (tag residuals included) from the mapping on first touch.
 func TestV2SelectAndGenerationMatchHeap(t *testing.T) {
-	dir, _ := compactedDir(t, 90)
+	dir, _ := compactedDir(t, 3000)
 
 	load := func(opts *SegmentOptions) *dataset.Store {
 		seg, err := OpenSegments(dir, opts)
@@ -160,11 +166,12 @@ func TestV2SelectAndGenerationMatchHeap(t *testing.T) {
 		{AppName: "lammps", SKU: "Standard_HC44rs", InputDesc: "BOXFACTOR=11"},
 		{MinNodes: 2, MaxNodes: 4},
 		{Tags: map[string]string{"sweep": "t1"}},
+		{SKU: "hc44", MinNodes: 2, Tags: map[string]string{"sweep": "t1"}},
 		{AppName: "no-such-app"},
 		{IncludeFailed: true},
 	}
 	for _, f := range filters {
-		a, b := mm.Select(f), heap.Select(f)
+		a, b := load(nil).Select(f), heap.Select(f)
 		if len(a) != len(b) {
 			t.Fatalf("filter %+v: mmap %d rows, heap %d rows", f, len(a), len(b))
 		}
@@ -173,9 +180,8 @@ func TestV2SelectAndGenerationMatchHeap(t *testing.T) {
 				t.Fatalf("filter %+v row %d differs: %+v vs %+v", f, i, a[i], b[i])
 			}
 		}
-		oracle := mm.SelectScan(f)
-		if len(a) != len(oracle) {
-			t.Fatalf("filter %+v: Select %d rows, SelectScan %d", f, len(a), len(oracle))
+		if oracle := mm.SelectScan(f); !reflect.DeepEqual(a, oracle) {
+			t.Fatalf("filter %+v: mapped Select (%d rows) differs from SelectScan (%d rows)", f, len(a), len(oracle))
 		}
 	}
 }
