@@ -1285,7 +1285,7 @@ func BenchmarkStorageAppendThroughput(b *testing.B) {
 
 // BenchmarkStorageLoad measures opening a persisted dataset: the jsonl
 // reparse, the segment log replay, and the compacted segment snapshot
-// (whose sorted order also seeds the first dataset.Snapshot build).
+// (served over its persisted columns, with no re-sort).
 func BenchmarkStorageLoad(b *testing.B) {
 	const npoints = 5000
 	dir := b.TempDir()
@@ -1338,7 +1338,7 @@ func BenchmarkStorageLoad(b *testing.B) {
 					b.Fatal(err)
 				}
 				loaded = st.Len()
-				// Touch the query path so seeded snapshot reuse counts.
+				// Touch the query path so the loaded snapshot's reuse counts.
 				if got := len(st.Select(dataset.Filter{AppName: "lammps"})); got == 0 {
 					b.Fatal("empty load")
 				}

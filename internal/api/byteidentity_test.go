@@ -1,9 +1,10 @@
 package api
 
-// Byte-identity suite for the mmap read path: an advisor serving a
-// snapshot straight off a mapped v2 segment must produce byte-for-byte the
-// same advice rows, advice tables, SVG plots, and /api/v1/advice bodies as
-// one that heap-loaded the same segment dir.
+// Byte-identity suite for the columnar read path: an advisor serving a
+// snapshot straight off a v2 segment (mapped, or read under the nommap
+// tag) must produce byte-for-byte the same advice rows, advice tables, SVG
+// plots, and /api/v1/advice bodies as one serving an in-memory store that
+// appended the same points — the heap build live collection uses.
 
 import (
 	"fmt"
@@ -49,15 +50,11 @@ func identityPoint(i int) dataset.Point {
 	return p
 }
 
-// segmentAdvisor loads the compacted segment dir into an advisor, heap- or
-// mmap-served.
-func segmentAdvisor(t *testing.T, dir string, noMmap bool) *core.Advisor {
+// segmentAdvisor loads the compacted segment dir into an advisor through
+// the columnar load path.
+func segmentAdvisor(t *testing.T, dir string) *core.Advisor {
 	t.Helper()
-	var opts *storage.SegmentOptions
-	if noMmap {
-		opts = &storage.SegmentOptions{NoMmap: true}
-	}
-	seg, err := storage.OpenSegments(dir, opts)
+	seg, err := storage.OpenSegments(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +65,10 @@ func segmentAdvisor(t *testing.T, dir string, noMmap bool) *core.Advisor {
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return storeAdvisor(st)
+}
+
+func storeAdvisor(st *dataset.Store) *core.Advisor {
 	adv := core.New("identitysub")
 	adv.SetStore(st)
 	return adv
@@ -79,10 +80,12 @@ func TestMmapVsHeapServingByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	heap := dataset.NewStore()
 	for i := 0; i < 160; i++ {
 		if err := seg.Append(identityPoint(i)); err != nil {
 			t.Fatal(err)
 		}
+		heap.Add(identityPoint(i))
 	}
 	if err := seg.Sync(); err != nil {
 		t.Fatal(err)
@@ -94,8 +97,8 @@ func TestMmapVsHeapServingByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mm := segmentAdvisor(t, dir, false)
-	hp := segmentAdvisor(t, dir, true)
+	mm := segmentAdvisor(t, dir)
+	hp := storeAdvisor(heap)
 
 	filters := []dataset.Filter{
 		{},

@@ -133,9 +133,8 @@ func (a *Advisor) OpenStore(path string) error {
 	// Prewarm the read path: force the first snapshot build (canonical
 	// sort, inverted indexes, columns, hot Pareto fronts) at open time, so
 	// the one-off cost lands here instead of on the first advice request.
-	// When the backend supplied a full-coverage snapshot segment this is a
-	// no-op — the seeded store already built everything from the on-disk
-	// PointLess order.
+	// When the backend served a v2 snapshot segment over its persisted
+	// columns this is a no-op — that snapshot was built at load.
 	st.Snapshot()
 	a.SetStore(st)
 	a.Backend = b

@@ -87,92 +87,16 @@ type Store struct {
 	snap    *Snapshot // guarded-by: mu; cached, valid iff snap.gen == gen, kept stale for merge amortization
 	sink    Sink      // guarded-by: mu
 	sinkErr error     // guarded-by: mu; first write-through failure, surfaced by Flush
+	rowErr  error     // guarded-by: mu; first mapped row that failed to decode, surfaced by Err and Marshal
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// NewSeededStore builds a store over points whose first len(sortedPrefix)
-// entries already have a known canonical (SKU alias, input, nodes) order —
-// the fast-load path for a compacted storage snapshot segment. The first
-// Snapshot build then merges only the unsorted tail instead of re-sorting
-// everything. A prefix that is not actually in canonical order, or that is
-// not a permutation of the points it claims to cover, is ignored (the store
-// falls back to sorting), so a corrupt seed can degrade speed but never
-// query results. Both slices are owned by the store afterwards.
-//
-// The seeded generation is the log position (see Generation): every replica
-// loading the same persisted log starts at the same generation.
-func NewSeededStore(points, sortedPrefix []Point) *Store {
-	s := &Store{points: points, gen: uint64(len(points))}
-	if len(sortedPrefix) == 0 || len(sortedPrefix) > len(points) {
-		return s
-	}
-	for i := 1; i < len(sortedPrefix); i++ {
-		if pointLess(&sortedPrefix[i], &sortedPrefix[i-1]) {
-			return s // not sorted: discard the seed
-		}
-	}
-	// The prefix claims to be points[:n] re-sorted. A sorted slice of the
-	// wrong points (a stale or cross-dataset snapshot segment) would pass
-	// the order check above and then silently serve wrong query results, so
-	// verify it is a permutation of what it covers with an order-independent
-	// fingerprint before trusting it.
-	if fingerprintSum(sortedPrefix) != fingerprintSum(points[:len(sortedPrefix)]) {
-		return s // not our points: discard the seed
-	}
-	seed := &Snapshot{n: len(sortedPrefix), sorted: sortedPrefix}
-	if seed.n == len(points) {
-		// Full coverage: this is the current snapshot, serve it directly.
-		// A seed load is the bulk-build case, so the hot fronts are
-		// precomputed here rather than on the first advice request.
-		seed.gen = s.gen
-		seed.buildIndexes()
-		seed.buildHotFronts(true)
-	} else {
-		// Partial coverage: a stale merge seed (gen != s.gen), used only as
-		// the sorted prefix of the first real snapshot build.
-		seed.gen = uint64(seed.n)
-	}
-	s.snap = seed
-	return s
-}
-
-// fingerprintSum combines per-point fingerprints order-independently, so two
-// slices holding the same multiset of points sum equal regardless of order.
-func fingerprintSum(pts []Point) uint64 {
-	var sum uint64
-	for i := range pts {
-		sum += pointFingerprint(&pts[i])
-	}
-	return sum
-}
-
-// pointFingerprint hashes the fields that identify a point's position in
-// the canonical order plus its identity — enough to detect a seed covering
-// different points, without hashing every field.
-func pointFingerprint(p *Point) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // field separator
-		h *= prime64
-	}
-	mix(p.ScenarioID)
-	mix(p.SKUAlias)
-	mix(p.InputDesc)
-	h ^= uint64(p.NNodes)
-	h *= prime64
-	return h
-}
-
-// materializeBaseLocked expands a mapped seed snapshot into the points
+// materializeBaseLocked expands a mapped base snapshot into the points
 // slice: every row decodes (lazy chunks force) and scatters back to append
-// order, with any tail appended after it. Mapped stores pay this once, on
+// order, with any tail appended after it, and the first decode failure
+// stays on the store for Err and Marshal. Mapped stores pay this once, on
 // the first operation that needs the append-order view (All, Marshal,
 // SelectScan, or a snapshot rebuild after an append); pure snapshot
 // serving never does. Callers hold s.mu.
@@ -181,6 +105,7 @@ func (s *Store) materializeBaseLocked() {
 		return
 	}
 	pts := s.base.appendOrderPoints()
+	s.rowErr = s.base.lazy.firstErr()
 	if len(s.points) > 0 {
 		pts = append(pts, s.points...)
 	}
@@ -260,13 +185,28 @@ func (s *Store) AddAll(pts []Point) {
 	s.mu.Unlock()
 }
 
+// Err reports the first persisted row that failed to decode. A store
+// loaded over a persisted snapshot decodes its rows lazily, and a row the
+// decoder rejects reads as a zero Point; callers that copy points out with
+// All check Err afterwards (Marshal returns it itself). It is nil for
+// stores built by appends.
+func (s *Store) Err() error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.base != nil {
+		return s.base.lazy.firstErr()
+	}
+	return s.rowErr
+}
+
 // Generation is the store's log position: the number of points ever
-// appended (seeded loads start at their point count). It changes whenever
-// query results may, so caches and ETags keyed by it invalidate exactly —
-// and because it derives from the append log rather than a process-local
-// counter, every replica applying the same log reports the same generation
-// at the same position, which is what lets a load balancer spray requests
-// across a replicated fleet without cache-coherence bugs.
+// appended (a store loaded from a persisted log starts at its point
+// count). It changes whenever query results may, so caches and ETags
+// keyed by it invalidate exactly — and because it derives from the append
+// log rather than a process-local counter, every replica applying the same
+// log reports the same generation at the same position, which is what lets
+// a load balancer spray requests across a replicated fleet without
+// cache-coherence bugs.
 func (s *Store) Generation() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -394,6 +334,9 @@ func (s *Store) Marshal() ([]byte, error) {
 	s.ensureMaterialized()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.rowErr != nil {
+		return nil, s.rowErr
+	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, p := range s.points {

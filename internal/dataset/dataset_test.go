@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -391,149 +390,5 @@ func TestStoreFlushSurfacesStickySinkError(t *testing.T) {
 	// truth for queries; durability errors are the caller's to handle).
 	if s.Len() != 2 {
 		t.Errorf("store len = %d, want 2", s.Len())
-	}
-}
-
-//
-// Seeded stores (fast snapshot loads)
-//
-
-func TestNewSeededStoreFullCoverageServesSeedDirectly(t *testing.T) {
-	ref := populated()
-	pts := ref.All()
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	sort.SliceStable(sorted, func(i, j int) bool { return PointLess(&sorted[i], &sorted[j]) })
-
-	seeded := NewSeededStore(ref.All(), sorted)
-	for _, f := range []Filter{{}, {AppName: "lammps"}, {SKU: "hc44rs"}, {IncludeFailed: true}} {
-		got, want := seeded.Select(f), ref.Select(f)
-		if len(got) != len(want) {
-			t.Fatalf("Select(%+v): %d vs %d", f, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].ScenarioID != want[i].ScenarioID || got[i].NNodes != want[i].NNodes {
-				t.Fatalf("Select(%+v)[%d] diverges", f, i)
-			}
-		}
-	}
-	gotM, _ := seeded.Marshal()
-	wantM, _ := ref.Marshal()
-	if string(gotM) != string(wantM) {
-		t.Fatal("seeded Marshal differs")
-	}
-}
-
-func TestNewSeededStorePartialPrefixMergesTail(t *testing.T) {
-	ref := populated()
-	pts := ref.All()
-	k := 3 // snapshot covers only the first 3 appends; the tail merges
-	prefix := make([]Point, k)
-	copy(prefix, pts[:k])
-	sort.SliceStable(prefix, func(i, j int) bool { return PointLess(&prefix[i], &prefix[j]) })
-
-	seeded := NewSeededStore(ref.All(), prefix)
-	got, want := seeded.Select(Filter{IncludeFailed: true}), ref.Select(Filter{IncludeFailed: true})
-	if len(got) != len(want) {
-		t.Fatalf("partial seed Select: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ScenarioID != want[i].ScenarioID || got[i].NNodes != want[i].NNodes {
-			t.Fatalf("partial seed Select[%d] diverges: %s/%d vs %s/%d",
-				i, got[i].ScenarioID, got[i].NNodes, want[i].ScenarioID, want[i].NNodes)
-		}
-	}
-}
-
-func TestNewSeededStoreRejectsUnsortedSeed(t *testing.T) {
-	ref := populated()
-	pts := ref.All()
-	backwards := make([]Point, len(pts))
-	copy(backwards, pts)
-	sort.SliceStable(backwards, func(i, j int) bool { return PointLess(&backwards[j], &backwards[i]) })
-
-	seeded := NewSeededStore(ref.All(), backwards) // lying seed: must be ignored
-	got, want := seeded.Select(Filter{}), ref.Select(Filter{})
-	if len(got) != len(want) {
-		t.Fatalf("Select: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ScenarioID != want[i].ScenarioID || got[i].NNodes != want[i].NNodes {
-			t.Fatalf("unsorted seed corrupted query order at %d", i)
-		}
-	}
-}
-
-func TestNewSeededStoreRejectsMismatchedSeed(t *testing.T) {
-	ref := populated()
-	pts := ref.All()
-
-	// A sorted prefix built from DIFFERENT points — the shape of a stale or
-	// cross-dataset snapshot segment. It passes the order check, so only the
-	// fingerprint verification stands between it and wrong query results.
-	alien := make([]Point, len(pts))
-	copy(alien, pts)
-	for i := range alien {
-		alien[i].ScenarioID = "alien-" + alien[i].ScenarioID
-	}
-	sort.SliceStable(alien, func(i, j int) bool { return PointLess(&alien[i], &alien[j]) })
-
-	seeded := NewSeededStore(ref.All(), alien)
-	got, want := seeded.Select(Filter{IncludeFailed: true}), ref.Select(Filter{IncludeFailed: true})
-	if len(got) != len(want) {
-		t.Fatalf("Select: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ScenarioID != want[i].ScenarioID {
-			t.Fatalf("mismatched seed leaked into query results at %d: %q vs %q",
-				i, got[i].ScenarioID, want[i].ScenarioID)
-		}
-	}
-}
-
-func TestSeededGenerationIsLogPosition(t *testing.T) {
-	ref := populated()
-	pts := ref.All()
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	sort.SliceStable(sorted, func(i, j int) bool { return PointLess(&sorted[i], &sorted[j]) })
-
-	// The generation of a loaded store is the number of points ever appended
-	// to the log it replays — NOT a local counter. Two replicas loading the
-	// same log (one through the seeded fast path, one by replaying appends)
-	// must agree, because the API ETag is derived from it.
-	seeded := NewSeededStore(ref.All(), sorted)
-	if got, want := seeded.Generation(), uint64(len(pts)); got != want {
-		t.Fatalf("seeded generation %d, want log position %d", got, want)
-	}
-	replayed := NewStore()
-	for _, p := range pts {
-		replayed.Add(p)
-	}
-	if seeded.Generation() != replayed.Generation() {
-		t.Fatalf("seeded (%d) and replayed (%d) stores disagree on generation",
-			seeded.Generation(), replayed.Generation())
-	}
-
-	// Appends advance the position by exactly the number of points appended,
-	// on both stores in lockstep.
-	seeded.Add(pts[0])
-	replayed.Add(pts[0])
-	seeded.AddAll(pts[:3])
-	replayed.AddAll(pts[:3])
-	if got, want := seeded.Generation(), uint64(len(pts)+4); got != want {
-		t.Fatalf("generation %d after appends, want %d", got, want)
-	}
-	if seeded.Generation() != replayed.Generation() {
-		t.Fatal("stores diverged after identical appends")
-	}
-
-	// A partial seed covers fewer points but the store generation is still
-	// the full log position.
-	partial := make([]Point, 2)
-	copy(partial, pts[:2])
-	sort.SliceStable(partial, func(i, j int) bool { return PointLess(&partial[i], &partial[j]) })
-	if got, want := NewSeededStore(ref.All(), partial).Generation(), uint64(len(pts)); got != want {
-		t.Fatalf("partial-seed generation %d, want %d", got, want)
 	}
 }

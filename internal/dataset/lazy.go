@@ -1,21 +1,24 @@
 package dataset
 
-// This file implements mmap-backed snapshots. A storage backend that
-// persisted a snapshot's columnar state (format v2 segments) hands it back
-// as a Columnar — typed slices aliasing the mapped file — and
-// NewMappedStore builds a serving Snapshot directly over them: no JSON
-// re-parse, no re-sort, no buildIndexes column rebuild. Row structs are
-// materialized lazily in fixed-size chunks the first time a query actually
-// touches one, so a cold process serves columnar filters and pre-serialized
-// hot fronts without ever decoding most rows.
+// This file implements snapshots served over persisted columnar state. A
+// storage backend that persisted a snapshot's columnar state (format v2
+// segments) hands it back as a Columnar — typed slices aliasing the
+// file's bytes, mapped or read — and NewMappedStore builds a serving
+// Snapshot directly over them: no JSON re-parse, no re-sort, no
+// buildIndexes column rebuild. Row structs are materialized lazily in
+// fixed-size chunks the first time a query actually touches one, so a cold
+// process serves columnar filters and pre-serialized hot fronts without
+// ever decoding most rows.
 //
 // Integrity model: the storage layer CRC-verifies every section before
 // handing it here, and NewMappedStore re-validates the structural
 // invariants (lengths, the append-index permutation, symbol and position
 // bounds). What is deliberately not re-checked is the canonical sort order
-// of the rows — that would force the full decode this path exists to skip;
-// the CRC already pins the bytes to what the compactor wrote, which is the
-// same trust the v1 frame reader places in its own writer.
+// of the rows — that would force the full decode this path exists to skip.
+// The CRC pins the bytes to what the compactor wrote, and the compactor's
+// BuildColumnar refuses rows that are not sorted. A row that still fails
+// to decode is served as a zero Point and recorded; Store.Err and
+// Store.Marshal report it.
 
 import (
 	"encoding/json"
@@ -26,9 +29,9 @@ import (
 )
 
 // Columnar is the flat, storage-ready form of a snapshot's read-optimized
-// state, used in both directions: ExportColumnar fills it from a live
-// snapshot for the segment compactor to serialize, and the mmap load path
-// fills it from mapped file sections for NewMappedStore. Slices handed to
+// state, used in both directions: BuildColumnar fills it from sorted
+// points for the segment compactor to serialize, and the storage load path
+// fills it from file sections for NewMappedStore. Slices handed to
 // NewMappedStore may alias mapped read-only memory and must never be
 // written through; string fields are always heap strings.
 type Columnar struct {
@@ -37,14 +40,14 @@ type Columnar struct {
 
 	// Rows holds the concatenated JSON encodings of the points in canonical
 	// sorted order; RowOffs[k]..RowOffs[k+1] bounds row k (so RowOffs has
-	// Count+1 entries and starts at 0). ExportColumnar leaves these nil —
+	// Count+1 entries and starts at 0). BuildColumnar leaves these nil —
 	// the segment writer marshals rows itself; NewMappedStore requires them.
 	Rows    []byte
 	RowOffs []uint64
 
 	// AppendIdx maps sorted position -> append-order index, a permutation
 	// of 0..Count-1 (the same per-row index the v1 frame format carries).
-	// Nil from ExportColumnar, required by NewMappedStore.
+	// Nil from BuildColumnar, required by NewMappedStore.
 	AppendIdx []uint32
 
 	// Syms is the dense symbol table: Syms[id] is the interned string the
@@ -88,12 +91,23 @@ type ColumnarFront struct {
 	JSONOK             bool
 }
 
-// ExportColumnar flattens the snapshot's columnar state for persistence.
-// Column slices are shared with the snapshot (read-only contract); hot
-// fronts are forced so every persisted front carries its positions and
-// serialized fragments. Rows, RowOffs, and AppendIdx are left for the
-// caller — the snapshot does not know append order, its writer does.
-func (sn *Snapshot) ExportColumnar() *Columnar {
+// BuildColumnar builds the columnar state of a snapshot over points that
+// are already in canonical order: the segment compactor's input. The slice
+// is used as is, with no copy and no re-sort, and the columns share it
+// read-only. Every posting list and persisted position assumes that order,
+// so unsorted points are an error. Hot fronts are computed eagerly, so
+// every persisted front carries its positions and serialized fragments.
+// Rows, RowOffs, and AppendIdx are left for the caller — the points do not
+// know their append order, the writer does.
+func BuildColumnar(sorted []Point) (*Columnar, error) {
+	for i := 1; i < len(sorted); i++ {
+		if pointLess(&sorted[i], &sorted[i-1]) {
+			return nil, fmt.Errorf("dataset: BuildColumnar: point %d sorts before point %d", i, i-1)
+		}
+	}
+	sn := &Snapshot{n: len(sorted), sorted: sorted}
+	sn.buildIndexes()
+	sn.buildHotFronts(true)
 	c := &Columnar{
 		Count:      len(sn.sorted),
 		Syms:       make([]string, len(sn.col.syms)),
@@ -119,22 +133,17 @@ func (sn *Snapshot) ExportColumnar() *Columnar {
 	sort.Strings(keys) // deterministic persisted order
 	for _, k := range keys {
 		hf := sn.hot[k]
-		hf.compute(sn)
-		pos := hf.posByTime
-		if pos == nil {
-			pos = []int32{}
-		}
 		c.Hot = append(c.Hot, ColumnarFront{
 			App:       hf.c.app,
 			SKU:       hf.c.sku,
 			Input:     hf.c.input,
-			Positions: pos,
+			Positions: hf.posByTime,
 			TimeJSON:  hf.timeJSON,
 			CostJSON:  hf.costJSON,
 			JSONOK:    hf.jsonOK,
 		})
 	}
-	return c
+	return c, nil
 }
 
 // lazyChunkRows is the row-materialization granularity: one touched row
@@ -162,6 +171,12 @@ type lazyRows struct {
 
 func (lz *lazyRows) recordErr(err error) {
 	lz.errOnce.Do(func() { lz.err.Store(err) })
+}
+
+// firstErr returns the first recorded decode failure, or nil.
+func (lz *lazyRows) firstErr() error {
+	err, _ := lz.err.Load().(error)
+	return err
 }
 
 // ensureRow materializes the chunk holding sorted[i]. A nil receiver path
@@ -226,9 +241,10 @@ func (sn *Snapshot) appendOrderPoints() []Point {
 // The returned store serves Snapshot queries immediately without decoding
 // rows; appends work normally (the mapped snapshot becomes the merge
 // prefix, expanded to append order on the first rebuild). Validation
-// failures return an error so callers can fall back to a heap parse.
+// failures return an error so callers can rebuild from the rows instead.
 //
-// The seeded generation is the log position, exactly as NewSeededStore.
+// The store's generation is the log position, c.Count: the same
+// generation a store that appended the same points reports.
 func NewMappedStore(c *Columnar) (*Store, error) {
 	sn, err := newMappedSnapshot(c)
 	if err != nil {

@@ -471,7 +471,7 @@ func (f *Follower) recoverLocal() error {
 }
 
 // loadLocal loads the mirrored directory into a dataset store (points in
-// leader append order, seeded with the snapshot's sorted prefix).
+// leader append order, a compacted snapshot served over its columns).
 func (f *Follower) loadLocal() (*dataset.Store, error) {
 	seg, err := storage.OpenSegments(f.dir, nil)
 	if err != nil {

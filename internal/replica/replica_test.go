@@ -402,7 +402,7 @@ func TestLaggingFollowerRestartCrossesCompaction(t *testing.T) {
 
 	// Reboot against a leader whose log was entirely folded: the follower
 	// drops its folded mirror files, adopts the snapshot, and loads through
-	// the seeded no-resort path.
+	// the columnar no-resort path.
 	fol2, _ := startFollower(t, srv.URL, followerDir)
 	waitFor(t, fol2, 60)
 	requireIdentical(t, leaderDir, followerDir)

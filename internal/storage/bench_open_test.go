@@ -1,9 +1,9 @@
 package storage
 
-// BenchmarkStoreOpenCold measures the cold-open path the tentpole targets:
-// OpenSegments + Load + the first Snapshot over a ~100k-point store, for
-// the v1 frame parse, the v2 heap parse, and the v2 mmap path. The mmap
-// subbenchmark is the one core.OpenStore takes on Linux.
+// BenchmarkStoreOpenCold measures the cold-open path: OpenSegments + Load +
+// the first Snapshot over a ~100k-point store, for the two load rungs. v2
+// is the columnar load every build takes (mmap on Linux, read bytes under
+// the nommap tag); v1-parse is the row rebuild.
 
 import (
 	"path/filepath"
@@ -32,12 +32,12 @@ func benchSnapshotDir(b *testing.B, pts []dataset.Point, order []int, v2 bool) s
 	return dir
 }
 
-func benchOpenCold(b *testing.B, dir string, opts *SegmentOptions, wantLen int) {
+func benchOpenCold(b *testing.B, dir string, wantLen int) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seg, err := OpenSegments(dir, opts)
+		seg, err := OpenSegments(dir, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,15 +65,9 @@ func BenchmarkStoreOpenCold(b *testing.B) {
 	dirV2 := benchSnapshotDir(b, pts, order, true)
 
 	b.Run("v1-parse", func(b *testing.B) {
-		benchOpenCold(b, dirV1, nil, len(pts))
+		benchOpenCold(b, dirV1, len(pts))
 	})
-	b.Run("v2-heap", func(b *testing.B) {
-		benchOpenCold(b, dirV2, &SegmentOptions{NoMmap: true}, len(pts))
-	})
-	b.Run("v2-mmap", func(b *testing.B) {
-		if !mmapSupported {
-			b.Skip("mmap unsupported on this build")
-		}
-		benchOpenCold(b, dirV2, nil, len(pts))
+	b.Run("v2", func(b *testing.B) {
+		benchOpenCold(b, dirV2, len(pts))
 	})
 }

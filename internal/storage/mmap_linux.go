@@ -10,9 +10,9 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this build can serve snapshots straight
-// from mapped files. The nommap tag forces the portable heap path for
-// testing the fallback ladder on any platform.
+// mmapSupported reports whether this build maps snapshot files rather than
+// reading them into the heap. The nommap tag forces the read-bytes form of
+// the same columnar load path on any platform.
 const mmapSupported = true
 
 // mmapRegion owns one read-only mapping of a snapshot segment. The

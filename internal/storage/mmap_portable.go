@@ -2,19 +2,25 @@
 
 package storage
 
-import "errors"
+import "os"
 
-// mmapSupported: this build always takes the portable heap path.
+// mmapSupported: this build reads snapshot files into the heap instead of
+// mapping them; the columnar constructor serves the bytes all the same.
 const mmapSupported = false
 
-// mmapRegion is a stub so loadMappedSnapshot compiles on portable builds;
-// mapFile never returns one.
+// mmapRegion holds a snapshot file's bytes read into the heap, so the
+// columnar load path is the same on every build.
 type mmapRegion struct {
 	data []byte
 }
 
+// mapFile reads path whole: the portable stand-in for a read-only mapping.
 func mapFile(path string) (*mmapRegion, error) {
-	return nil, errors.New("storage: mmap unsupported on this build")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return &mmapRegion{data: data}, nil
 }
 
 func (r *mmapRegion) unmap() {}

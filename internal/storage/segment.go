@@ -41,9 +41,9 @@ import (
 //	        frames ordered by dataset.PointLess (stable by append index)
 //
 // Snapshot segment file, format v2 ("HPASNAP2", what Compact writes): the
-// columnar section layout documented in snapshotv2.go. Readers that can
-// mmap serve dataset snapshots directly over the mapped sections; portable
-// readers decode the row sections into exactly what a v1 parse yields.
+// columnar section layout documented in snapshotv2.go. Readers serve
+// dataset snapshots directly over the sections, mapped where the build can
+// mmap and read into the heap elsewhere.
 //
 // Durability: frames are buffered and fsynced every SyncEvery appends and
 // on Sync/Close — a point is acknowledged when the covering fsync returns.
@@ -71,10 +71,6 @@ type SegmentOptions struct {
 	// MaxSegmentBytes seals the active segment once it grows past this
 	// size and starts a new one. Default 8 MiB.
 	MaxSegmentBytes int64
-	// NoMmap forces Load onto the portable heap parse even where mmap is
-	// available — the ablation knob for benchmarks and the byte-identity
-	// tests (mmap-served vs heap-served must be indistinguishable).
-	NoMmap bool
 }
 
 func (o *SegmentOptions) withDefaults() SegmentOptions {
@@ -86,7 +82,6 @@ func (o *SegmentOptions) withDefaults() SegmentOptions {
 		if o.MaxSegmentBytes > 0 {
 			out.MaxSegmentBytes = o.MaxSegmentBytes
 		}
-		out.NoMmap = o.NoMmap
 	}
 	return out
 }
@@ -120,7 +115,8 @@ type SegmentStore struct {
 	count       int      // total points (snapshot + all log segments)
 
 	// mmapServed records whether the most recent Load served the snapshot
-	// straight from a mapping (vs the portable heap parse).
+	// through the columnar constructor over a mapping (not read bytes, and
+	// not the row rebuild).
 	mmapServed bool
 
 	// changed is closed and replaced whenever replication-visible state
@@ -436,20 +432,19 @@ func (s *SegmentStore) Close() error {
 	return s.seal()
 }
 
-// Load reads the dataset in append order: the snapshot segment's points
-// (scattered back to their append positions), then each live log segment.
+// Load reads the dataset in append order: the snapshot segment's points,
+// then each live log segment. It has two rungs:
 //
-// The fallback ladder, fastest first:
+//  1. A v2 snapshot is served by the columnar constructor over the file's
+//     bytes, mapped on Linux and read into the heap elsewhere. Every
+//     section is CRC-verified first, and rows decode lazily. Any CRC,
+//     bounds or validation failure drops to 2.
+//  2. Anything else (a v1 snapshot, or a v2 file rung 1 rejects) decodes
+//     the rows in append order and builds an ordinary heap store, the way
+//     live collection does. Damaged rows are a Load error.
 //
-//  1. v2 snapshot on an mmap-capable build: the snapshot maps read-only
-//     and dataset queries serve straight over the mapped columns (rows
-//     decode lazily). Any mmap, CRC, or validation failure drops to 2.
-//  2. Heap parse: v2 row sections or v1 frames decode into points, and the
-//     snapshot's canonical order seeds the store so its first
-//     dataset.Snapshot build skips the re-sort.
-//
-// Either way the WAL tail replays on top, so the two paths return stores
-// with identical contents and generations.
+// Either way the WAL tail is appended on top, so both rungs return stores
+// with identical contents and generations. Load writes no files.
 func (s *SegmentStore) Load() (*dataset.Store, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -459,28 +454,48 @@ func (s *SegmentStore) Load() (*dataset.Store, error) {
 		}
 	}
 	s.mmapServed = false
-	if s.snapSeq > 0 && s.snapVersion == 2 && mmapSupported && !s.opts.NoMmap {
-		if st, err := s.loadMappedLocked(); err == nil {
-			s.mmapServed = true
+	if s.snapVersion == 2 {
+		if st, err := loadMappedSnapshot(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq); err == nil {
+			tail, err := s.readTail()
+			if err != nil {
+				return nil, err
+			}
+			st.AddAll(tail)
+			s.mmapServed = mmapSupported
 			return st, nil
 		}
-		// Fall through: the heap parse re-reads from scratch and surfaces
-		// its own (more precise) error if the file is truly unreadable.
+		// Fall through: the row decode surfaces its own (more precise)
+		// error if the rows themselves are damaged.
 	}
-	points, sorted, err := s.readAll()
+	points, err := s.readAll()
 	if err != nil {
 		return nil, err
 	}
-	return dataset.NewSeededStore(points, sorted), nil
+	st := dataset.NewStore()
+	st.AddAll(points)
+	return st, nil
 }
 
-// loadMappedLocked maps the v2 snapshot and replays the WAL tail on top.
-// Callers hold s.mu with the write buffer drained.
-func (s *SegmentStore) loadMappedLocked() (*dataset.Store, error) {
-	st, err := loadMappedSnapshot(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq)
+// readAll decodes the whole store in append order: the snapshot's points,
+// then the WAL tail. Callers hold s.mu with the write buffer drained.
+func (s *SegmentStore) readAll() ([]dataset.Point, error) {
+	var points []dataset.Point
+	if s.snapSeq > 0 {
+		var err error
+		if points, err = readSnapshotSegment(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq); err != nil {
+			return nil, err
+		}
+	}
+	tail, err := s.readTail()
 	if err != nil {
 		return nil, err
 	}
+	return append(points, tail...), nil
+}
+
+// readTail decodes every live log segment's points in append order.
+// Callers hold s.mu with the write buffer drained.
+func (s *SegmentStore) readTail() ([]dataset.Point, error) {
 	var tail []dataset.Point
 	for _, seq := range s.walSeqs {
 		_, err := readLogSegment(filepath.Join(s.dir, walName(seq)), seq, func(payload []byte) error {
@@ -495,34 +510,7 @@ func (s *SegmentStore) loadMappedLocked() (*dataset.Store, error) {
 			return nil, err
 		}
 	}
-	st.AddAll(tail)
-	return st, nil
-}
-
-// readAll decodes the whole store: points in append order plus the
-// snapshot's sorted prefix. Callers hold s.mu with the write buffer
-// drained.
-func (s *SegmentStore) readAll() (points, sorted []dataset.Point, err error) {
-	if s.snapSeq > 0 {
-		points, sorted, err = readSnapshotSegment(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, seq := range s.walSeqs {
-		_, err := readLogSegment(filepath.Join(s.dir, walName(seq)), seq, func(payload []byte) error {
-			var p dataset.Point
-			if err := json.Unmarshal(payload, &p); err != nil {
-				return fmt.Errorf("storage: %s: decoding point: %w", walName(seq), err)
-			}
-			points = append(points, p)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return points, sorted, nil
+	return tail, nil
 }
 
 // Compact folds the snapshot and every log segment into a new sorted
@@ -542,7 +530,7 @@ func (s *SegmentStore) Compact() error {
 	if err := s.seal(); err != nil {
 		return err
 	}
-	points, _, err := s.readAll()
+	points, err := s.readAll()
 	if err != nil {
 		return err
 	}
@@ -559,10 +547,8 @@ func (s *SegmentStore) Compact() error {
 	}
 
 	// Canonical sort order over append indexes, stable so ties keep append
-	// order — exactly the order dataset.Snapshot would build. A store
-	// seeded from this segment reuses the order verbatim: its first
-	// snapshot skips the re-sort and goes straight to building the
-	// inverted indexes, columns, and hot fronts over the on-disk layout.
+	// order — exactly the order dataset.Snapshot would build, so the
+	// columnar sections serve a reopened store without a re-sort.
 	order := make([]int, len(points))
 	for i := range order {
 		order[i] = i
@@ -817,58 +803,55 @@ func readSnapshotHeader(path string) (version int, foldThrough uint64, count int
 }
 
 // readSnapshotSegment reads a snapshot segment of either format: points
-// come back in append order (scattered via the per-row append index) and
-// in the snapshot's canonical sorted order. The index set must be exactly
-// 0..count-1.
-func readSnapshotSegment(path string, seq uint64) (points, sorted []dataset.Point, err error) {
+// come back in append order (scattered via the per-row append index). The
+// index set must be exactly 0..count-1.
+func readSnapshotSegment(path string, seq uint64) ([]dataset.Point, error) {
 	version, foldThrough, count, err := readSnapshotHeader(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if version == 2 {
 		return readSnapshotSegmentV2(path, seq)
 	}
 	if foldThrough != seq {
-		return nil, nil, fmt.Errorf("storage: %s: header seq %d does not match name", path, foldThrough)
+		return nil, fmt.Errorf("storage: %s: header seq %d does not match name", path, foldThrough)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
 	if _, err := br.Discard(snapHeaderSize); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	points = make([]dataset.Point, count)
-	sorted = make([]dataset.Point, 0, count)
+	points := make([]dataset.Point, count)
 	seen := make([]bool, count)
 	off := int64(snapHeaderSize)
 	for i := 0; i < count; i++ {
 		payload, err := readFrame(br, off)
 		if err != nil {
-			return nil, nil, fmt.Errorf("storage: %s: frame %d: %w", path, i, err)
+			return nil, fmt.Errorf("storage: %s: frame %d: %w", path, i, err)
 		}
 		if len(payload) < 4 {
-			return nil, nil, fmt.Errorf("storage: %s: frame %d: payload too short", path, i)
+			return nil, fmt.Errorf("storage: %s: frame %d: payload too short", path, i)
 		}
 		idx := binary.LittleEndian.Uint32(payload[:4])
 		if int(idx) >= count || seen[idx] {
-			return nil, nil, fmt.Errorf("storage: %s: frame %d: bad append index %d", path, i, idx)
+			return nil, fmt.Errorf("storage: %s: frame %d: bad append index %d", path, i, idx)
 		}
 		seen[idx] = true
 		var p dataset.Point
 		if err := json.Unmarshal(payload[4:], &p); err != nil {
-			return nil, nil, fmt.Errorf("storage: %s: frame %d: decoding point: %w", path, i, err)
+			return nil, fmt.Errorf("storage: %s: frame %d: decoding point: %w", path, i, err)
 		}
 		points[idx] = p
-		sorted = append(sorted, p)
 		off += frameHeaderSize + int64(len(payload))
 	}
 	if payload, err := readFrame(br, off); err != io.EOF || payload != nil {
-		return nil, nil, fmt.Errorf("storage: %s: trailing data after %d frames", path, count)
+		return nil, fmt.Errorf("storage: %s: trailing data after %d frames", path, count)
 	}
-	return points, sorted, nil
+	return points, nil
 }
 
 // writeSnapshotSegmentV1 stages and atomically publishes a v1 (frame

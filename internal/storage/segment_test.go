@@ -190,7 +190,7 @@ func TestCompactionFoldsSegmentsAndPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen and verify queries against an unseeded reference store.
+	// Reopen and verify queries against an in-memory reference store.
 	s2, err := OpenSegments(dir, nil)
 	if err != nil {
 		t.Fatal(err)

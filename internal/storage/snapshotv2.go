@@ -20,9 +20,9 @@ import (
 // alongside it the file persists the struct-of-arrays layout a
 // dataset.Snapshot builds in RAM: symbol table, interned uint32 string
 // columns, typed numeric columns, the failed bitmap, and the serialized
-// hot-front fragments. A reader that can mmap constructs the snapshot
-// directly over the mapped sections (rows decode lazily); any other reader
-// parses the row sections exactly like v1.
+// hot-front fragments. Every reader constructs the snapshot directly over
+// the sections, mapped or read into the heap (rows decode lazily); a file
+// whose columnar sections fail validation is rebuilt from its row sections.
 //
 //	header   40B  magic "HPASNAP2" | u64le folded-through seq | u64le count
 //	              | u32le endian marker 0x0A0B0C0D | u32le section count
@@ -32,7 +32,7 @@ import (
 //	sections page-aligned (4096), in table order, zero-padded between
 //
 // All integers little-endian (the endian marker re-states it so a mapped
-// reader on a foreign-endian host bails to the portable parse instead of
+// reader on a foreign-endian host bails to the row rebuild instead of
 // misreading columns). Published like every snapshot: staged, fsynced,
 // renamed (fsatomic.WriteFile).
 const (
@@ -47,8 +47,8 @@ const (
 	v2MaxFragmentLen = 64 << 20
 )
 
-// Section kinds. The row sections (rows, rowindex, appendidx) are all a
-// portable reader needs; the rest reconstruct the columnar layout.
+// Section kinds. The row sections (rows, rowindex, appendidx) are all the
+// row rebuild needs; the rest reconstruct the columnar layout.
 const (
 	secRows      uint32 = 1 // concatenated row JSON, sorted order
 	secRowIndex  uint32 = 2 // (count+1) u64le row bounds into secRows
@@ -93,11 +93,14 @@ func writeSnapshotSegmentV2(path string, foldThrough uint64, points []dataset.Po
 		rows = append(rows, enc...)
 		offs[k+1] = uint64(len(rows))
 	}
-	// The columnar sections come from a real snapshot build over the same
-	// decoded points, so what lands on disk is bit-for-bit what a heap load
-	// would reconstruct — including the hot-front JSON fragments, which
-	// must stay byte-identical between mmap and heap serving.
-	col := dataset.NewSeededStore(points, sorted).Snapshot().ExportColumnar()
+	// The columnar sections come from the snapshot build every heap store
+	// runs, over the already-sorted rows, so what lands on disk is
+	// bit-for-bit what a heap store over the same points serves, hot-front
+	// JSON fragments included.
+	col, err := dataset.BuildColumnar(sorted)
+	if err != nil {
+		return err
+	}
 
 	secs := []struct {
 		kind uint32
@@ -224,7 +227,7 @@ func putHotFronts(fronts []dataset.ColumnarFront) []byte {
 }
 
 //
-// Parser (shared by the heap reader, the mmap loader, and Info)
+// Parser (shared by the row reader, the columnar loader, and Info)
 //
 
 type v2Section struct {
@@ -400,10 +403,9 @@ func getStringList(c *byteCursor, maxItems uint32) ([]string, error) {
 	return out, nil
 }
 
-// getHotFronts decodes the hot-front section. copyFragments controls
-// whether the JSON fragments are copied to the heap (portable loads) or
-// subsliced in place (mmap loads, where the snapshot pins the region).
-func getHotFronts(b []byte, count int, copyFragments bool) ([]dataset.ColumnarFront, error) {
+// getHotFronts decodes the hot-front section. The JSON fragments are
+// subsliced in place: the snapshot pins the region they alias.
+func getHotFronts(b []byte, count int) ([]dataset.ColumnarFront, error) {
 	c := &byteCursor{b: b}
 	n := c.u32()
 	if c.err == nil && n > v2MaxHotFronts {
@@ -435,14 +437,10 @@ func getHotFronts(b []byte, count int, copyFragments bool) ([]dataset.ColumnarFr
 			if c.err == nil && ln > v2MaxFragmentLen {
 				c.err = fmt.Errorf("storage: implausible fragment length %d", ln)
 			}
-			frag := c.bytes(ln)
+			*dst = c.bytes(ln)
 			if c.err != nil {
 				return nil, c.err
 			}
-			if copyFragments {
-				frag = append([]byte(nil), frag...)
-			}
-			*dst = frag
 		}
 		out = append(out, f)
 	}
@@ -450,70 +448,69 @@ func getHotFronts(b []byte, count int, copyFragments bool) ([]dataset.ColumnarFr
 }
 
 //
-// Heap reader (portable fallback: same result as the v1 frame parse)
+// Row reader (the rebuild rung: same result as the v1 frame parse)
 //
 
-// readSnapshotSegmentV2 reads a v2 segment the portable way: CRC-verify
-// the row sections, decode every row, scatter by append index. Only the
-// row sections are required to be intact — a bit flip in a columnar
-// section degrades the mmap fast path but never this one.
-func readSnapshotSegmentV2(path string, seq uint64) (points, sorted []dataset.Point, err error) {
+// readSnapshotSegmentV2 decodes a v2 segment's rows: CRC-verify the row
+// sections, decode every row, scatter by append index. Only the row
+// sections are required to be intact — a bit flip in a columnar section
+// fails the columnar load but never this one. Compact reads through here
+// too, so a damaged columnar section heals at the next compaction.
+func readSnapshotSegmentV2(path string, seq uint64) ([]dataset.Point, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p, err := parseV2(data, path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p.fold != seq {
-		return nil, nil, fmt.Errorf("storage: %s: header seq %d does not match name", path, p.fold)
+		return nil, fmt.Errorf("storage: %s: header seq %d does not match name", path, p.fold)
 	}
 	rows, err := p.section(secRows, true)
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	idxRaw, err := p.section(secRowIndex, true)
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	offs, err := getU64s(idxRaw, p.count+1)
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	aidxRaw, err := p.section(secAppendIdx, true)
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	aidx, err := getU32s(aidxRaw, p.count)
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	if p.count > 0 && offs[0] != 0 {
-		return nil, nil, fmt.Errorf("storage: %s: row index does not start at 0", path)
+		return nil, fmt.Errorf("storage: %s: row index does not start at 0", path)
 	}
-	points = make([]dataset.Point, p.count)
-	sorted = make([]dataset.Point, p.count)
+	points := make([]dataset.Point, p.count)
 	seen := make([]bool, p.count)
 	for k := 0; k < p.count; k++ {
 		if offs[k+1] < offs[k] || offs[k+1] > uint64(len(rows)) {
-			return nil, nil, fmt.Errorf("storage: %s: row %d bounds invalid", path, k)
-		}
-		if err := json.Unmarshal(rows[offs[k]:offs[k+1]], &sorted[k]); err != nil {
-			return nil, nil, fmt.Errorf("storage: %s: row %d: decoding point: %w", path, k, err)
+			return nil, fmt.Errorf("storage: %s: row %d bounds invalid", path, k)
 		}
 		idx := aidx[k]
 		if int(idx) >= p.count || seen[idx] {
-			return nil, nil, fmt.Errorf("storage: %s: row %d: bad append index %d", path, k, idx)
+			return nil, fmt.Errorf("storage: %s: row %d: bad append index %d", path, k, idx)
 		}
 		seen[idx] = true
-		points[idx] = sorted[k]
+		if err := json.Unmarshal(rows[offs[k]:offs[k+1]], &points[idx]); err != nil {
+			return nil, fmt.Errorf("storage: %s: row %d: decoding point: %w", path, k, err)
+		}
 	}
-	return points, sorted, nil
+	return points, nil
 }
 
 //
-// Mmap loader
+// Columnar loader
 //
 
 // hostLittleEndian reports the host byte order; the mapped column casts
@@ -543,17 +540,15 @@ func castSlice[T uint32 | int32 | uint64 | float64](b []byte, n int) ([]T, error
 	return unsafe.Slice((*T)(p), n), nil
 }
 
-// loadMappedSnapshot mmaps a v2 segment and builds a store whose snapshot
-// serves directly over the mapped sections — zero-copy columns, lazy row
-// decode. Every section CRC is verified up front (tens of MB/s-irrelevant
-// sequential pass) so a bit-flipped file can never reach query results;
-// any failure returns an error and the caller falls back to the heap path.
+// loadMappedSnapshot maps a v2 segment (or reads it, on builds without
+// mmap) and builds a store whose snapshot serves directly over the
+// sections — zero-copy columns, lazy row decode. Every section CRC is
+// verified up front (one sequential pass) so a bit-flipped file can never
+// reach query results; any failure returns an error and the caller
+// rebuilds from the rows.
 func loadMappedSnapshot(path string, seq uint64) (st *dataset.Store, err error) {
-	if !mmapSupported {
-		return nil, errors.New("storage: mmap unsupported on this build")
-	}
 	if !hostLittleEndian() {
-		return nil, errors.New("storage: mmap serving requires a little-endian host")
+		return nil, errors.New("storage: columnar serving requires a little-endian host")
 	}
 	region, err := mapFile(path)
 	if err != nil {
@@ -639,7 +634,7 @@ func loadMappedSnapshot(path string, seq uint64) (st *dataset.Store, err error) 
 	}
 	// Fragments alias the mapped region; the snapshot's mapRef keeps it
 	// alive as long as any serving path can hand them out.
-	if c.Hot, err = getHotFronts(hotRaw, p.count, false); err != nil {
+	if c.Hot, err = getHotFronts(hotRaw, p.count); err != nil {
 		return nil, err
 	}
 	return dataset.NewMappedStore(c)

@@ -1,13 +1,17 @@
 package storage
 
-// Tests for the v2 columnar snapshot format: mmap and heap loads must be
-// byte-identical to each other and to a v1 parse of the same points; v1
-// state dirs must open and compact forward to v2; and corruption anywhere
-// in a v2 file must be caught by CRC — columnar damage degrades to the
-// heap parse, row damage is a load error, never silently wrong data.
+// Tests for the v2 columnar snapshot format: a columnar load must be
+// byte-identical to an in-memory store holding the same points and to a
+// v1 parse of them; v1 state dirs must open and compact forward to v2; and
+// corruption anywhere in a v2 file must be caught by CRC — columnar damage
+// degrades to the row rebuild, row damage is a load error, never silently
+// wrong data.
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,11 +66,11 @@ func snapshotPath(t *testing.T, dir string) string {
 	return matches[0]
 }
 
-// loadWith opens dir with opts, loads, and returns the store's marshal and
+// loadWith opens dir, loads, and returns the store's marshal and
 // the backend info after the load.
-func loadWith(t *testing.T, dir string, opts *SegmentOptions) ([]byte, Info) {
+func loadWith(t *testing.T, dir string) ([]byte, Info) {
 	t.Helper()
-	seg, err := OpenSegments(dir, opts)
+	seg, err := OpenSegments(dir, nil)
 	if err != nil {
 		t.Fatalf("OpenSegments: %v", err)
 	}
@@ -86,36 +90,14 @@ func loadWith(t *testing.T, dir string, opts *SegmentOptions) ([]byte, Info) {
 	return data, info
 }
 
-func TestV2LoadMmapVsHeapVsV1Identical(t *testing.T) {
-	dir, want := compactedDir(t, 120)
-
-	gotMmap, infoMmap := loadWith(t, dir, nil)
-	if !bytes.Equal(gotMmap, want) {
-		t.Fatal("default (mmap where supported) load differs from the appended points")
-	}
-	if infoMmap.MmapServed != mmapSupported {
-		t.Fatalf("MmapServed = %t, want %t", infoMmap.MmapServed, mmapSupported)
-	}
-
-	gotHeap, infoHeap := loadWith(t, dir, &SegmentOptions{NoMmap: true})
-	if infoHeap.MmapServed {
-		t.Fatal("NoMmap load reported MmapServed")
-	}
-	if !bytes.Equal(gotHeap, gotMmap) {
-		t.Fatal("heap load differs from mmap load")
-	}
-
-	// Rewrite the same fold as a v1 snapshot: the frame parse must hand
-	// back byte-identical data.
-	seg, err := OpenSegments(dir, &SegmentOptions{NoMmap: true})
+// downgradeToV1 rewrites dir's snapshot as a v1 file over the same fold
+// point, holding pts (the append-order points it covers).
+func downgradeToV1(t *testing.T, dir string, pts []dataset.Point) {
+	t.Helper()
+	seg, err := OpenSegments(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := seg.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := st.All()
 	seq := seg.snapSeq
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
@@ -123,7 +105,40 @@ func TestV2LoadMmapVsHeapVsV1Identical(t *testing.T) {
 	if err := writeSnapshotSegmentV1(snapshotPath(t, dir), seq, pts, canonicalOrder(pts)); err != nil {
 		t.Fatal(err)
 	}
-	gotV1, infoV1 := loadWith(t, dir, nil)
+}
+
+// heapStore is the independent reference for every columnar load: the
+// store live collection builds, holding the same points appended in
+// memory.
+func heapStore(pts []dataset.Point) *dataset.Store {
+	st := dataset.NewStore()
+	st.AddAll(pts)
+	return st
+}
+
+func TestV2LoadMmapVsHeapVsV1Identical(t *testing.T) {
+	dir, want := compactedDir(t, 120)
+
+	gotMmap, infoMmap := loadWith(t, dir)
+	if !bytes.Equal(gotMmap, want) {
+		t.Fatal("columnar load differs from the appended points")
+	}
+	if infoMmap.MmapServed != mmapSupported {
+		t.Fatalf("MmapServed = %t, want %t", infoMmap.MmapServed, mmapSupported)
+	}
+
+	gotHeap, err := heapStore(points(120)).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotHeap, gotMmap) {
+		t.Fatal("in-memory store differs from columnar load")
+	}
+
+	// Rewrite the same fold as a v1 snapshot: the frame parse must hand
+	// back byte-identical data.
+	downgradeToV1(t, dir, points(120))
+	gotV1, infoV1 := loadWith(t, dir)
 	if infoV1.SnapshotFormat != 1 {
 		t.Fatalf("SnapshotFormat = %d, want 1", infoV1.SnapshotFormat)
 	}
@@ -135,16 +150,16 @@ func TestV2LoadMmapVsHeapVsV1Identical(t *testing.T) {
 	}
 }
 
-// TestV2SelectAndGenerationMatchHeap holds mapped and heap-loaded stores to
-// the same generation and the same Select rows, and the mapped rows to the
-// SelectScan oracle. The store spans several 1024-row lazy chunks, and every
+// TestV2SelectAndGenerationMatchHeap holds columnar-loaded stores and an
+// in-memory store of the same points to the same generation and the same
+// Select rows, and the mapped rows to the SelectScan oracle. The store spans several 1024-row lazy chunks, and every
 // filter selects from a freshly opened mapped store, so each one decodes its
 // rows (tag residuals included) from the mapping on first touch.
 func TestV2SelectAndGenerationMatchHeap(t *testing.T) {
 	dir, _ := compactedDir(t, 3000)
 
-	load := func(opts *SegmentOptions) *dataset.Store {
-		seg, err := OpenSegments(dir, opts)
+	load := func() *dataset.Store {
+		seg, err := OpenSegments(dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +170,7 @@ func TestV2SelectAndGenerationMatchHeap(t *testing.T) {
 		}
 		return st
 	}
-	mm, heap := load(nil), load(&SegmentOptions{NoMmap: true})
+	mm, heap := load(), heapStore(points(3000))
 	if g1, g2 := mm.Snapshot().Generation(), heap.Snapshot().Generation(); g1 != g2 {
 		t.Fatalf("generation mismatch: mmap %d, heap %d", g1, g2)
 	}
@@ -171,7 +186,7 @@ func TestV2SelectAndGenerationMatchHeap(t *testing.T) {
 		{IncludeFailed: true},
 	}
 	for _, f := range filters {
-		a, b := load(nil).Select(f), heap.Select(f)
+		a, b := load().Select(f), heap.Select(f)
 		if len(a) != len(b) {
 			t.Fatalf("filter %+v: mmap %d rows, heap %d rows", f, len(a), len(b))
 		}
@@ -190,25 +205,11 @@ func TestV1DirOpensAndCompactsForwardToV2(t *testing.T) {
 	dir, want := compactedDir(t, 60)
 
 	// Downgrade the snapshot to v1 in place, same fold point.
-	seg, err := OpenSegments(dir, &SegmentOptions{NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := seg.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := st.All()
-	seq := seg.snapSeq
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSnapshotSegmentV1(snapshotPath(t, dir), seq, pts, canonicalOrder(pts)); err != nil {
-		t.Fatal(err)
-	}
+	pts := points(60)
+	downgradeToV1(t, dir, pts)
 
 	// The v1 dir opens and serves the same bytes.
-	seg, err = OpenSegments(dir, nil)
+	seg, err := OpenSegments(dir, nil)
 	if err != nil {
 		t.Fatalf("v1 dir failed to open: %v", err)
 	}
@@ -277,11 +278,11 @@ func flipByteInSection(t *testing.T, path string, kind uint32) {
 
 func TestV2CorruptColumnarSectionFallsBackToHeap(t *testing.T) {
 	dir, want := compactedDir(t, 80)
-	// Damage a columnar-only section: the mmap path's CRC sweep rejects
-	// the file, the heap parse (which decodes rows, not columns) still
-	// serves identical data.
+	// Damage a columnar-only section: the columnar load's CRC sweep
+	// rejects the file, the row rebuild (which decodes rows, not columns)
+	// still serves identical data.
 	flipByteInSection(t, snapshotPath(t, dir), secColExec)
-	got, info := loadWith(t, dir, nil)
+	got, info := loadWith(t, dir)
 	if !bytes.Equal(got, want) {
 		t.Fatal("fallback load differs from original points")
 	}
@@ -339,7 +340,7 @@ func TestV2TruncatedSnapshotNeverServesGarbage(t *testing.T) {
 	if err := os.WriteFile(path, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := loadWith(t, dir, nil)
+	got, _ := loadWith(t, dir)
 	if !bytes.Equal(got, want) {
 		t.Fatal("pristine reload differs")
 	}
@@ -362,7 +363,7 @@ func TestV2CorruptSnapshotFallsBackToWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipByteInSection(t, snapshotPath(t, dir), secHotFronts)
-	got, info := loadWith(t, dir, nil)
+	got, info := loadWith(t, dir)
 	want := marshalOf(t, append(points(50), tail...))
 	if !bytes.Equal(got, want) {
 		t.Fatal("fallback load lost WAL tail points")
@@ -374,7 +375,7 @@ func TestV2CorruptSnapshotFallsBackToWALTail(t *testing.T) {
 
 func TestV2InfoReportsColumnarFootprint(t *testing.T) {
 	dir, _ := compactedDir(t, 100)
-	_, info := loadWith(t, dir, nil)
+	_, info := loadWith(t, dir)
 	if info.SnapshotFormat != 2 {
 		t.Fatalf("SnapshotFormat = %d, want 2", info.SnapshotFormat)
 	}
@@ -390,5 +391,150 @@ func TestV2InfoReportsColumnarFootprint(t *testing.T) {
 		if !bytes.Contains([]byte(rendered), []byte(sub)) {
 			t.Fatalf("Info.String() missing %q:\n%s", sub, rendered)
 		}
+	}
+}
+
+// TestLoadGenerationIsLogPosition: the generation of a loaded store is the
+// number of points ever appended to the log it reads — not a local
+// counter — on both load rungs, with and without a WAL tail. Replicas
+// derive their ETags from it, so a store loaded from disk must agree with
+// one that appended the same points in memory.
+func TestLoadGenerationIsLogPosition(t *testing.T) {
+	const n = 70
+	rungs := []struct {
+		name     string
+		columnar bool
+		prepare  func(t *testing.T, dir string)
+	}{
+		{"v2-columnar", true, func(*testing.T, string) {}},
+		{"v1-rebuild", false, func(t *testing.T, dir string) { downgradeToV1(t, dir, points(n)) }},
+		{"columnar-damage-rebuild", false, func(t *testing.T, dir string) {
+			flipByteInSection(t, snapshotPath(t, dir), secColNodes)
+		}},
+	}
+	for _, r := range rungs {
+		for _, tailLen := range []int{0, 5} {
+			t.Run(fmt.Sprintf("%s/tail=%d", r.name, tailLen), func(t *testing.T) {
+				dir, _ := compactedDir(t, n)
+				r.prepare(t, dir)
+				pts := points(n)
+				seg, err := OpenSegments(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer seg.Close()
+				for i := 0; i < tailLen; i++ {
+					p := point(5000 + i)
+					if err := seg.Append(p); err != nil {
+						t.Fatal(err)
+					}
+					pts = append(pts, p)
+				}
+				st, err := seg.Load()
+				if err != nil {
+					t.Fatal(err)
+				}
+				info, err := seg.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := r.columnar && mmapSupported; info.MmapServed != want {
+					t.Fatalf("MmapServed = %t, want %t", info.MmapServed, want)
+				}
+				replayed := dataset.NewStore()
+				for _, p := range pts {
+					replayed.Add(p)
+				}
+				if got, want := st.Generation(), uint64(len(pts)); got != want {
+					t.Fatalf("loaded generation %d, want log position %d", got, want)
+				}
+				if st.Generation() != replayed.Generation() {
+					t.Fatalf("loaded (%d) and replayed (%d) stores disagree on generation",
+						st.Generation(), replayed.Generation())
+				}
+				// Appends advance the position by exactly the number of
+				// points appended, on both stores in lockstep.
+				st.Add(pts[0])
+				replayed.Add(pts[0])
+				st.AddAll(pts[:3])
+				replayed.AddAll(pts[:3])
+				if got, want := st.Snapshot().Generation(), uint64(len(pts)+4); got != want {
+					t.Fatalf("generation %d after appends, want %d", got, want)
+				}
+				if st.Generation() != replayed.Generation() {
+					t.Fatal("stores diverged after identical appends")
+				}
+			})
+		}
+	}
+}
+
+// TestUndecodableRowIsReported: a v2 file whose first row is not JSON but
+// whose CRCs are all valid passes every load-time check (rows decode
+// lazily). The bad row must surface as an error from Marshal, Err and
+// Convert, never be served or copied as a zero Point.
+func TestUndecodableRowIsReported(t *testing.T) {
+	dir, _ := compactedDir(t, 40)
+	path := snapshotPath(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, secs, _, _, err := parseV2Table(data, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, index := -1, -1
+	for i, s := range secs {
+		switch s.kind {
+		case secRows:
+			rows = i
+		case secRowIndex:
+			index = i
+		}
+	}
+	if rows < 0 || index < 0 {
+		t.Fatal("missing row sections")
+	}
+	// Overwrite row 0 with same-length garbage, then re-seal the rows
+	// section CRC and the header/table CRC so only the JSON is wrong.
+	rs := secs[rows]
+	row0End := binary.LittleEndian.Uint64(data[secs[index].off+8:])
+	for j := rs.off; j < rs.off+row0End; j++ {
+		data[j] = '!'
+	}
+	d := v2HeaderSize + rows*v2SecDescSize
+	binary.LittleEndian.PutUint32(data[d+24:], crc32.Checksum(data[rs.off:rs.off+rs.length], crcTable))
+	tableEnd := v2HeaderSize + len(secs)*v2SecDescSize
+	crc := crc32.Checksum(data[0:36], crcTable)
+	crc = crc32.Update(crc, crcTable, data[v2HeaderSize:tableEnd])
+	binary.LittleEndian.PutUint32(data[36:], crc)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	seg, err := OpenSegments(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := seg.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if _, err := st.Marshal(); err == nil {
+		t.Fatal("Marshal served an undecodable row without an error")
+	}
+	if st.Err() == nil {
+		t.Fatal("Err is nil after a row failed to decode")
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), "out.jsonl")
+	if n, err := Convert(dir, dst); err == nil {
+		t.Fatalf("Convert copied %d points, the undecodable row included", n)
+	}
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		t.Fatalf("failed Convert left a destination behind (stat err %v)", err)
 	}
 }

@@ -66,8 +66,8 @@ type Info struct {
 	// persists.
 	HotFronts int `json:"hot_fronts,omitempty"`
 	// MmapServed reports whether the most recent Load served the snapshot
-	// straight from an mmap (false on portable builds, after a fallback,
-	// or before any Load).
+	// straight from an mmap (false on portable builds, which serve the same
+	// columns over read bytes, after a row rebuild, or before any Load).
 	MmapServed bool `json:"mmap_served,omitempty"`
 	// Bytes is the total on-disk size.
 	Bytes int64 `json:"bytes"`
@@ -115,9 +115,9 @@ type Backend interface {
 	Append(p dataset.Point) error
 	// Sync makes every appended point durable.
 	Sync() error
-	// Load reads the full dataset into a fresh Store in append order,
-	// seeding it with the compacted sorted order when one exists so the
-	// first snapshot build skips the O(n log n) re-sort.
+	// Load reads the full dataset into a fresh Store in append order. A
+	// compacted snapshot is served over its persisted columns, so the first
+	// snapshot build skips the O(n log n) re-sort.
 	Load() (*dataset.Store, error)
 	// Compact folds the log into its most read-optimized shape; backends
 	// without one return ErrNoCompaction.
@@ -192,6 +192,10 @@ func Convert(src, dst string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	pts := st.All()
+	if err := st.Err(); err != nil {
+		return 0, err // never copy a row that failed to decode as a zero point
+	}
 	to, err := OpenBackend(dst)
 	if err != nil {
 		return 0, err
@@ -203,7 +207,6 @@ func Convert(src, dst string) (int, error) {
 		to.Close()
 		return 0, fmt.Errorf("storage: destination %q already holds %d points", dst, info.Points)
 	}
-	pts := st.All()
 	for i := range pts {
 		if err := to.Append(pts[i]); err != nil {
 			to.Close()

@@ -140,8 +140,8 @@ func TestConvertRefusesNonEmptyDestination(t *testing.T) {
 	}
 }
 
-// TestSeededLoadMatchesUnseededQueries: the fast snapshot path must be a
-// pure optimization — byte-identical Marshal and identical Select results.
+// TestSeededLoadMatchesUnseededQueries: the columnar snapshot load must be
+// a pure optimization — identical Select results to an in-memory store.
 func TestSeededLoadMatchesUnseededQueries(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data.seg")
 	s, err := OpenSegments(dir, nil)
