@@ -899,7 +899,7 @@ func BenchmarkAdviceQueryThroughput(b *testing.B) {
 		}
 	}
 	engineQuery := func(store *dataset.Store) func(i int) error {
-		eng := queryengine.New(store, 0)
+		eng := queryengine.New(store)
 		return func(i int) error {
 			f := queryBenchFilters[i%len(queryBenchFilters)]
 			if eng.AdviceTable(eng.Snapshot(), f, pareto.ByTime) == "" {
@@ -1015,7 +1015,7 @@ func BenchmarkAblationIndexVsScan(b *testing.B) {
 // at least 2x the row baseline on uncached filtered selects.
 func BenchmarkColumnarSelect(b *testing.B) {
 	store := queryBenchStore(10000)
-	store.Snapshot() // build columns, postings, and hot fronts once up front
+	store.Snapshot() // build columns and postings once up front
 	cases := []struct {
 		name string
 		f    dataset.Filter
@@ -1040,11 +1040,11 @@ func BenchmarkColumnarSelect(b *testing.B) {
 }
 
 // BenchmarkHotFrontServe measures advice cost right after a generation
-// roll — the case the precomputed hot fronts exist for. Every iteration
-// appends one point, invalidating the engine's per-generation caches, and
-// then asks for a front. "precomputed" serves through Engine.Advice, which
-// hands out the snapshot's hot front; "recompute" is the pre-tentpole
-// shape: a fresh Select copy plus an on-demand Pareto sweep.
+// roll — the case the hot fronts exist for. Every iteration appends one
+// point, invalidating the engine's per-generation memo, and then asks for
+// a front. "precomputed" serves through Engine.Advice, which sweeps the
+// snapshot's hot front over the columns and copies only the survivors;
+// "recompute" is a fresh Select copy plus an on-demand Pareto sweep.
 func BenchmarkHotFrontServe(b *testing.B) {
 	filters := []dataset.Filter{
 		{},
@@ -1054,7 +1054,7 @@ func BenchmarkHotFrontServe(b *testing.B) {
 	}
 	b.Run("precomputed", func(b *testing.B) {
 		store := queryBenchStore(10000)
-		eng := queryengine.New(store, 0)
+		eng := queryengine.New(store)
 		store.Snapshot()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -1186,7 +1186,7 @@ func BenchmarkPredictedAdviceThroughput(b *testing.B) {
 
 	b.Run("engine", func(b *testing.B) {
 		store := predictBenchStore()
-		eng := queryengine.New(store, 0)
+		eng := queryengine.New(store)
 		b.ResetTimer()
 		start := time.Now()
 		var next int64 = -1

@@ -74,9 +74,8 @@ type etagEntry struct {
 }
 
 // maxCachedBodies bounds the per-generation body cache. Distinct raw query
-// strings beyond the cap fall through to the normal (still engine-cached)
-// render path, so an adversarial query stream cannot grow the map without
-// bound.
+// strings beyond the cap are rendered on every request and not stored, so
+// an adversarial query stream cannot grow the map without bound.
 const maxCachedBodies = 512
 
 // bodyCache memoizes rendered advice bodies for one generation.
@@ -219,8 +218,8 @@ func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
 }
 
 // etag renders the generation ETag. It is a strong validator: two responses
-// for one URL at one generation are byte-identical (the engine serves both
-// from the same memoized snapshot results).
+// for one URL at one generation are byte-identical (both render from
+// snapshots of that one generation).
 func etag(gen uint64) string {
 	return `"g` + strconv.FormatUint(gen, 10) + `"`
 }
@@ -290,10 +289,9 @@ func (s *Server) stampCaching(w http.ResponseWriter, gen uint64) {
 
 // handleAdvice serves the service.AdviceResponse envelope: generation,
 // canonical sort name, row count, and the rows. The encoded body is
-// memoized per (filter, order, generation) in the query engine, and the
-// fully rendered response is additionally cached here per (raw query,
-// generation) — so under steady traffic this handler is a header compare
-// and a map probe, with no query parsing at all. The generation is fetched
+// cached here once per (raw query, generation) — so under steady traffic
+// this handler is a header compare and a map probe, with no query parsing
+// at all. The generation is fetched
 // exactly once and threaded through both the revalidation check and the
 // cache probe (snapshot-pinning discipline).
 func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
@@ -433,7 +431,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("hpcadvisor_dataset_generation", "Dataset store generation (ETag basis).", s.svc.Generation())
 	counter("hpcadvisor_cache_hits_total", "Query engine cache hits.", stats.Hits)
 	counter("hpcadvisor_cache_misses_total", "Query engine cache misses.", stats.Misses)
-	counter("hpcadvisor_cache_evictions_total", "Query engine cache evictions.", stats.Evictions)
+	counter("hpcadvisor_cache_evictions_total", "Query engine cache entries dropped when a newer dataset generation replaced the memo.", stats.Evictions)
 	counter("hpcadvisor_http_requests_total", "API requests served.", s.requests.Load())
 	counter("hpcadvisor_http_not_modified_total", "Revalidations answered 304.", s.notModified.Load())
 	counter("hpcadvisor_http_body_cache_hits_total", "Advice responses served from the per-generation body cache.", s.bodyHits.Load())

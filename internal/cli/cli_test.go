@@ -593,7 +593,7 @@ func TestDatasetSubcommands(t *testing.T) {
 		t.Fatalf("post-compact info: %s", r.err.String())
 	}
 	for _, sub := range []string{"snapshot format: v2", "symbol table", "columns",
-		"failed bitmap", "row data", "hot fronts", "mmap served"} {
+		"failed bitmap", "row data", "mmap served"} {
 		if !strings.Contains(r.out.String(), sub) {
 			t.Errorf("post-compact info missing %q:\n%s", sub, r.out.String())
 		}

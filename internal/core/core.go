@@ -105,7 +105,7 @@ func (a *Advisor) Engine() *queryengine.Engine {
 	a.engMu.Lock()
 	defer a.engMu.Unlock()
 	if a.eng == nil || a.engStore != a.Store {
-		a.eng = queryengine.New(a.Store, queryengine.DefaultCacheEntries)
+		a.eng = queryengine.New(a.Store)
 		a.engStore = a.Store
 	}
 	return a.eng
@@ -117,7 +117,7 @@ func (a *Advisor) SetStore(s *dataset.Store) {
 	a.engMu.Lock()
 	defer a.engMu.Unlock()
 	a.Store = s
-	a.eng = queryengine.New(s, queryengine.DefaultCacheEntries)
+	a.eng = queryengine.New(s)
 	a.engStore = s
 }
 

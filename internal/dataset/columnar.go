@@ -1,25 +1,23 @@
 package dataset
 
 import (
-	"encoding/json"
 	"sort"
 	"strings"
 	"sync"
 )
 
 // This file implements the columnar side of a Snapshot: a struct-of-arrays
-// mirror of the sorted points plus precomputed Pareto fronts for the hot
-// filters. The row slice stays the source of truth (Select still returns
+// mirror of the sorted points plus lazily computed Pareto fronts for the
+// hot filters. The row slice stays the source of truth (Select still returns
 // []Point copies); the columns exist so the per-candidate filter predicate
 // is a handful of integer compares over contiguous memory instead of
 // case-folding 20-field structs, and so the Pareto sweep can sort candidate
 // positions instead of copying full points.
 //
 // Everything here is immutable once the snapshot is published, with one
-// carefully-scoped exception: each hotFront computes its rows at most once
-// under a sync.Once (eagerly on bulk builds, on first use under
-// fine-grained appends), which is safe for any number of concurrent
-// readers.
+// carefully-scoped exception: each hotFront computes its front at most
+// once, on first use, under a sync.Once, which is safe for any number of
+// concurrent readers.
 
 // columns is the struct-of-arrays mirror of Snapshot.sorted. String fields
 // are interned through one shared symbol table: two cells are equal iff
@@ -131,7 +129,7 @@ func (sn *Snapshot) matchAt(cf *colFilter, i int) bool {
 // path. Stability is load-bearing, not a nicety: a stable sort's output is
 // uniquely determined by keys and input order, so this sort and
 // pareto.Front's sort.SliceStable produce the same permutation of the same
-// candidates — which is what makes precomputed fronts byte-identical to
+// candidates — which is what makes hot fronts byte-identical to
 // the scan path even for exact (time, cost) duplicates.
 func sortByTimeCost(idx []int32, exec, cost []float64) {
 	n := len(idx)
@@ -181,8 +179,7 @@ func sortByTimeCost(idx []int32, exec, cost []float64) {
 // including the NaN-tolerant minCost seed — so materializing the surviving
 // positions equals pareto.Front(sn.Select(f)) byte for byte without
 // copying the candidate points first. The returned positions are in
-// by-time order and are exactly what the v2 snapshot format persists per
-// hot front.
+// by-time order.
 func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 	pos := sn.matchPositions(c)
 	cand := pos[:0] // pareto.Front skips failed runs: drop them in place
@@ -207,100 +204,75 @@ func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 	return front
 }
 
-// hotFrontLimit caps how many filters get precomputed fronts per snapshot.
+// hotFrontLimit caps how many filters get hot fronts per snapshot.
 // Candidates (the unfiltered view, each app, each SKU alias, each input)
 // are ranked by match count, so the cap keeps the filters that are most
 // expensive to front on demand.
 const hotFrontLimit = 24
 
-// hotFront holds the precomputed advice for one hot filter: the Pareto
-// front in both presentation orders plus the rows pre-serialized as a JSON
-// array fragment the serving layer stitches into its envelope without
-// reflection. Two provenances share the struct: a heap build computes
-// everything inside once on first use, while a mapped snapshot arrives
-// with the persisted positions and fragments preloaded (fromPos non-nil,
-// jsonReady) so JSON serving never touches a row. All once-written fields
-// are immutable after their single write.
+// hotFront holds the lazily computed advice for one hot filter: the
+// surviving positions in by-time order plus both presentation orders
+// serialized as JSON array fragments the serving layer stitches into its
+// envelope without reflection. Everything inside is written once, under
+// once, on first use, and immutable afterwards.
 type hotFront struct {
 	c    CanonicalFilter
 	once sync.Once
 
-	// fromPos and the jsonReady fragment fields are set at construction
-	// for persisted fronts and never written again; compute consumes them
-	// instead of re-running the columnar sweep.
-	fromPos   []int32
-	jsonReady bool
-
-	posByTime          []int32 // surviving positions, by-time order
-	byTime, byCost     []Point
+	pos                []int32 // surviving positions, by-time order
 	timeJSON, costJSON []byte
 	jsonOK             bool
 }
 
 func (hf *hotFront) compute(sn *Snapshot) {
 	hf.once.Do(func() {
-		pos := hf.fromPos
-		if pos == nil {
-			pos = sn.frontPositions(&hf.c)
-		}
-		hf.posByTime = pos
-		if len(pos) > 0 {
-			// The front's cost is strictly decreasing in time order, so the
-			// cost ordering is its exact reversal — no second sort, and no
-			// tie-break to disagree on.
-			hf.byTime = make([]Point, len(pos))
-			hf.byCost = make([]Point, len(pos))
-			for i, p := range pos {
-				sn.ensureRow(int(p))
-				hf.byTime[i] = sn.sorted[p]
-				hf.byCost[len(pos)-1-i] = sn.sorted[p]
+		hf.pos = sn.frontPositions(&hf.c)
+		rows := make([][]byte, len(hf.pos))
+		size := 2 + len(rows)
+		for i, p := range hf.pos {
+			b, err := sn.rowJSON(int(p))
+			if err != nil {
+				// A row that cannot marshal (e.g. a NaN metric) leaves the
+				// serving path on its reflect-based encoder, which surfaces
+				// the error properly.
+				return
 			}
+			rows[i] = b
+			size += len(b)
 		}
-		if !hf.jsonReady {
-			hf.timeJSON, hf.costJSON, hf.jsonOK = marshalFrontRows(hf.byTime, hf.byCost)
-		}
+		// The front's cost is strictly decreasing in time order, so the
+		// cost ordering is its exact reversal — no second sort, and no
+		// tie-break to disagree on.
+		hf.timeJSON = appendRowsJSON(make([]byte, 0, size), rows, false)
+		hf.costJSON = appendRowsJSON(make([]byte, 0, size), rows, true)
+		hf.jsonOK = true
 	})
 }
 
-// marshalFrontRows renders both orderings as JSON array fragments
-// byte-identical to json.Marshal of the (nil-coalesced) slices. ok=false —
-// a row that cannot marshal, e.g. a NaN metric — leaves the serving path
-// on its reflect-based encoder, which surfaces the error properly.
-func marshalFrontRows(byTime, byCost []Point) (timeJSON, costJSON []byte, ok bool) {
-	timeJSON, ok = marshalRows(byTime)
-	if !ok {
-		return nil, nil, false
-	}
-	costJSON, ok = marshalRows(byCost)
-	if !ok {
-		return nil, nil, false
-	}
-	return timeJSON, costJSON, true
-}
-
-func marshalRows(rows []Point) ([]byte, bool) {
-	buf := make([]byte, 0, 2+192*len(rows))
+// appendRowsJSON appends rows as a JSON array, reversed on request: the
+// same bytes json.Marshal produces for the slice of points they encode.
+func appendRowsJSON(buf []byte, rows [][]byte, reverse bool) []byte {
 	buf = append(buf, '[')
 	for i := range rows {
-		b, err := json.Marshal(&rows[i])
-		if err != nil {
-			return nil, false
-		}
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, b...)
+		if reverse {
+			buf = append(buf, rows[len(rows)-1-i]...)
+		} else {
+			buf = append(buf, rows[i]...)
+		}
 	}
-	return append(buf, ']'), true
+	return append(buf, ']')
 }
 
 // buildHotFronts selects the top-K single-field filters by match count and
-// installs their (lazily or eagerly computed) precomputed fronts. The hot
-// map itself is immutable after this returns; see hotFront for the
+// installs their fronts, each computed on its first query. The hot map
+// itself is immutable after this returns; see hotFront for the
 // compute-once discipline. Invalidation is the snapshot lifecycle itself:
 // a generation roll builds a new snapshot with new hot entries, and the
 // old ones are garbage the moment the last reader drops the old snapshot.
-func (sn *Snapshot) buildHotFronts(eager bool) {
+func (sn *Snapshot) buildHotFronts() {
 	type cand struct {
 		f Filter
 		n int
@@ -325,57 +297,52 @@ func (sn *Snapshot) buildHotFronts(eager bool) {
 	sn.hot = make(map[string]*hotFront, len(cands))
 	for _, cd := range cands {
 		c := cd.f.Canonical()
-		hf := &hotFront{c: c}
-		sn.hot[c.Key()] = hf
-		if eager {
-			hf.compute(sn)
-		}
+		sn.hot[c.Key()] = &hotFront{c: c}
 	}
 }
 
-// HotAdvice returns the precomputed advice rows for a hot filter in the
-// requested order, or ok=false when the filter is not hot (the caller
-// falls back to the on-demand front). The rows are shared with the
-// snapshot and must be treated as read-only; the query engine copies
-// before handing them to callers, exactly as it does for its own cache.
+// HotAdvice returns the advice rows of a hot filter in the requested
+// order, built from the front's positions, or ok=false when the filter is
+// not hot (the caller falls back to the on-demand front). The rows are a
+// fresh slice on every call; the query engine memoizes them per
+// generation.
 func (sn *Snapshot) HotAdvice(c *CanonicalFilter, byCost bool) ([]Point, bool) {
 	hf := sn.hot[c.Key()]
 	if hf == nil {
 		return nil, false
 	}
 	hf.compute(sn)
-	if byCost {
-		return hf.byCost, true
+	if len(hf.pos) == 0 {
+		return nil, true
 	}
-	return hf.byTime, true
+	rows := make([]Point, len(hf.pos))
+	for i, p := range hf.pos {
+		sn.ensureRow(int(p))
+		if byCost {
+			rows[len(rows)-1-i] = sn.sorted[p]
+		} else {
+			rows[i] = sn.sorted[p]
+		}
+	}
+	return rows, true
 }
 
-// HotAdviceJSON returns the pre-serialized rows of a hot filter as a JSON
+// HotAdviceJSON returns the serialized rows of a hot filter as a JSON
 // array fragment plus the row count, or ok=false when the filter is not
 // hot or its rows cannot marshal. The bytes are shared and must not be
-// modified. Persisted fronts (mapped snapshots) serve straight from the
-// preloaded fragments without triggering row materialization — the
-// fragment bytes may alias the mapped file.
+// modified. On a mapped snapshot the fragment is spliced from the
+// persisted row bytes, so serving it decodes no row.
 func (sn *Snapshot) HotAdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, bool) {
 	hf := sn.hot[c.Key()]
 	if hf == nil {
 		return nil, 0, false
-	}
-	if hf.jsonReady {
-		if !hf.jsonOK {
-			return nil, 0, false
-		}
-		if byCost {
-			return hf.costJSON, len(hf.fromPos), true
-		}
-		return hf.timeJSON, len(hf.fromPos), true
 	}
 	hf.compute(sn)
 	if !hf.jsonOK {
 		return nil, 0, false
 	}
 	if byCost {
-		return hf.costJSON, len(hf.byCost), true
+		return hf.costJSON, len(hf.pos), true
 	}
-	return hf.timeJSON, len(hf.byTime), true
+	return hf.timeJSON, len(hf.pos), true
 }

@@ -126,9 +126,9 @@ func TestColumnarSelectCorners(t *testing.T) {
 	}
 }
 
-// Every precomputed hot front must match the independent dominance oracle
+// Every hot front must match the independent dominance oracle
 // applied to the scan baseline, in both presentation orders, and the
-// pre-serialized rows must be byte-identical to encoding/json over the
+// serialized rows must be byte-identical to encoding/json over the
 // same rows.
 func TestHotFrontMatchesNaiveOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -220,17 +220,17 @@ func ids(rows []Point) []string {
 	return out
 }
 
-// Fine-grained appends take the lazy hot-front path (compute on first
-// use); bulk builds the eager one. Both must serve the same rows as the
-// oracle at every generation.
+// Hot fronts compute on first use at every generation; after each
+// one-point append the rebuilt snapshot's front must serve the same rows
+// as the oracle.
 func TestHotFrontLazyAfterAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := randomStore(rng, 200) // bulk: first snapshot builds fronts eagerly
+	s := randomStore(rng, 200)
 	f := Filter{AppName: "lammps"}
 	for i := 0; i < 5; i++ {
 		p := randomStore(rand.New(rand.NewSource(int64(100+i))), 1).All()[0]
 		p.ScenarioID = fmt.Sprintf("late-%d", i)
-		s.Add(p) // one-point append: fronts defer to first query
+		s.Add(p)
 		sn := s.Snapshot()
 		c := f.Canonical()
 		rows, ok := sn.HotAdvice(&c, false)

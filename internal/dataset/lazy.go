@@ -7,8 +7,8 @@ package dataset
 // Snapshot directly over them: no JSON re-parse, no re-sort, no
 // buildIndexes column rebuild. Row structs are materialized lazily in
 // fixed-size chunks the first time a query actually touches one, so a cold
-// process serves columnar filters and pre-serialized hot fronts without
-// ever decoding most rows.
+// process serves columnar filters, and hot fronts spliced from the row
+// bytes, without ever decoding most rows.
 //
 // Integrity model: the storage layer CRC-verifies every section before
 // handing it here, and NewMappedStore re-validates the structural
@@ -23,7 +23,6 @@ package dataset
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -67,38 +66,18 @@ type Columnar struct {
 	SKUAliases []string // distinct SKUAliases (original case), canonical order
 	Inputs     []string // distinct InputDescs, sorted
 
-	// Hot carries the precomputed hot-front set: surviving positions plus
-	// the pre-serialized JSON row fragments, so a mapped snapshot serves
-	// hot advice bytes without materializing a single row.
-	Hot []ColumnarFront
-
 	// Ref, when non-nil, pins whatever owns the memory the slices above
 	// alias (an mmap region with a munmap finalizer); the snapshot holds it
 	// for its lifetime.
 	Ref any
 }
 
-// ColumnarFront is one persisted hot front: the canonicalized single-field
-// filter it belongs to, the surviving sorted positions in by-time order,
-// and both pre-serialized orderings.
-type ColumnarFront struct {
-	App   string // lowercased AppName constraint; "" = unconstrained
-	SKU   string // lowercased SKU/alias constraint; "" = unconstrained
-	Input string // exact InputDesc constraint; "" = unconstrained
-
-	Positions          []int32 // sorted positions on the front, by-time order
-	TimeJSON, CostJSON []byte
-	JSONOK             bool
-}
-
 // BuildColumnar builds the columnar state of a snapshot over points that
 // are already in canonical order: the segment compactor's input. The slice
 // is used as is, with no copy and no re-sort, and the columns share it
-// read-only. Every posting list and persisted position assumes that order,
-// so unsorted points are an error. Hot fronts are computed eagerly, so
-// every persisted front carries its positions and serialized fragments.
-// Rows, RowOffs, and AppendIdx are left for the caller — the points do not
-// know their append order, the writer does.
+// read-only. Every posting list assumes that order, so unsorted points are
+// an error. Rows, RowOffs, and AppendIdx are left for the caller — the
+// points do not know their append order, the writer does.
 func BuildColumnar(sorted []Point) (*Columnar, error) {
 	for i := 1; i < len(sorted); i++ {
 		if pointLess(&sorted[i], &sorted[i-1]) {
@@ -107,7 +86,6 @@ func BuildColumnar(sorted []Point) (*Columnar, error) {
 	}
 	sn := &Snapshot{n: len(sorted), sorted: sorted}
 	sn.buildIndexes()
-	sn.buildHotFronts(true)
 	c := &Columnar{
 		Count:      len(sn.sorted),
 		Syms:       make([]string, len(sn.col.syms)),
@@ -125,23 +103,6 @@ func BuildColumnar(sorted []Point) (*Columnar, error) {
 	}
 	for s, id := range sn.col.syms {
 		c.Syms[id] = s
-	}
-	keys := make([]string, 0, len(sn.hot))
-	for k := range sn.hot {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic persisted order
-	for _, k := range keys {
-		hf := sn.hot[k]
-		c.Hot = append(c.Hot, ColumnarFront{
-			App:       hf.c.app,
-			SKU:       hf.c.sku,
-			Input:     hf.c.input,
-			Positions: hf.posByTime,
-			TimeJSON:  hf.timeJSON,
-			CostJSON:  hf.costJSON,
-			JSONOK:    hf.jsonOK,
-		})
 	}
 	return c, nil
 }
@@ -200,6 +161,17 @@ func (sn *Snapshot) ensureAllRows() {
 	for c := range lz.chunks {
 		lz.chunks[c].once.Do(func() { sn.decodeChunk(c) })
 	}
+}
+
+// rowJSON returns the JSON encoding of sorted[i]. On a mapped snapshot
+// that is the persisted row, which the writer produced with the same
+// json.Marshal(&sorted[k]), so no row is decoded; on a heap snapshot it is
+// a fresh marshal.
+func (sn *Snapshot) rowJSON(i int) ([]byte, error) {
+	if lz := sn.lazy; lz != nil {
+		return lz.data[lz.offs[i]:lz.offs[i+1]], nil
+	}
+	return json.Marshal(&sn.sorted[i])
 }
 
 func (sn *Snapshot) decodeChunk(c int) {
@@ -333,26 +305,6 @@ func newMappedSnapshot(c *Columnar) (*Snapshot, error) {
 	sn.skus = append([]string(nil), c.SKUAliases...)
 	sn.inputs = append([]string(nil), c.Inputs...)
 
-	sn.hot = make(map[string]*hotFront, len(c.Hot))
-	for _, f := range c.Hot {
-		for _, p := range f.Positions {
-			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("dataset: mapped columnar: hot front position %d out of range", p)
-			}
-		}
-		pos := f.Positions
-		if pos == nil {
-			pos = []int32{} // non-nil marks "persisted, possibly empty" for compute
-		}
-		cf := CanonicalFilter{app: f.App, sku: f.SKU, input: f.Input}
-		sn.hot[cf.Key()] = &hotFront{
-			c:         cf,
-			fromPos:   pos,
-			jsonReady: true,
-			timeJSON:  f.TimeJSON,
-			costJSON:  f.CostJSON,
-			jsonOK:    f.JSONOK,
-		}
-	}
+	sn.buildHotFronts()
 	return sn, nil
 }

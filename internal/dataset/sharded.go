@@ -15,12 +15,6 @@ type Sharded struct {
 	mu     sync.Mutex
 	order  []string          // guarded-by: mu
 	shards map[string]*Store // guarded-by: mu
-
-	// view caches the merged read-optimized snapshot; valid while every
-	// shard is still at the generation recorded in viewGens.
-	view     *Snapshot // guarded-by: mu
-	viewGens []uint64  // guarded-by: mu
-	viewSeq  uint64    // guarded-by: mu
 }
 
 // NewSharded returns an empty sharded store.
@@ -75,37 +69,4 @@ func (s *Sharded) Snapshot() *Store {
 		out.AddAll(s.shards[key].All())
 	}
 	return out
-}
-
-// View folds the sharded store into the same snapshot protocol as Store: it
-// returns an immutable read-optimized Snapshot over the merged shards
-// (creation order, each shard's append order preserved), rebuilt only when
-// some shard's generation moved. Readers may query the returned snapshot
-// concurrently with producers appending to shards.
-func (s *Sharded) View() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gens := make([]uint64, len(s.order))
-	fresh := s.view != nil && len(s.viewGens) == len(s.order)
-	for i, key := range s.order {
-		gens[i] = s.shards[key].Generation()
-		if fresh && gens[i] != s.viewGens[i] {
-			fresh = false
-		}
-	}
-	if fresh {
-		return s.view
-	}
-	merged := NewStore()
-	for _, key := range s.order {
-		merged.AddAll(s.shards[key].All())
-	}
-	snap := merged.Snapshot()
-	// Stamp a view-local generation that moves on every rebuild, so cache
-	// keys derived from the snapshot generation stay sound.
-	s.viewSeq++
-	snap.gen = s.viewSeq
-	s.view = snap
-	s.viewGens = gens
-	return s.view
 }

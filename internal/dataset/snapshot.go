@@ -162,8 +162,8 @@ type Snapshot struct {
 	col columns
 
 	// hot maps CanonicalFilter.Key() of the top-K single-field filters to
-	// their precomputed Pareto fronts and pre-serialized advice rows. The
-	// map is immutable after build; each entry computes at most once (see
+	// their Pareto fronts and serialized advice rows. The map is immutable
+	// after build; each entry computes at most once, on first use (see
 	// hotFront).
 	hot map[string]*hotFront
 
@@ -173,9 +173,9 @@ type Snapshot struct {
 	// must go through ensureRow(i) first.
 	lazy *lazyRows
 
-	// mapRef pins whatever owns the memory the columns, row bytes, and hot
-	// fragments may alias — an mmap region whose finalizer unmaps it — for
-	// the snapshot's lifetime.
+	// mapRef pins whatever owns the memory the columns and row bytes may
+	// alias — an mmap region whose finalizer unmaps it — for the
+	// snapshot's lifetime.
 	mapRef any
 }
 
@@ -348,11 +348,7 @@ func buildSnapshot(prev *Snapshot, points []Point, gen uint64) *Snapshot {
 	sort.SliceStable(fresh, func(i, j int) bool { return pointLess(&fresh[i], &fresh[j]) })
 	sn.sorted = mergeSorted(sortedPrefix, fresh)
 	sn.buildIndexes()
-	// Hot fronts are precomputed eagerly on bulk builds (seed loads, batch
-	// merges), where the sweep cost amortizes over the whole load; under
-	// fine-grained appends each front defers to its first query, so a
-	// one-point append never pays a full front pass up front.
-	sn.buildHotFronts(covered == 0 || len(fresh)*8 >= len(points))
+	sn.buildHotFronts()
 	return sn
 }
 

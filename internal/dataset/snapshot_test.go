@@ -218,37 +218,3 @@ func TestCanonicalFilterKey(t *testing.T) {
 		seen[k] = i
 	}
 }
-
-func TestShardedViewFoldsIntoSnapshotProtocol(t *testing.T) {
-	s := NewSharded()
-	for _, sku := range []string{"hc44rs", "hb120rs_v3"} {
-		s.Shard(sku)
-	}
-	s.Shard("hc44rs").Add(Point{ScenarioID: "c1", AppName: "lammps", SKU: "Standard_HC44rs", SKUAlias: "hc44rs", NNodes: 2})
-	s.Shard("hb120rs_v3").Add(Point{ScenarioID: "a1", AppName: "lammps", SKU: "Standard_HB120rs_v3", SKUAlias: "hb120rs_v3", NNodes: 1})
-
-	v1 := s.View()
-	if v1.Len() != 2 {
-		t.Fatalf("view has %d points", v1.Len())
-	}
-	want := s.Snapshot().Select(Filter{AppName: "lammps"})
-	if got := v1.Select(Filter{AppName: "lammps"}); !reflect.DeepEqual(got, want) {
-		t.Error("View.Select diverges from merged-store Select")
-	}
-	// Cached while no shard moves.
-	if v2 := s.View(); v2 != v1 {
-		t.Error("unchanged shards must return the cached view")
-	}
-	// Invalidates when any shard appends, and generations move.
-	s.Shard("hc44rs").Add(Point{ScenarioID: "c2", AppName: "lammps", SKU: "Standard_HC44rs", SKUAlias: "hc44rs", NNodes: 4})
-	v3 := s.View()
-	if v3 == v1 {
-		t.Error("view not rebuilt after shard append")
-	}
-	if v3.Len() != 3 {
-		t.Errorf("rebuilt view has %d points", v3.Len())
-	}
-	if v3.Generation() == v1.Generation() {
-		t.Error("view generation must move on rebuild")
-	}
-}

@@ -1,11 +1,12 @@
 // Package queryengine is the read-optimized serving layer between the
 // dataset and the front ends (CLI, GUI, public API). Every advice table,
 // plot set, and rendered SVG is memoized under a key combining the
-// canonical filter, the requested ordering, and the store generation, so a
-// repeated query is a cache hit instead of a dataset walk, and any append
-// to the store invalidates exactly by changing the generation — no explicit
-// flushes. A bounded LRU keeps memory finite and single-flight collapses a
-// thundering herd on one cold key into a single computation.
+// canonical filter and the requested ordering, in a memo that lives for
+// exactly one store generation: a repeated query is a cache hit instead of
+// a dataset walk, and the first query at a newer generation drops the whole
+// memo — any append invalidates by changing the generation, with no
+// explicit flushes and no stale generation kept behind. Single-flight
+// collapses a thundering herd on one cold key into a single computation.
 //
 // The engine is safe for concurrent use and never blocks writers: it reads
 // through immutable dataset.Snapshots (see internal/dataset/snapshot.go).
@@ -15,9 +16,7 @@
 package queryengine
 
 import (
-	"container/list"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"hpcadvisor/internal/dataset"
@@ -26,40 +25,41 @@ import (
 	"hpcadvisor/internal/predictor"
 )
 
-// Source is anything that can produce read-optimized snapshots: a
-// *dataset.Store, or an adapter over dataset.Sharded's View.
-type Source interface {
-	Snapshot() *dataset.Snapshot
-}
-
-// DefaultCacheEntries bounds the LRU when callers pass 0: generous for
-// interactive use (five plots x a handful of filters x a few generations)
-// while keeping worst-case memory small.
-const DefaultCacheEntries = 512
+// maxGenEntries bounds the memo of one generation. Past the cap a result
+// is computed and returned but not stored, so a stream of distinct filters
+// cannot grow the memo without bound.
+const maxGenEntries = 512
 
 // Stats counts cache traffic. Joins on an in-flight computation count as
-// hits (the work was shared, not repeated).
+// hits (the work was shared, not repeated). Evictions counts the entries
+// dropped when a newer generation replaced the memo.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 }
 
-// Engine memoizes advice and plot queries over a snapshot source.
+// Engine memoizes advice and plot queries over a store's snapshots.
 type Engine struct {
-	src Source
-	max int
+	src *dataset.Store
 
-	mu       sync.Mutex
-	entries  map[string]*list.Element // guarded-by: mu
-	lru      *list.List               // guarded-by: mu; front = most recently used
-	inflight map[string]*call         // guarded-by: mu
-	stats    Stats                    // guarded-by: mu
+	mu    sync.Mutex
+	memo  *genMemo // guarded-by: mu
+	stats Stats    // guarded-by: mu
 }
 
-type entry struct {
-	key string
-	val any
+// genMemo holds the results and in-flight computations of one generation.
+// Its maps are guarded by the owning Engine's mu. The engine swaps in a
+// fresh memo when a newer generation arrives; the old one is garbage once
+// its in-flight computations finish.
+type genMemo struct {
+	gen      uint64
+	entries  map[string]any
+	inflight map[string]*call
+}
+
+func newGenMemo(gen uint64) *genMemo {
+	return &genMemo{gen: gen, entries: make(map[string]any), inflight: make(map[string]*call)}
 }
 
 type call struct {
@@ -67,19 +67,9 @@ type call struct {
 	val  any
 }
 
-// New builds an engine over src with a bounded LRU of maxEntries (0 means
-// DefaultCacheEntries).
-func New(src Source, maxEntries int) *Engine {
-	if maxEntries <= 0 {
-		maxEntries = DefaultCacheEntries
-	}
-	return &Engine{
-		src:      src,
-		max:      maxEntries,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*call),
-	}
+// New builds an engine over src.
+func New(src *dataset.Store) *Engine {
+	return &Engine{src: src, memo: newGenMemo(0)}
 }
 
 // Snapshot exposes the engine's current read view. It is the only method
@@ -94,36 +84,48 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Len returns the number of cached entries.
+// Len returns the number of cached entries, all of the newest generation
+// the engine has served.
 func (e *Engine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.entries)
+	return len(e.memo.entries)
 }
 
 // testHookCompute, when set, runs inside every cache-miss computation;
 // tests use it to hold a computation open and observe single-flight.
 var testHookCompute func()
 
-// get returns the cached value for key, computing it at most once across
-// concurrent callers.
-func (e *Engine) get(key string, compute func() any) any {
+// get returns the value for key at snapshot generation gen, computing it
+// at most once across concurrent callers. A newer generation replaces the
+// memo; a query pinned to an older one is computed and not stored, since
+// no later query at the newest generation could use it.
+func (e *Engine) get(gen uint64, key string, compute func() any) any {
 	e.mu.Lock()
-	if el, ok := e.entries[key]; ok {
-		e.lru.MoveToFront(el)
-		v := el.Value.(*entry).val
+	m := e.memo
+	switch {
+	case gen > m.gen:
+		e.stats.Evictions += uint64(len(m.entries))
+		m = newGenMemo(gen)
+		e.memo = m
+	case gen < m.gen:
+		e.stats.Misses++
+		e.mu.Unlock()
+		return compute()
+	}
+	if v, ok := m.entries[key]; ok {
 		e.stats.Hits++
 		e.mu.Unlock()
 		return v
 	}
-	if c, ok := e.inflight[key]; ok {
+	if c, ok := m.inflight[key]; ok {
 		e.stats.Hits++
 		e.mu.Unlock()
 		<-c.done
 		return c.val
 	}
 	c := &call{done: make(chan struct{})}
-	e.inflight[key] = c
+	m.inflight[key] = c
 	e.stats.Misses++
 	e.mu.Unlock()
 
@@ -133,23 +135,19 @@ func (e *Engine) get(key string, compute func() any) any {
 	c.val = compute()
 
 	e.mu.Lock()
-	delete(e.inflight, key)
-	e.entries[key] = e.lru.PushFront(&entry{key: key, val: c.val})
-	for e.lru.Len() > e.max {
-		oldest := e.lru.Back()
-		e.lru.Remove(oldest)
-		delete(e.entries, oldest.Value.(*entry).key)
-		e.stats.Evictions++
+	delete(m.inflight, key)
+	if e.memo == m && len(m.entries) < maxGenEntries {
+		m.entries[key] = c.val
 	}
 	e.mu.Unlock()
 	close(c.done)
 	return c.val
 }
 
-// key renders a cache key: query kind, store generation, canonical filter,
-// and any extra discriminator (sort order, plot name).
-func key(kind string, gen uint64, c *dataset.CanonicalFilter, extra string) string {
-	k := kind + "|g" + strconv.FormatUint(gen, 10) + "|" + c.Key()
+// key renders a cache key within one generation's memo: query kind,
+// canonical filter, and any extra discriminator (sort order, plot name).
+func key(kind string, c *dataset.CanonicalFilter, extra string) string {
+	k := kind + "|" + c.Key()
 	if extra != "" {
 		k += "|" + extra
 	}
@@ -163,29 +161,29 @@ func orderKey(order pareto.SortOrder) string {
 	return "time"
 }
 
-// Cached memoizes an arbitrary derivation of the snapshot sn under the
-// engine's LRU and single-flight, keyed like every built-in kind: (kind,
-// generation, canonical filter, extra). Serving layers use it to cache
-// renderings the engine does not know about — e.g. the API's encoded JSON
-// response bodies — with the same generation-based invalidation as advice
-// and SVG. compute receives sn itself, the exact snapshot the key's
+// Cached memoizes an arbitrary derivation of the snapshot sn in the
+// engine's generation memo with single-flight, keyed like every built-in
+// kind: (kind, canonical filter, extra) within sn's generation. Serving
+// layers use it to cache renderings the engine does not know about — e.g.
+// the encoded predicted-advice body — with the same generation-based
+// invalidation as advice and SVG. compute receives sn itself, the exact snapshot the key's
 // generation names, so a cached value can never mix generations. External
 // kinds are namespaced with "x:" and can never collide with the engine's
 // own.
 func (e *Engine) Cached(sn *dataset.Snapshot, kind string, f dataset.Filter, extra string, compute func(sn *dataset.Snapshot) any) any {
 	c := f.Canonical()
-	return e.get(key("x:"+kind, sn.Generation(), &c, extra), func() any { return compute(sn) })
+	return e.get(sn.Generation(), key("x:"+kind, &c, extra), func() any { return compute(sn) })
 }
 
 // front memoizes the Pareto front at sn; the shared cached slice must not
-// be modified. Hot filters — the snapshot precomputes fronts for the top-K
-// single-field filters — are a slice handoff from the snapshot; only cold
+// be modified. Hot filters — the snapshot keeps front positions for the
+// top-K single-field filters — copy just the surviving rows; only cold
 // filters pay a Select plus an on-demand front. Both paths are
 // byte-identical (the equivalence suite pins them to the scan baseline),
 // so the cache key does not care which one produced the value.
 func (e *Engine) front(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) []dataset.Point {
 	c := f.Canonical()
-	v := e.get(key("advice", sn.Generation(), &c, orderKey(order)), func() any {
+	v := e.get(sn.Generation(), key("advice", &c, orderKey(order)), func() any {
 		if rows, ok := sn.HotAdvice(&c, order == pareto.ByCost); ok {
 			return rows
 		}
@@ -211,7 +209,7 @@ func (e *Engine) Advice(sn *dataset.Snapshot, f dataset.Filter, order pareto.Sor
 // the cached rows instead of re-running the Pareto computation.
 func (e *Engine) AdviceTable(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) string {
 	c := f.Canonical()
-	v := e.get(key("advicetable", sn.Generation(), &c, orderKey(order)), func() any {
+	v := e.get(sn.Generation(), key("advicetable", &c, orderKey(order)), func() any {
 		return pareto.FormatAdviceTable(e.front(sn, f, order))
 	})
 	return v.(string)
@@ -224,7 +222,7 @@ func (e *Engine) AdviceTable(sn *dataset.Snapshot, f dataset.Filter, order paret
 // its series slices are shared and read-only.
 func (e *Engine) PlotSet(sn *dataset.Snapshot, f dataset.Filter) plot.Set {
 	c := f.Canonical()
-	v := e.get(key("plotset", sn.Generation(), &c, ""), func() any {
+	v := e.get(sn.Generation(), key("plotset", &c, ""), func() any {
 		return plot.BuildSet(&memoSource{sn: sn}, f)
 	})
 	return v.(plot.Set)
@@ -238,7 +236,7 @@ func (e *Engine) SVG(sn *dataset.Snapshot, name string, f dataset.Filter) ([]byt
 	if _, ok := (plot.Set{}).ByName(name); !ok {
 		return nil, fmt.Errorf("queryengine: unknown plot %q", name)
 	}
-	v := e.get(key("svg", sn.Generation(), &c, name), func() any {
+	v := e.get(sn.Generation(), key("svg", &c, name), func() any {
 		p, _ := e.PlotSet(sn, f).ByName(name)
 		return plot.RenderSVG(p)
 	})
@@ -252,7 +250,7 @@ func (e *Engine) SVG(sn *dataset.Snapshot, name string, f dataset.Filter) ([]byt
 // kind.
 func (e *Engine) predictedFront(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
 	c := f.Canonical()
-	v := e.get(key("predadvice", sn.Generation(), &c, orderKey(order)+"|"+cfg.Key()), func() any {
+	v := e.get(sn.Generation(), key("predadvice", &c, orderKey(order)+"|"+cfg.Key()), func() any {
 		return predictor.Advice(sn.Select(f), cfg, order)
 	})
 	return v.([]predictor.Row)
@@ -273,7 +271,7 @@ func (e *Engine) PredictedAdvice(sn *dataset.Snapshot, f dataset.Filter, order p
 // formatting; its compute layers on the memoized rows.
 func (e *Engine) PredictedAdviceTable(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) string {
 	c := f.Canonical()
-	v := e.get(key("predtable", sn.Generation(), &c, orderKey(order)+"|"+cfg.Key()), func() any {
+	v := e.get(sn.Generation(), key("predtable", &c, orderKey(order)+"|"+cfg.Key()), func() any {
 		return predictor.FormatAdviceTable(e.predictedFront(sn, f, order, cfg))
 	})
 	return v.(string)
@@ -283,7 +281,7 @@ func (e *Engine) PredictedAdviceTable(sn *dataset.Snapshot, f dataset.Filter, or
 // dataset at sn, memoized per (filter, config, generation).
 func (e *Engine) Backtest(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
 	c := f.Canonical()
-	v := e.get(key("backtest", sn.Generation(), &c, cfg.Key()), func() any {
+	v := e.get(sn.Generation(), key("backtest", &c, cfg.Key()), func() any {
 		return predictor.Backtest(sn.Select(f), cfg)
 	})
 	return v.(predictor.BacktestReport)
@@ -296,7 +294,7 @@ func (e *Engine) Backtest(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.
 // set is returned by value; its series slices are shared and read-only.
 func (e *Engine) PredictedPlotSet(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) plot.Set {
 	c := f.Canonical()
-	v := e.get(key("predplots", sn.Generation(), &c, cfg.Key()), func() any {
+	v := e.get(sn.Generation(), key("predplots", &c, cfg.Key()), func() any {
 		return predictor.Overlay(e.PlotSet(sn, f), sn.Select(f), cfg)
 	})
 	return v.(plot.Set)
@@ -311,7 +309,7 @@ func (e *Engine) PredictedSVG(sn *dataset.Snapshot, name string, f dataset.Filte
 	if _, ok := (plot.Set{}).ByName(name); !ok {
 		return nil, fmt.Errorf("queryengine: unknown plot %q", name)
 	}
-	v := e.get(key("predsvg", sn.Generation(), &c, name+"|"+cfg.Key()), func() any {
+	v := e.get(sn.Generation(), key("predsvg", &c, name+"|"+cfg.Key()), func() any {
 		p, _ := e.PredictedPlotSet(sn, f, cfg).ByName(name)
 		return plot.RenderSVG(p)
 	})

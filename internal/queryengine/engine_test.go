@@ -2,6 +2,7 @@ package queryengine
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,7 +32,7 @@ func fixtureStore(n int) *dataset.Store {
 
 func TestCacheHitOnRepeatAndInvalidationOnGenerationBump(t *testing.T) {
 	store := fixtureStore(50)
-	e := New(store, 0)
+	e := New(store)
 	f := dataset.Filter{AppName: "lammps"}
 
 	first := e.AdviceTable(e.Snapshot(), f, pareto.ByTime)
@@ -73,7 +74,7 @@ func TestCacheHitOnRepeatAndInvalidationOnGenerationBump(t *testing.T) {
 }
 
 func TestAdviceReturnsDefensiveCopy(t *testing.T) {
-	e := New(fixtureStore(20), 0)
+	e := New(fixtureStore(20))
 	f := dataset.Filter{AppName: "lammps"}
 	rows := e.Advice(e.Snapshot(), f, pareto.ByTime)
 	if len(rows) == 0 {
@@ -88,7 +89,7 @@ func TestAdviceReturnsDefensiveCopy(t *testing.T) {
 
 func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 	store := fixtureStore(200)
-	e := New(store, 0)
+	e := New(store)
 	f := dataset.Filter{AppName: "openfoam"}
 
 	var computes int32
@@ -127,23 +128,76 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionBoundsCache(t *testing.T) {
+// TestGenerationMemoBound: one generation's memo stores at most
+// maxGenEntries results; a query past the cap is answered (recomputed)
+// and not stored, and nothing is evicted within a generation.
+func TestGenerationMemoBound(t *testing.T) {
 	store := fixtureStore(50)
-	e := New(store, 4)
-	for n := 1; n <= 10; n++ {
-		e.Advice(e.Snapshot(), dataset.Filter{MinNodes: n}, pareto.ByTime)
+	e := New(store)
+	sn := e.Snapshot()
+	for n := 1; n <= maxGenEntries+10; n++ {
+		e.Advice(sn, dataset.Filter{MinNodes: n}, pareto.ByTime)
 	}
-	if got := e.Len(); got > 4 {
-		t.Fatalf("cache holds %d entries, bound is 4", got)
+	if got := e.Len(); got != maxGenEntries {
+		t.Fatalf("memo holds %d entries, bound is %d", got, maxGenEntries)
 	}
-	st := e.Stats()
-	if st.Evictions != 6 {
-		t.Errorf("evictions = %d, want 6", st.Evictions)
+	if st := e.Stats(); st.Evictions != 0 {
+		t.Errorf("evictions within one generation = %d, want 0", st.Evictions)
 	}
-	// Evicted keys still answer correctly (recomputed).
-	rows := e.Advice(e.Snapshot(), dataset.Filter{MinNodes: 1}, pareto.ByTime)
-	if len(rows) == 0 {
-		t.Fatal("evicted query returned nothing")
+	// A key past the cap still answers correctly, and again misses.
+	f := dataset.Filter{MinNodes: maxGenEntries + 10}
+	before := e.Stats().Misses
+	want := pareto.Advice(store.SelectScan(dataset.Filter{MinNodes: 1}), pareto.ByTime)
+	if got := e.Advice(sn, dataset.Filter{MinNodes: 1}, pareto.ByTime); !reflect.DeepEqual(got, want) {
+		t.Fatal("stored query diverges from the scan path")
+	}
+	if got := e.Advice(sn, f, pareto.ByTime); len(got) != 0 {
+		t.Fatalf("uncapped query returned %d rows, want none", len(got))
+	}
+	if got := e.Stats().Misses - before; got != 1 {
+		t.Errorf("query past the cap: %d misses, want 1 (not stored)", got)
+	}
+}
+
+// TestGenerationRollDropsOlderEntries: the first query at a newer
+// generation drops every entry of the older one — Len counts only the new
+// generation and Evictions the dropped entries — and a query still pinned
+// to the older snapshot is answered at its own generation but not stored.
+func TestGenerationRollDropsOlderEntries(t *testing.T) {
+	store := fixtureStore(50)
+	e := New(store)
+	f := dataset.Filter{AppName: "lammps"}
+	old := e.Snapshot()
+	wantOld := pareto.Advice(store.SelectScan(f), pareto.ByTime)
+	e.Advice(old, f, pareto.ByTime)
+	e.AdviceTable(old, f, pareto.ByCost) // table + its front
+	e.PlotSet(old, f)
+	if got := e.Len(); got != 4 {
+		t.Fatalf("memo holds %d entries before the roll, want 4", got)
+	}
+
+	store.Add(dataset.Point{ScenarioID: "roll", AppName: "lammps", SKU: "Standard_HB120rs_v3",
+		SKUAlias: "hb120rs_v3", NNodes: 32, ExecTimeSec: 1, CostUSD: 0.01})
+	live := e.Snapshot()
+	e.Advice(live, f, pareto.ByTime)
+	if got := e.Len(); got != 1 {
+		t.Fatalf("memo holds %d entries after the roll, want only the new generation's 1", got)
+	}
+	if st := e.Stats(); st.Evictions != 4 {
+		t.Errorf("evictions = %d, want the 4 entries of the old generation", st.Evictions)
+	}
+
+	before := e.Stats()
+	for i := 0; i < 2; i++ {
+		if got := e.Advice(old, f, pareto.ByTime); !reflect.DeepEqual(got, wantOld) {
+			t.Fatalf("advice at the old pin diverges from the pinned scan (%d vs %d rows)", len(got), len(wantOld))
+		}
+	}
+	if got := e.Len(); got != 1 {
+		t.Errorf("a query at the old pin was stored: memo holds %d entries", got)
+	}
+	if st := e.Stats(); st.Misses-before.Misses != 2 || st.Hits != before.Hits {
+		t.Errorf("old-pin queries: stats %+v -> %+v, want two uncached misses", before, st)
 	}
 }
 
@@ -151,7 +205,7 @@ func TestConcurrentQueriesVsAppends(t *testing.T) {
 	// Run with -race: readers on every engine surface while a writer
 	// appends. No locks are shared between them beyond the store's own.
 	store := fixtureStore(100)
-	e := New(store, 64)
+	e := New(store)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -192,7 +246,7 @@ func TestConcurrentQueriesVsAppends(t *testing.T) {
 }
 
 func TestSVGUnknownName(t *testing.T) {
-	e := New(fixtureStore(5), 0)
+	e := New(fixtureStore(5))
 	if _, err := e.SVG(e.Snapshot(), "nonsense", dataset.Filter{}); err == nil {
 		t.Fatal("unknown plot name must error")
 	}

@@ -75,7 +75,7 @@ var equivalenceFilters = []dataset.Filter{
 
 func TestAdviceTableByteIdenticalToScanPath(t *testing.T) {
 	adv := collectedAdvisor(t)
-	eng := queryengine.New(adv.Store, 0)
+	eng := queryengine.New(adv.Store)
 	for _, f := range equivalenceFilters {
 		for _, order := range []pareto.SortOrder{pareto.ByTime, pareto.ByCost} {
 			want := pareto.FormatAdviceTable(pareto.Advice(adv.Store.SelectScan(f), order))
@@ -115,7 +115,7 @@ func hotFilters(sn *dataset.Snapshot) []dataset.Filter {
 // real collected sweep.
 func TestHotFrontAdviceByteIdenticalToScanPath(t *testing.T) {
 	adv := collectedAdvisor(t)
-	eng := queryengine.New(adv.Store, 0)
+	eng := queryengine.New(adv.Store)
 	filters := append(hotFilters(adv.Store.Snapshot()), equivalenceFilters...)
 	for _, f := range filters {
 		for _, order := range []pareto.SortOrder{pareto.ByTime, pareto.ByCost} {
@@ -148,7 +148,7 @@ func TestHotFrontAdviceByteIdenticalToScanPath(t *testing.T) {
 
 func TestPlotSetAndSVGByteIdenticalToScanPath(t *testing.T) {
 	adv := collectedAdvisor(t)
-	eng := queryengine.New(adv.Store, 0)
+	eng := queryengine.New(adv.Store)
 	for _, f := range equivalenceFilters {
 		wantSet := plot.BuildSet(scanSource{adv.Store}, f)
 		gotSet := eng.PlotSet(eng.Snapshot(), f)

@@ -30,7 +30,7 @@ func TestQueriesHonourStaleSnapshot(t *testing.T) {
 		{AppName: "lammps", MinNodes: 2, MaxNodes: 16}, // cold: select + front
 	} {
 		adv := collectedAdvisor(t)
-		eng := queryengine.New(adv.Store, 0)
+		eng := queryengine.New(adv.Store)
 		old := eng.Snapshot()
 		wantRows, wantSVG, wantTable := scanAt(adv.Store, f)
 

@@ -38,7 +38,7 @@ func predictedConfig(grid ...int) predictor.Config {
 
 func TestPredictedAdviceMemoizedAndInvalidatedByGeneration(t *testing.T) {
 	store := amdahlStore([]int{1, 2, 4, 8})
-	e := New(store, 0)
+	e := New(store)
 	f := dataset.Filter{AppName: "lammps"}
 	cfg := predictedConfig(1, 2, 4, 8, 16, 32)
 
@@ -81,7 +81,7 @@ func TestPredictedAdviceMemoizedAndInvalidatedByGeneration(t *testing.T) {
 
 func TestPredictedAdviceEquivalentToDirectPredictor(t *testing.T) {
 	store := amdahlStore([]int{1, 2, 4, 8})
-	e := New(store, 0)
+	e := New(store)
 	f := dataset.Filter{AppName: "lammps"}
 	cfg := predictedConfig(1, 2, 4, 8, 16, 32)
 	for _, order := range []pareto.SortOrder{pareto.ByTime, pareto.ByCost} {
@@ -99,7 +99,7 @@ func TestPredictedAdviceEquivalentToDirectPredictor(t *testing.T) {
 
 func TestPredictedSVGMemoizedAndMarked(t *testing.T) {
 	store := amdahlStore([]int{1, 2, 4, 8})
-	e := New(store, 0)
+	e := New(store)
 	f := dataset.Filter{}
 	cfg := predictedConfig(1, 2, 4, 8, 16, 32)
 
@@ -132,7 +132,7 @@ func TestPredictedSVGMemoizedAndMarked(t *testing.T) {
 }
 
 func TestPredictedAdviceReturnsDefensiveCopy(t *testing.T) {
-	e := New(amdahlStore([]int{1, 2, 4, 8}), 0)
+	e := New(amdahlStore([]int{1, 2, 4, 8}))
 	f := dataset.Filter{AppName: "lammps"}
 	cfg := predictedConfig(1, 2, 4, 8, 16)
 	rows := e.PredictedAdvice(e.Snapshot(), f, pareto.ByTime, cfg)

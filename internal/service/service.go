@@ -194,45 +194,36 @@ func OrderName(o pareto.SortOrder) string {
 }
 
 // AdviceJSON returns the encoded /api/v1/advice body plus the generation
-// it was rendered at, memoized per (filter, order, generation) through the
-// query engine — the API's hot response is rendered once per generation
-// and then served as shared bytes, so the JSON path sustains engine-level
-// throughput. The body, its embedded generation field, and the returned
-// generation all come from the same pinned snapshot, so the API's ETag can
-// never disagree with the bytes under it. The returned bytes are shared
-// with the cache and must not be modified.
+// it was rendered at. It memoizes nothing itself: the API's per-generation
+// body cache in front of it stores each rendered body once. The body, its
+// embedded generation field, and the returned generation all come from the
+// same pinned snapshot, so the API's ETag can never disagree with the
+// bytes under it.
 func (s *Service) AdviceJSON(req AdviceRequest) ([]byte, uint64, error) {
-	eng := s.engine()
-	sn := eng.Snapshot()
-	v := eng.Cached(sn, "service.advicejson", req.Filter, OrderName(req.Order), func(sn *dataset.Snapshot) any {
-		// Hot filters skip encoding/json entirely: the snapshot holds the
-		// front rows pre-serialized, and only the tiny envelope is stitched
-		// around them. The stitch is byte-identical to the reflect marshal
-		// below (TestAdviceJSONStitchedEqualsMarshal pins it), so clients
-		// and the ETag machinery cannot tell which path rendered a body.
-		c := req.Filter.Canonical()
-		if rowsJSON, count, ok := sn.HotAdviceJSON(&c, req.Order == pareto.ByCost); ok {
-			return stitchAdviceJSON(sn.Generation(), OrderName(req.Order), count, rowsJSON)
-		}
-		rows := pareto.Advice(sn.Select(req.Filter), req.Order)
-		if rows == nil {
-			rows = []dataset.Point{}
-		}
-		data, err := json.Marshal(AdviceResponse{
-			Generation: sn.Generation(),
-			Sort:       OrderName(req.Order),
-			Count:      len(rows),
-			Rows:       rows,
-		})
-		if err != nil {
-			return err
-		}
-		return data
+	sn := s.engine().Snapshot()
+	// Hot filters skip encoding/json entirely: the snapshot holds the front
+	// rows serialized, and only the tiny envelope is stitched around them.
+	// The stitch is byte-identical to the reflect marshal below
+	// (TestAdviceJSONStitchedEqualsMarshal pins it), so clients and the
+	// ETag machinery cannot tell which path rendered a body.
+	c := req.Filter.Canonical()
+	if rowsJSON, count, ok := sn.HotAdviceJSON(&c, req.Order == pareto.ByCost); ok {
+		return stitchAdviceJSON(sn.Generation(), OrderName(req.Order), count, rowsJSON), sn.Generation(), nil
+	}
+	rows := pareto.Advice(sn.Select(req.Filter), req.Order)
+	if rows == nil {
+		rows = []dataset.Point{}
+	}
+	data, err := json.Marshal(AdviceResponse{
+		Generation: sn.Generation(),
+		Sort:       OrderName(req.Order),
+		Count:      len(rows),
+		Rows:       rows,
 	})
-	if err, ok := v.(error); ok {
+	if err != nil {
 		return nil, 0, Internalf(err, "encoding advice")
 	}
-	return v.([]byte), sn.Generation(), nil
+	return data, sn.Generation(), nil
 }
 
 // stitchAdviceJSON renders the AdviceResponse envelope around a
@@ -264,9 +255,9 @@ type PredictedResponse struct {
 }
 
 // PredictedAdviceJSON returns the encoded /api/v1/predicted-advice body
-// plus its generation, memoized like AdviceJSON. Rows and backtest are
-// derived from the same pinned snapshot, so they can never mix
-// generations.
+// plus its generation, memoized per (filter, order, config, generation)
+// through the query engine. Rows and backtest are derived from the same
+// pinned snapshot, so they can never mix generations.
 func (s *Service) PredictedAdviceJSON(req PredictRequest) ([]byte, uint64, error) {
 	eng := s.engine()
 	sn := eng.Snapshot()

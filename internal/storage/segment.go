@@ -600,7 +600,6 @@ func (s *SegmentStore) Info() (Info, error) {
 			info.ColumnBytes = fp.columnBytes
 			info.FailedBitmapBytes = fp.failedBytes
 			info.RowDataBytes = fp.rowDataBytes
-			info.HotFronts = fp.hotFronts
 		}
 	}
 	if s.f != nil {

@@ -19,10 +19,10 @@ import (
 // in canonical sorted order plus their append indexes — is still here, but
 // alongside it the file persists the struct-of-arrays layout a
 // dataset.Snapshot builds in RAM: symbol table, interned uint32 string
-// columns, typed numeric columns, the failed bitmap, and the serialized
-// hot-front fragments. Every reader constructs the snapshot directly over
-// the sections, mapped or read into the heap (rows decode lazily); a file
-// whose columnar sections fail validation is rebuilt from its row sections.
+// columns, typed numeric columns, and the failed bitmap. Every reader
+// constructs the snapshot directly over the sections, mapped or read into
+// the heap (rows decode lazily); a file whose columnar sections fail
+// validation is rebuilt from its row sections.
 //
 //	header   40B  magic "HPASNAP2" | u64le folded-through seq | u64le count
 //	              | u32le endian marker 0x0A0B0C0D | u32le section count
@@ -36,19 +36,25 @@ import (
 // misreading columns). Published like every snapshot: staged, fsynced,
 // renamed (fsatomic.WriteFile).
 const (
-	snapMagicV2      = "HPASNAP2"
-	v2HeaderSize     = 40
-	v2SecDescSize    = 32
-	v2Align          = 4096
-	v2EndianMarker   = 0x0A0B0C0D
-	v2MaxSections    = 64
-	v2MaxHotFronts   = 4096
-	v2MaxStringLen   = 1 << 20 // one interned symbol / name
-	v2MaxFragmentLen = 64 << 20
+	snapMagicV2    = "HPASNAP2"
+	v2HeaderSize   = 40
+	v2SecDescSize  = 32
+	v2Align        = 4096
+	v2EndianMarker = 0x0A0B0C0D
+	v2MaxSections  = 64
+	v2MaxStringLen = 1 << 20 // one interned symbol / name
 )
 
 // Section kinds. The row sections (rows, rowindex, appendidx) are all the
-// row rebuild needs; the rest reconstruct the columnar layout.
+// row rebuild needs; the rest reconstruct the columnar layout. Readers
+// ignore kinds they do not use.
+//
+// Kind 14 is retired and must never be reused: it held persisted hot-front
+// positions and JSON fragments, which readers now compute from the columns
+// and the row bytes. Files written before its retirement still carry it
+// and load on the columnar rung. An older reader requires it, so it opens
+// a file without it through the row rebuild: upgrade replication
+// followers before their leader.
 const (
 	secRows      uint32 = 1 // concatenated row JSON, sorted order
 	secRowIndex  uint32 = 2 // (count+1) u64le row bounds into secRows
@@ -63,7 +69,6 @@ const (
 	secColCost   uint32 = 11
 	secColFailed uint32 = 12 // ceil(count/64) u64le bitmap words
 	secNames     uint32 = 13 // three string lists: apps, sku aliases, inputs
-	secHotFronts uint32 = 14 // see writeHotFronts
 )
 
 func alignUp(n int) int { return (n + v2Align - 1) &^ (v2Align - 1) }
@@ -95,8 +100,7 @@ func writeSnapshotSegmentV2(path string, foldThrough uint64, points []dataset.Po
 	}
 	// The columnar sections come from the snapshot build every heap store
 	// runs, over the already-sorted rows, so what lands on disk is
-	// bit-for-bit what a heap store over the same points serves, hot-front
-	// JSON fragments included.
+	// bit-for-bit what a heap store over the same points serves.
 	col, err := dataset.BuildColumnar(sorted)
 	if err != nil {
 		return err
@@ -119,7 +123,6 @@ func writeSnapshotSegmentV2(path string, foldThrough uint64, points []dataset.Po
 		{secColCost, putF64s(col.Cost)},
 		{secColFailed, putU64s(col.Failed)},
 		{secNames, putNames(col.Apps, col.SKUAliases, col.Inputs)},
-		{secHotFronts, putHotFronts(col.Hot)},
 	}
 
 	tableEnd := v2HeaderSize + len(secs)*v2SecDescSize
@@ -198,32 +201,6 @@ func putNames(apps, aliases, inputs []string) []byte {
 	out := putStringList(apps)
 	out = append(out, putStringList(aliases)...)
 	return append(out, putStringList(inputs)...)
-}
-
-// putHotFronts encodes the hot-front set: u32le count, then per front the
-// three filter strings, u32le jsonOK flag, u32le position count with the
-// positions as u32le, and the two length-prefixed (u32le) JSON fragments.
-func putHotFronts(fronts []dataset.ColumnarFront) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(fronts)))
-	for _, f := range fronts {
-		out = putString(out, f.App)
-		out = putString(out, f.SKU)
-		out = putString(out, f.Input)
-		flag := uint32(0)
-		if f.JSONOK {
-			flag = 1
-		}
-		out = binary.LittleEndian.AppendUint32(out, flag)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(f.Positions)))
-		for _, p := range f.Positions {
-			out = binary.LittleEndian.AppendUint32(out, uint32(p))
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(f.TimeJSON)))
-		out = append(out, f.TimeJSON...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(f.CostJSON)))
-		out = append(out, f.CostJSON...)
-	}
-	return out
 }
 
 //
@@ -403,50 +380,6 @@ func getStringList(c *byteCursor, maxItems uint32) ([]string, error) {
 	return out, nil
 }
 
-// getHotFronts decodes the hot-front section. The JSON fragments are
-// subsliced in place: the snapshot pins the region they alias.
-func getHotFronts(b []byte, count int) ([]dataset.ColumnarFront, error) {
-	c := &byteCursor{b: b}
-	n := c.u32()
-	if c.err == nil && n > v2MaxHotFronts {
-		c.err = fmt.Errorf("storage: implausible hot front count %d", n)
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	out := make([]dataset.ColumnarFront, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var f dataset.ColumnarFront
-		f.App = c.str(v2MaxStringLen)
-		f.SKU = c.str(v2MaxStringLen)
-		f.Input = c.str(v2MaxStringLen)
-		f.JSONOK = c.u32() != 0
-		npos := c.u32()
-		if c.err == nil && int(npos) > count {
-			c.err = fmt.Errorf("storage: hot front %d claims %d positions over %d points", i, npos, count)
-		}
-		if c.err != nil {
-			return nil, c.err
-		}
-		f.Positions = make([]int32, npos)
-		for j := range f.Positions {
-			f.Positions[j] = int32(c.u32())
-		}
-		for _, dst := range []*[]byte{&f.TimeJSON, &f.CostJSON} {
-			ln := c.u32()
-			if c.err == nil && ln > v2MaxFragmentLen {
-				c.err = fmt.Errorf("storage: implausible fragment length %d", ln)
-			}
-			*dst = c.bytes(ln)
-			if c.err != nil {
-				return nil, c.err
-			}
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 //
 // Row reader (the rebuild rung: same result as the v1 frame parse)
 //
@@ -542,9 +475,9 @@ func castSlice[T uint32 | int32 | uint64 | float64](b []byte, n int) ([]T, error
 
 // loadMappedSnapshot maps a v2 segment (or reads it, on builds without
 // mmap) and builds a store whose snapshot serves directly over the
-// sections — zero-copy columns, lazy row decode. Every section CRC is
-// verified up front (one sequential pass) so a bit-flipped file can never
-// reach query results; any failure returns an error and the caller
+// sections — zero-copy columns, lazy row decode. Every section it uses is
+// CRC-verified up front (one sequential pass) so a bit-flipped file can
+// never reach query results; any failure returns an error and the caller
 // rebuilds from the rows.
 func loadMappedSnapshot(path string, seq uint64) (st *dataset.Store, err error) {
 	if !hostLittleEndian() {
@@ -581,7 +514,6 @@ func loadMappedSnapshot(path string, seq uint64) (st *dataset.Store, err error) 
 	appRaw, skuRaw, aliasRaw, inputRaw := sec(secColApp), sec(secColSKU), sec(secColAlias), sec(secColInput)
 	nodesRaw, execRaw, costRaw, failedRaw := sec(secColNodes), sec(secColExec), sec(secColCost), sec(secColFailed)
 	namesRaw := sec(secNames)
-	hotRaw := sec(secHotFronts)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
@@ -632,11 +564,6 @@ func loadMappedSnapshot(path string, seq uint64) (st *dataset.Store, err error) 
 	if c.Inputs, err = getStringList(nameCur, maxNames); err != nil {
 		return nil, err
 	}
-	// Fragments alias the mapped region; the snapshot's mapRef keeps it
-	// alive as long as any serving path can hand them out.
-	if c.Hot, err = getHotFronts(hotRaw, p.count); err != nil {
-		return nil, err
-	}
 	return dataset.NewMappedStore(c)
 }
 
@@ -650,12 +577,10 @@ type v2Footprint struct {
 	columnBytes  int64
 	failedBytes  int64
 	rowDataBytes int64
-	hotFronts    int
 }
 
-// readSnapshotFootprintV2 reads just the header, table, and the hot-front
-// count (4 bytes) — no section payloads, so Info stays cheap on large
-// stores.
+// readSnapshotFootprintV2 reads just the header and table — no section
+// payloads, so Info stays cheap on large stores.
 func readSnapshotFootprintV2(path string) (v2Footprint, error) {
 	var fp v2Footprint
 	f, err := os.Open(path)
@@ -682,11 +607,6 @@ func readSnapshotFootprintV2(path string) (v2Footprint, error) {
 			fp.failedBytes = int64(s.length)
 		case secRows, secRowIndex, secAppendIdx:
 			fp.rowDataBytes += int64(s.length)
-		case secHotFronts:
-			var cnt [4]byte
-			if _, err := f.ReadAt(cnt[:], int64(s.off)); err == nil {
-				fp.hotFronts = int(binary.LittleEndian.Uint32(cnt[:]))
-			}
 		}
 	}
 	return fp, nil

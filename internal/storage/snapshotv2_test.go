@@ -10,6 +10,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"testing"
 
 	"hpcadvisor/internal/dataset"
+	"hpcadvisor/internal/pareto"
 )
 
 // canonicalOrder computes the sort order Compact persists.
@@ -362,14 +364,14 @@ func TestV2CorruptSnapshotFallsBackToWALTail(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByteInSection(t, snapshotPath(t, dir), secHotFronts)
+	flipByteInSection(t, snapshotPath(t, dir), secColCost)
 	got, info := loadWith(t, dir)
 	want := marshalOf(t, append(points(50), tail...))
 	if !bytes.Equal(got, want) {
 		t.Fatal("fallback load lost WAL tail points")
 	}
 	if info.MmapServed {
-		t.Fatal("corrupt hot-front section was still mmap-served")
+		t.Fatal("corrupt cost column was still mmap-served")
 	}
 }
 
@@ -383,14 +385,127 @@ func TestV2InfoReportsColumnarFootprint(t *testing.T) {
 		info.FailedBitmapBytes <= 0 || info.RowDataBytes <= 0 {
 		t.Fatalf("zero footprint in %+v", info)
 	}
-	if info.HotFronts <= 0 {
-		t.Fatalf("HotFronts = %d, want > 0", info.HotFronts)
-	}
 	rendered := info.String()
-	for _, sub := range []string{"snapshot format: v2", "symbol table", "hot fronts", "mmap served"} {
+	for _, sub := range []string{"snapshot format: v2", "symbol table", "mmap served"} {
 		if !bytes.Contains([]byte(rendered), []byte(sub)) {
 			t.Fatalf("Info.String() missing %q:\n%s", sub, rendered)
 		}
+	}
+}
+
+// sectionKinds lists the section kinds in a v2 file's table.
+func sectionKinds(t *testing.T, path string) map[uint32]bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, secs, _, _, err := parseV2Table(data, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[uint32]bool, len(secs))
+	for _, s := range secs {
+		kinds[s.kind] = true
+	}
+	return kinds
+}
+
+// TestV2FileWithRetiredHotFrontsServesColumnar opens a committed v2 file
+// whose writer still persisted hot fronts in the retired section kind 14
+// (points(60), one compaction). It must load on the columnar rung and
+// serve advice bytes, hot and cold, identical to a heap store holding the
+// same points. The writer no longer emits kind 14.
+func TestV2FileWithRetiredHotFrontsServesColumnar(t *testing.T) {
+	const retiredHotFronts = 14
+	fresh, _ := compactedDir(t, 10)
+	if sectionKinds(t, snapshotPath(t, fresh))[retiredHotFronts] {
+		t.Fatal("the writer still emits the retired hot-front section")
+	}
+
+	const fixture = "testdata/v2-hotfronts"
+	dir := filepath.Join(t.TempDir(), "data.seg")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sectionKinds(t, snapshotPath(t, dir))[retiredHotFronts] {
+		t.Fatal("fixture lacks the retired hot-front section; it no longer tests compatibility")
+	}
+
+	pts := points(60)
+	seg, err := OpenSegments(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	st, err := seg.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	info, err := seg.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotFormat != 2 || info.MmapServed != mmapSupported {
+		t.Fatalf("SnapshotFormat = %d, MmapServed = %t; want 2, %t", info.SnapshotFormat, info.MmapServed, mmapSupported)
+	}
+	ref := heapStore(pts)
+	msn, rsn := st.Snapshot(), ref.Snapshot()
+	if msn.Generation() != rsn.Generation() {
+		t.Fatalf("generation %d, reference %d", msn.Generation(), rsn.Generation())
+	}
+	hot := 0
+	for _, f := range []dataset.Filter{
+		{},
+		{AppName: "lammps"},
+		{SKU: "hc44"},
+		{InputDesc: "BOXFACTOR=11"},
+		{AppName: "lammps", SKU: "hb120v3"},
+		{MinNodes: 2, MaxNodes: 4},
+	} {
+		c := f.Canonical()
+		for _, order := range []pareto.SortOrder{pareto.ByTime, pareto.ByCost} {
+			rows := pareto.Advice(ref.SelectScan(f), order)
+			if rows == nil {
+				rows = []dataset.Point{}
+			}
+			want, err := json.Marshal(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, n, ok := msn.HotAdviceJSON(&c, order == pareto.ByCost)
+			if ok {
+				hot++
+			} else {
+				served := pareto.Advice(msn.Select(f), order)
+				if served == nil {
+					served = []dataset.Point{}
+				}
+				if got, err = json.Marshal(served); err != nil {
+					t.Fatal(err)
+				}
+				n = len(served)
+			}
+			if !bytes.Equal(got, want) || n != len(rows) {
+				t.Errorf("filter %+v order %v: served advice differs from the heap reference\n got: %s\nwant: %s", f, order, got, want)
+			}
+		}
+	}
+	if hot == 0 {
+		t.Fatal("no filter was served from a hot front")
 	}
 }
 

@@ -62,9 +62,6 @@ type Info struct {
 	ColumnBytes       int64 `json:"column_bytes,omitempty"`
 	FailedBitmapBytes int64 `json:"failed_bitmap_bytes,omitempty"`
 	RowDataBytes      int64 `json:"row_data_bytes,omitempty"`
-	// HotFronts is how many precomputed Pareto fronts the v2 snapshot
-	// persists.
-	HotFronts int `json:"hot_fronts,omitempty"`
 	// MmapServed reports whether the most recent Load served the snapshot
 	// straight from an mmap (false on portable builds, which serve the same
 	// columns over read bytes, after a row rebuild, or before any Load).
@@ -94,7 +91,6 @@ func (i Info) String() string {
 			fmt.Fprintf(&b, "  columns:       %d bytes\n", i.ColumnBytes)
 			fmt.Fprintf(&b, "  failed bitmap: %d bytes\n", i.FailedBitmapBytes)
 			fmt.Fprintf(&b, "  row data:      %d bytes\n", i.RowDataBytes)
-			fmt.Fprintf(&b, "  hot fronts:    %d\n", i.HotFronts)
 		}
 		fmt.Fprintf(&b, "mmap served:     %t\n", i.MmapServed)
 	}
