@@ -41,6 +41,27 @@ func TestHelperSVGWriterProcess(t *testing.T) {
 	}
 }
 
+// svgCrashStartDeadline bounds how long a round waits for the helper's
+// first .svg. It is generous because it only guards against a helper that
+// never writes; a healthy one publishes its first file in milliseconds.
+const svgCrashStartDeadline = 60 * time.Second
+
+// waitForSVG polls dir until a published .svg (not an fsatomic staging
+// file) exists, and reports whether one appeared before the deadline.
+func waitForSVG(dir string, deadline time.Duration) bool {
+	stop := time.Now().Add(deadline)
+	for time.Now().Before(stop) {
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".svg") && !strings.Contains(e.Name(), ".tmp-") {
+				return true
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
+}
+
 // TestWritePlotsSVGCrashSafety is the regression test for the raw
 // os.WriteFile state write that used to live in writeSVGs (core.go:450):
 // it SIGKILLs a child that is continuously rewriting the plot set and
@@ -61,6 +82,14 @@ func TestWritePlotsSVGCrashSafety(t *testing.T) {
 		cmd.Env = append(os.Environ(), "HPCADVISOR_SVGCRASH_DIR="+dir)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("round %d: start helper: %v", round, err)
+		}
+		// The delay counts from the helper's first published .svg, not from
+		// Start: under -race on a small host, process start-up alone can
+		// outlast every delay, which would leave the check vacuous.
+		if !waitForSVG(dir, svgCrashStartDeadline) {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("round %d: helper wrote no .svg within %v", round, svgCrashStartDeadline)
 		}
 		time.Sleep(delay)
 		if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {

@@ -7,12 +7,14 @@ import (
 )
 
 // This file implements the columnar side of a Snapshot: a struct-of-arrays
-// mirror of the sorted points plus lazily computed Pareto fronts for the
-// hot filters. The row slice stays the source of truth (Select still returns
-// []Point copies); the columns exist so the per-candidate filter predicate
-// is a handful of integer compares over contiguous memory instead of
-// case-folding 20-field structs, and so the Pareto sweep can sort candidate
-// positions instead of copying full points.
+// mirror of the sorted points, and the one advice path built on it. The
+// row slice stays the source of truth (Select still returns []Point
+// copies); the columns exist so the per-candidate filter predicate is a
+// handful of integer compares over contiguous memory instead of
+// case-folding 20-field structs, and so the Pareto front of any filter is
+// a sort of candidate positions instead of copies of full points. Advice
+// and AdviceJSON serve every filter from that front, touching only the
+// surviving rows; the hot filters keep a per-snapshot memo of it.
 //
 // Everything here is immutable once the snapshot is published, with one
 // carefully-scoped exception: each hotFront computes its front at most
@@ -210,9 +212,9 @@ func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 // expensive to front on demand.
 const hotFrontLimit = 24
 
-// hotFront holds the lazily computed advice for one hot filter: the
-// surviving positions in by-time order plus both presentation orders
-// serialized as JSON array fragments the serving layer stitches into its
+// hotFront is the per-snapshot memo of the cold advice path for one hot
+// filter: the surviving positions in by-time order plus both presentation
+// orders as JSON array fragments the serving layer stitches into its
 // envelope without reflection. Everything inside is written once, under
 // once, on first use, and immutable afterwards.
 type hotFront struct {
@@ -221,49 +223,43 @@ type hotFront struct {
 
 	pos                []int32 // surviving positions, by-time order
 	timeJSON, costJSON []byte
-	jsonOK             bool
+	err                error // a survivor's row could not marshal
 }
 
 func (hf *hotFront) compute(sn *Snapshot) {
 	hf.once.Do(func() {
 		hf.pos = sn.frontPositions(&hf.c)
-		rows := make([][]byte, len(hf.pos))
-		size := 2 + len(rows)
-		for i, p := range hf.pos {
-			b, err := sn.rowJSON(int(p))
-			if err != nil {
-				// A row that cannot marshal (e.g. a NaN metric) leaves the
-				// serving path on its reflect-based encoder, which surfaces
-				// the error properly.
-				return
-			}
-			rows[i] = b
-			size += len(b)
+		hf.timeJSON, hf.err = sn.frontJSON(hf.pos, false)
+		if hf.err == nil {
+			hf.costJSON, hf.err = sn.frontJSON(hf.pos, true)
 		}
-		// The front's cost is strictly decreasing in time order, so the
-		// cost ordering is its exact reversal — no second sort, and no
-		// tie-break to disagree on.
-		hf.timeJSON = appendRowsJSON(make([]byte, 0, size), rows, false)
-		hf.costJSON = appendRowsJSON(make([]byte, 0, size), rows, true)
-		hf.jsonOK = true
 	})
 }
 
-// appendRowsJSON appends rows as a JSON array, reversed on request: the
-// same bytes json.Marshal produces for the slice of points they encode.
-func appendRowsJSON(buf []byte, rows [][]byte, reverse bool) []byte {
-	buf = append(buf, '[')
-	for i := range rows {
+// frontJSON renders front positions (by-time order) as a JSON array of
+// their rows: the same bytes json.Marshal produces for the points. On a
+// mapped snapshot each row's bytes are spliced from the row section, so no
+// row is decoded; on a heap snapshot only the survivors are marshalled. A
+// front's cost is strictly decreasing in time order, so the cost order is
+// the time order's exact reversal — no second sort, and no tie-break to
+// disagree on. A row that cannot marshal (e.g. a NaN metric) is an error.
+func (sn *Snapshot) frontJSON(pos []int32, byCost bool) ([]byte, error) {
+	buf := []byte{'['}
+	for i := range pos {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		if reverse {
-			buf = append(buf, rows[len(rows)-1-i]...)
-		} else {
-			buf = append(buf, rows[i]...)
+		p := pos[i]
+		if byCost {
+			p = pos[len(pos)-1-i]
 		}
+		row, err := sn.rowJSON(int(p))
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, row...)
 	}
-	return append(buf, ']')
+	return append(buf, ']'), nil
 }
 
 // buildHotFronts selects the top-K single-field filters by match count and
@@ -301,22 +297,26 @@ func (sn *Snapshot) buildHotFronts() {
 	}
 }
 
-// HotAdvice returns the advice rows of a hot filter in the requested
-// order, built from the front's positions, or ok=false when the filter is
-// not hot (the caller falls back to the on-demand front). The rows are a
-// fresh slice on every call; the query engine memoizes them per
-// generation.
-func (sn *Snapshot) HotAdvice(c *CanonicalFilter, byCost bool) ([]Point, bool) {
-	hf := sn.hot[c.Key()]
-	if hf == nil {
-		return nil, false
+// Advice returns the advice rows of any filter in the requested order:
+// the Pareto front of its matches, equal to pareto.Advice(sn.Select(f))
+// row for row. A hot filter answers from its memoized front; any other
+// filter computes the same front from the columns without storing it. Only
+// the surviving rows are materialized, so on a mapped snapshot only the
+// chunks that hold them are decoded. The rows are a fresh slice on every
+// call; the query engine memoizes them per generation.
+func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
+	var pos []int32
+	if hf := sn.hot[c.Key()]; hf != nil {
+		hf.compute(sn)
+		pos = hf.pos
+	} else {
+		pos = sn.frontPositions(c)
 	}
-	hf.compute(sn)
-	if len(hf.pos) == 0 {
-		return nil, true
+	if len(pos) == 0 {
+		return nil
 	}
-	rows := make([]Point, len(hf.pos))
-	for i, p := range hf.pos {
+	rows := make([]Point, len(pos))
+	for i, p := range pos {
 		sn.ensureRow(int(p))
 		if byCost {
 			rows[len(rows)-1-i] = sn.sorted[p]
@@ -324,25 +324,37 @@ func (sn *Snapshot) HotAdvice(c *CanonicalFilter, byCost bool) ([]Point, bool) {
 			rows[i] = sn.sorted[p]
 		}
 	}
-	return rows, true
+	return rows
 }
 
-// HotAdviceJSON returns the serialized rows of a hot filter as a JSON
-// array fragment plus the row count, or ok=false when the filter is not
-// hot or its rows cannot marshal. The bytes are shared and must not be
-// modified. On a mapped snapshot the fragment is spliced from the
-// persisted row bytes, so serving it decodes no row.
-func (sn *Snapshot) HotAdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, bool) {
+// AdviceJSON returns the advice rows of any filter as a JSON array
+// fragment, byte-identical to json.Marshal of Advice's rows ("[]" when
+// none survive), plus the row count. A hot filter answers from its
+// memoized fragment, which is shared and must not be modified; any other
+// filter renders a fresh one from the same front. On a mapped snapshot the
+// fragment is spliced from the persisted row bytes, so no row is decoded.
+// A survivor that cannot marshal is an error.
+func (sn *Snapshot) AdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, error) {
 	hf := sn.hot[c.Key()]
 	if hf == nil {
-		return nil, 0, false
+		pos := sn.frontPositions(c)
+		b, err := sn.frontJSON(pos, byCost)
+		return b, len(pos), err
 	}
 	hf.compute(sn)
-	if !hf.jsonOK {
+	if byCost {
+		return hf.costJSON, len(hf.pos), hf.err
+	}
+	return hf.timeJSON, len(hf.pos), hf.err
+}
+
+// HotAdviceJSON is AdviceJSON restricted to hot filters: ok=false when the
+// filter is not hot or its rows cannot marshal. It reports whether a
+// request is answered from the memo without computing a front.
+func (sn *Snapshot) HotAdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, bool) {
+	if sn.hot[c.Key()] == nil {
 		return nil, 0, false
 	}
-	if byCost {
-		return hf.costJSON, len(hf.pos), true
-	}
-	return hf.timeJSON, len(hf.pos), true
+	b, n, err := sn.AdviceJSON(c, byCost)
+	return b, n, err == nil
 }

@@ -138,10 +138,10 @@ func TestHotFrontMatchesNaiveOracle(t *testing.T) {
 		for _, f := range hotCandidateFilters(sn) {
 			c := f.Canonical()
 			for _, byCost := range []bool{false, true} {
-				rows, ok := sn.HotAdvice(&c, byCost)
-				if !ok {
+				if _, _, ok := sn.HotAdviceJSON(&c, byCost); !ok {
 					continue
 				}
+				rows := sn.Advice(&c, byCost)
 				hot++
 				want := naiveAdvice(s.SelectScan(f), byCost)
 				if !reflect.DeepEqual(rows, want) {
@@ -171,7 +171,7 @@ func TestHotFrontMatchesNaiveOracle(t *testing.T) {
 		}
 		// Multi-field filters are never hot: the engine must fall back.
 		c := (Filter{AppName: "lammps", SKU: "hb120rs_v3"}).Canonical()
-		if _, ok := sn.HotAdvice(&c, false); ok {
+		if _, _, ok := sn.HotAdviceJSON(&c, false); ok {
 			t.Error("two-field filter unexpectedly has a precomputed front")
 		}
 	}
@@ -195,10 +195,10 @@ func TestHotFrontDuplicateTieBreak(t *testing.T) {
 	sn := s.Snapshot()
 	c := (Filter{}).Canonical()
 	for _, byCost := range []bool{false, true} {
-		rows, ok := sn.HotAdvice(&c, byCost)
-		if !ok {
+		if _, _, ok := sn.HotAdviceJSON(&c, byCost); !ok {
 			t.Fatal("empty filter must be hot")
 		}
+		rows := sn.Advice(&c, byCost)
 		want := naiveAdvice(s.SelectScan(Filter{}), byCost)
 		if !reflect.DeepEqual(rows, want) {
 			t.Fatalf("byCost=%v: duplicate tie-break diverges from oracle\n got: %v\nwant: %v",
@@ -233,10 +233,10 @@ func TestHotFrontLazyAfterAppend(t *testing.T) {
 		s.Add(p)
 		sn := s.Snapshot()
 		c := f.Canonical()
-		rows, ok := sn.HotAdvice(&c, false)
-		if !ok {
+		if _, _, ok := sn.HotAdviceJSON(&c, false); !ok {
 			t.Fatalf("append %d: per-app filter must stay hot", i)
 		}
+		rows := sn.Advice(&c, false)
 		if want := naiveAdvice(s.SelectScan(f), false); !reflect.DeepEqual(rows, want) {
 			t.Fatalf("append %d: lazily computed front diverges from oracle", i)
 		}
@@ -287,9 +287,135 @@ func TestBuildColumnarRejectsUnsorted(t *testing.T) {
 	}
 }
 
+// mappedSnapshot builds the snapshot a v2 segment load serves for the
+// store's points: BuildColumnar's columns plus each row marshalled the way
+// the segment writer stores it. Every row starts undecoded.
+func mappedSnapshot(t testing.TB, s *Store) *Snapshot {
+	t.Helper()
+	sorted := s.Snapshot().sorted
+	c, err := BuildColumnar(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RowOffs = make([]uint64, 1, len(sorted)+1)
+	c.AppendIdx = make([]uint32, len(sorted))
+	for k := range sorted {
+		b, err := json.Marshal(&sorted[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Rows = append(c.Rows, b...)
+		c.RowOffs = append(c.RowOffs, uint64(len(c.Rows)))
+		c.AppendIdx[k] = uint32(k)
+	}
+	sn, err := newMappedSnapshot(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+// decodedChunks reports, per lazy chunk of a mapped snapshot, whether any
+// of its rows has been decoded (every test row has a ScenarioID).
+func decodedChunks(sn *Snapshot) []bool {
+	out := make([]bool, len(sn.lazy.chunks))
+	for i := range sn.sorted {
+		if sn.sorted[i].ScenarioID != "" {
+			out[i/lazyChunkRows] = true
+		}
+	}
+	return out
+}
+
+// adviceJSONOracle is json.Marshal of the oracle rows, "[]" when empty.
+func adviceJSONOracle(t testing.TB, rows []Point) []byte {
+	t.Helper()
+	if rows == nil {
+		rows = []Point{}
+	}
+	b, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// Cold advice on a mapped snapshot works on the columns and the row
+// section alone: AdviceJSON for tag-free filters splices the survivors'
+// persisted bytes without decoding a single row, and Advice decodes
+// exactly the chunks that hold survivors.
+func TestColdAdviceOnMappedSnapshotDecodesOnlySurvivors(t *testing.T) {
+	s := randomStore(rand.New(rand.NewSource(5)), 5000)
+	sn := mappedSnapshot(t, s)
+	if len(sn.lazy.chunks) < 3 {
+		t.Fatalf("%d chunks: too few for the decode check to mean anything", len(sn.lazy.chunks))
+	}
+	posOf := map[string]int{}
+	for i, p := range s.Snapshot().sorted {
+		posOf[p.ScenarioID] = i
+	}
+	filters := []Filter{
+		{AppName: "nosuchapp"},                        // unknown symbol
+		{AppName: "wrf", SKU: "hc44rs"},               // two fields
+		{SKU: "HB120RS_V2", MinNodes: 2, MaxNodes: 8}, // indexed + node bounds
+		{MinNodes: 4},                                 // node bound only
+		{MaxNodes: 2, IncludeFailed: true},            // node bound only
+	}
+	for _, f := range filters {
+		c := f.Canonical()
+		if _, _, hot := sn.HotAdviceJSON(&c, false); hot {
+			t.Fatalf("%+v is hot; the test needs cold filters", f)
+		}
+		for _, byCost := range []bool{false, true} {
+			got, n, err := sn.AdviceJSON(&c, byCost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naiveAdvice(s.SelectScan(f), byCost)
+			if n != len(want) || string(got) != string(adviceJSONOracle(t, want)) {
+				t.Fatalf("%+v byCost=%v: cold AdviceJSON diverges from the oracle (%d vs %d rows)", f, byCost, n, len(want))
+			}
+		}
+	}
+	for c, decoded := range decodedChunks(sn) {
+		if decoded {
+			t.Fatalf("cold AdviceJSON decoded rows of chunk %d", c)
+		}
+	}
+
+	wantDecoded := make([]bool, len(sn.lazy.chunks))
+	partial := false
+	for _, f := range filters {
+		c := f.Canonical()
+		for _, byCost := range []bool{false, true} {
+			rows := sn.Advice(&c, byCost)
+			if want := naiveAdvice(s.SelectScan(f), byCost); !reflect.DeepEqual(rows, want) {
+				t.Fatalf("%+v byCost=%v: cold Advice diverges from the oracle (%d vs %d rows)", f, byCost, len(rows), len(want))
+			}
+			for _, r := range rows {
+				wantDecoded[posOf[r.ScenarioID]/lazyChunkRows] = true
+			}
+		}
+		got := decodedChunks(sn)
+		if !reflect.DeepEqual(got, wantDecoded) {
+			t.Fatalf("after %+v: decoded chunks %v, want only the survivors' %v", f, got, wantDecoded)
+		}
+		some, all := false, true
+		for _, d := range got {
+			some, all = some || d, all && d
+		}
+		partial = partial || (some && !all)
+	}
+	if !partial {
+		t.Fatal("no filter left a chunk undecoded while decoding another; the check is vacuous")
+	}
+}
+
 // FuzzColumnarSelect drives arbitrary filters at randomized stores and
 // requires the columnar Select and GroupSeries to match the scan baseline
-// exactly.
+// exactly, and the columnar advice of every filter — rows in both orders
+// and their JSON, on a heap and a mapped snapshot — to match the
+// independent dominance oracle over the scan.
 func FuzzColumnarSelect(f *testing.F) {
 	f.Add(int64(1), "lammps", "hb120rs_v3", "atoms=864M", 0, 0, false, false)
 	f.Add(int64(2), "LAMMPS", "STANDARD_HC44RS", "", 2, 16, true, true)
@@ -321,6 +447,24 @@ func FuzzColumnarSelect(f *testing.F) {
 		}
 		if !reflect.DeepEqual(groups, naive) {
 			t.Fatalf("GroupSeries diverges from naive grouping for %+v", fl)
+		}
+		c := fl.Canonical()
+		for _, sn := range []*Snapshot{s.Snapshot(), mappedSnapshot(t, s)} {
+			for _, byCost := range []bool{false, true} {
+				oracle := naiveAdvice(want, byCost)
+				if rows := sn.Advice(&c, byCost); !reflect.DeepEqual(rows, oracle) {
+					t.Fatalf("Advice diverges from the oracle for %+v byCost=%v mapped=%v (%d vs %d rows)",
+						fl, byCost, sn.lazy != nil, len(rows), len(oracle))
+				}
+				got, n, err := sn.AdviceJSON(&c, byCost)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantJSON := adviceJSONOracle(t, oracle); n != len(oracle) || string(got) != string(wantJSON) {
+					t.Fatalf("AdviceJSON diverges from json.Marshal of the oracle for %+v byCost=%v mapped=%v\n got: %s\nwant: %s",
+						fl, byCost, sn.lazy != nil, got, wantJSON)
+				}
+			}
 		}
 	})
 }

@@ -29,9 +29,9 @@ func Dominates(a, b dataset.Point) bool {
 // The sort is stable, which pins the tie-break for exact (time, cost)
 // duplicates to "first in input order" — the same rule FrontNaive applies —
 // and makes the output uniquely determined by the input sequence. The
-// snapshot's hot fronts (dataset.Snapshot.HotAdvice) rely on
-// that uniqueness to stay byte-identical to this function without sharing
-// its code.
+// snapshot's columnar fronts (dataset.Snapshot.Advice and AdviceJSON),
+// which serve every advice query, rely on that uniqueness to stay
+// byte-identical to this function without sharing its code.
 func Front(points []dataset.Point) []dataset.Point {
 	var ok []dataset.Point
 	for _, p := range points {

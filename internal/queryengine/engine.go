@@ -176,18 +176,14 @@ func (e *Engine) Cached(sn *dataset.Snapshot, kind string, f dataset.Filter, ext
 }
 
 // front memoizes the Pareto front at sn; the shared cached slice must not
-// be modified. Hot filters — the snapshot keeps front positions for the
-// top-K single-field filters — copy just the surviving rows; only cold
-// filters pay a Select plus an on-demand front. Both paths are
-// byte-identical (the equivalence suite pins them to the scan baseline),
-// so the cache key does not care which one produced the value.
+// be modified. The snapshot computes it from the columns for every filter
+// and materializes only the surviving rows (a hot filter answers from the
+// snapshot's own memo of the same front), so on a mapped snapshot only the
+// chunks holding survivors are decoded.
 func (e *Engine) front(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder) []dataset.Point {
 	c := f.Canonical()
 	v := e.get(sn.Generation(), key("advice", &c, orderKey(order)), func() any {
-		if rows, ok := sn.HotAdvice(&c, order == pareto.ByCost); ok {
-			return rows
-		}
-		return pareto.Advice(sn.Select(f), order)
+		return sn.Advice(&c, order == pareto.ByCost)
 	})
 	return v.([]dataset.Point)
 }

@@ -201,29 +201,16 @@ func OrderName(o pareto.SortOrder) string {
 // bytes under it.
 func (s *Service) AdviceJSON(req AdviceRequest) ([]byte, uint64, error) {
 	sn := s.engine().Snapshot()
-	// Hot filters skip encoding/json entirely: the snapshot holds the front
-	// rows serialized, and only the tiny envelope is stitched around them.
-	// The stitch is byte-identical to the reflect marshal below
-	// (TestAdviceJSONStitchedEqualsMarshal pins it), so clients and the
-	// ETag machinery cannot tell which path rendered a body.
+	// The snapshot serializes the front's rows (spliced from the row
+	// section on a mapped snapshot) and only the tiny envelope is stitched
+	// around them, byte-identical to a reflect marshal of AdviceResponse
+	// (TestAdviceJSONStitchedEqualsMarshal pins it).
 	c := req.Filter.Canonical()
-	if rowsJSON, count, ok := sn.HotAdviceJSON(&c, req.Order == pareto.ByCost); ok {
-		return stitchAdviceJSON(sn.Generation(), OrderName(req.Order), count, rowsJSON), sn.Generation(), nil
-	}
-	rows := pareto.Advice(sn.Select(req.Filter), req.Order)
-	if rows == nil {
-		rows = []dataset.Point{}
-	}
-	data, err := json.Marshal(AdviceResponse{
-		Generation: sn.Generation(),
-		Sort:       OrderName(req.Order),
-		Count:      len(rows),
-		Rows:       rows,
-	})
+	rowsJSON, count, err := sn.AdviceJSON(&c, req.Order == pareto.ByCost)
 	if err != nil {
 		return nil, 0, Internalf(err, "encoding advice")
 	}
-	return data, sn.Generation(), nil
+	return stitchAdviceJSON(sn.Generation(), OrderName(req.Order), count, rowsJSON), sn.Generation(), nil
 }
 
 // stitchAdviceJSON renders the AdviceResponse envelope around a

@@ -215,23 +215,30 @@ func TestGenerationMovesWithAppends(t *testing.T) {
 	}
 }
 
-// The hot-filter serving path stitches a hand-built envelope around the
-// snapshot's pre-serialized rows; the cold path reflect-marshals the same
-// struct. The two must be byte-identical for every filter shape — hot,
-// cold, and empty-result — or ETagged bodies would differ by which path
-// rendered them.
+// The serving path stitches a hand-built envelope around the rows the
+// snapshot serializes from its columnar front, memoized for hot filters
+// and rendered per request for cold ones. The body must be byte-identical
+// to a reflect marshal of the struct over the scan oracle for every filter
+// shape — hot, cold, and empty-result — or ETagged bodies would differ
+// from what clients decode.
 func TestAdviceJSONStitchedEqualsMarshal(t *testing.T) {
 	adv := seededAdvisor(t)
 	svc := New(adv)
 	queries := []string{
-		"",                          // hot: unfiltered
-		"app=lammps",                // hot: per-app
-		"sku=hc44rs",                // hot: per-alias
-		"input=atoms%3D864M",        // hot: per-input
-		"app=lammps&sort=cost",      // hot, cost order
-		"app=lammps&sku=hb120rs_v3", // cold: two fields
-		"app=nosuchapp",             // empty result
-		"minnodes=2&maxnodes=8",     // cold: scan path
+		"",                                    // hot: unfiltered
+		"app=lammps",                          // hot: per-app
+		"sku=hc44rs",                          // hot: per-alias
+		"input=atoms%3D864M",                  // hot: per-input
+		"app=lammps&sort=cost",                // hot, cost order
+		"app=lammps&sku=hb120rs_v3",           // cold: two fields
+		"app=nosuchapp",                       // empty result
+		"minnodes=2&maxnodes=8",               // cold: scan path
+		"app=lammps&sku=hb120rs_v3&sort=cost", // cold, cost order
+		"app=lammps&input=atoms%3D864M",       // cold: app+input
+		"sku=hc44rs&minnodes=2",               // cold: sku+minnodes
+		"maxnodes=4",                          // cold: maxnodes only
+		"app=LAMMPS&sku=HB120RS_V3",           // cold: upper case
+		"app=LAMMPS",                          // hot: folds to app=lammps
 	}
 	for _, q := range queries {
 		vals, err := url.ParseQuery(q)
