@@ -1041,10 +1041,12 @@ func BenchmarkColumnarSelect(b *testing.B) {
 
 // BenchmarkHotFrontServe measures advice cost right after a generation
 // roll — the case the hot fronts exist for. Every iteration appends one
-// point, invalidating the engine's per-generation memo, and then asks for
-// a front. "precomputed" serves through Engine.Advice, which sweeps the
-// snapshot's hot front over the columns and copies only the survivors;
-// "recompute" is a fresh Select copy plus an on-demand Pareto sweep.
+// point, invalidating the engine's per-generation memo and rebuilding the
+// snapshot, and then asks for the front of one single-field filter.
+// "precomputed" serves through Engine.Advice, which fills that filter's
+// hot slot (one per field and symbol, empty after every roll) from the
+// columns and copies only the survivors; "recompute" is a fresh Select
+// copy plus an on-demand Pareto sweep.
 func BenchmarkHotFrontServe(b *testing.B) {
 	filters := []dataset.Filter{
 		{},

@@ -8,6 +8,7 @@ package api
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,15 @@ func decodeErrorBody(t *testing.T, body string) errorBody {
 		t.Fatalf("response is not the JSON error envelope: %v\nbody: %s", err, body)
 	}
 	return eb
+}
+
+// longGrid renders the grid 1,2,...,n.
+func longGrid(n int) string {
+	nodes := make([]string, n)
+	for i := range nodes {
+		nodes[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(nodes, ",")
 }
 
 func TestErrorEnvelopeTable(t *testing.T) {
@@ -64,6 +74,12 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			path:       "/api/v1/predicted-advice?grid=0",
 			wantStatus: http.StatusBadRequest,
 			wantIn:     "grid",
+		},
+		{
+			name:       "oversized predict grid",
+			path:       "/api/v1/predicted-advice?grid=" + longGrid(1000),
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "1000 node counts",
 		},
 	}
 	for _, tc := range cases {

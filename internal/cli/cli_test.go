@@ -418,6 +418,11 @@ func TestPredictCommand(t *testing.T) {
 	if r := exec(t, state, "predict", "-grid", "1,zero"); r.code == 0 {
 		t.Error("invalid grid should fail")
 	}
+	// So does a grid naming more node counts than a request may ask for.
+	if r := exec(t, state, "predict", "-grid", strings.Repeat("2,", 1000)+"2"); r.code == 0 ||
+		!strings.Contains(r.err.String(), "1001 node counts") {
+		t.Errorf("oversized grid should fail with its count, got code %d: %s", r.code, r.err.String())
+	}
 	// Bad sort errors cleanly.
 	if r := exec(t, state, "predict", "-sort", "vibes"); r.code == 0 {
 		t.Error("invalid sort should fail")

@@ -1,13 +1,14 @@
 package dataset
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// This file implements the columnar side of a Snapshot: a struct-of-arrays
-// mirror of the sorted points, and the one advice path built on it. The
+// This file implements the columnar side of a Snapshot: the struct-of-arrays
+// form every snapshot serves from, and the one advice path built on it. The
 // row slice stays the source of truth (Select still returns []Point
 // copies); the columns exist so the per-candidate filter predicate is a
 // handful of integer compares over contiguous memory instead of
@@ -21,73 +22,174 @@ import (
 // once, on first use, under a sync.Once, which is safe for any number of
 // concurrent readers.
 
-// columns is the struct-of-arrays mirror of Snapshot.sorted. String fields
-// are interned through one shared symbol table: two cells are equal iff
-// their strings are equal, so cross-column compares (a filter SKU against
-// both the full name and the alias column) are plain uint32 equality.
-type columns struct {
-	syms map[string]uint32 // interned symbol -> dense ID
+// Columnar is the flat, storage-ready form of a snapshot's read-optimized
+// state. Every snapshot serves from one: a heap build interns its sorted
+// points into a fresh Columnar (columnsOf), the segment compactor
+// serializes the one BuildColumnar returns, and the storage load path
+// fills one from file sections for NewMappedStore. Slices handed to
+// NewMappedStore may alias mapped read-only memory and must never be
+// written through; string fields are always heap strings.
+//
+// String fields are interned through one shared symbol table: two cells
+// are equal iff their strings are equal, so cross-column compares (a
+// filter SKU against both the full name and the alias column) are plain
+// uint32 equality.
+type Columnar struct {
+	// Count is the number of points covered.
+	Count int
 
-	app    []uint32 // ToLower(AppName) symbol per point
-	sku    []uint32 // ToLower(SKU) symbol per point
-	alias  []uint32 // ToLower(SKUAlias) symbol per point
-	input  []uint32 // exact InputDesc symbol per point
-	nodes  []int32
-	exec   []float64
-	cost   []float64
-	failed []uint64 // bitmap, one bit per point
+	// Rows holds the concatenated JSON encodings of the points in canonical
+	// sorted order; RowOffs[k]..RowOffs[k+1] bounds row k (so RowOffs has
+	// Count+1 entries and starts at 0). BuildColumnar leaves these nil —
+	// the segment writer marshals rows itself; NewMappedStore requires them.
+	Rows    []byte
+	RowOffs []uint64
+
+	// AppendIdx maps sorted position -> append-order index, a permutation
+	// of 0..Count-1 (the same per-row index the v1 frame format carries).
+	// Nil from BuildColumnar, required by NewMappedStore.
+	AppendIdx []uint32
+
+	// Syms is the dense symbol table: Syms[id] is the interned string the
+	// uint32 column cells refer to. IDs are assigned in first-use order,
+	// per row app, SKU, alias, input.
+	Syms []string
+
+	App    []uint32 // ToLower(AppName) symbol per point
+	SKU    []uint32 // ToLower(SKU) symbol per point
+	Alias  []uint32 // ToLower(SKUAlias) symbol per point
+	Input  []uint32 // exact InputDesc symbol per point
+	Nodes  []int32
+	Exec   []float64
+	Cost   []float64
+	Failed []uint64 // bitmap, one bit per point
+
+	Apps       []string // distinct AppNames (original case), sorted
+	SKUAliases []string // distinct SKUAliases (original case), canonical order
+	Inputs     []string // distinct InputDescs, sorted
+
+	// Ref, when non-nil, pins whatever owns the memory the slices above
+	// alias (an mmap region with a munmap finalizer); the snapshot holds the
+	// Columnar, and so Ref, for its lifetime.
+	Ref any
 }
 
-func (cs *columns) intern(s string) uint32 {
-	if id, ok := cs.syms[s]; ok {
+func (c *Columnar) failedBit(i int) bool {
+	return c.Failed[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// BuildColumnar builds the columnar state of a snapshot over points that
+// are already in canonical order: the segment compactor's input. The slice
+// is used as is, with no copy and no re-sort. Every posting list assumes
+// that order, so unsorted points are an error. Rows, RowOffs, and
+// AppendIdx are left for the caller — the points do not know their append
+// order, the writer does.
+func BuildColumnar(sorted []Point) (*Columnar, error) {
+	for i := 1; i < len(sorted); i++ {
+		if pointLess(&sorted[i], &sorted[i-1]) {
+			return nil, fmt.Errorf("dataset: BuildColumnar: point %d sorts before point %d", i, i-1)
+		}
+	}
+	return columnsOf(sorted), nil
+}
+
+// columnsOf interns sorted points into a Columnar: the symbol and typed
+// columns plus the distinct-name lists. Symbols are interned per row in
+// the order app, SKU, alias, input, which fixes their IDs and so the bytes
+// the compactor writes for the same points.
+func columnsOf(sorted []Point) *Columnar {
+	n := len(sorted)
+	c := &Columnar{
+		Count:  n,
+		App:    make([]uint32, n),
+		SKU:    make([]uint32, n),
+		Alias:  make([]uint32, n),
+		Input:  make([]uint32, n),
+		Nodes:  make([]int32, n),
+		Exec:   make([]float64, n),
+		Cost:   make([]float64, n),
+		Failed: make([]uint64, (n+63)/64),
+	}
+	ids := make(map[string]uint32)
+	intern := func(s string) uint32 {
+		id, ok := ids[s]
+		if !ok {
+			id = uint32(len(c.Syms))
+			ids[s] = id
+			c.Syms = append(c.Syms, s)
+		}
 		return id
 	}
-	id := uint32(len(cs.syms))
-	cs.syms[s] = id
-	return id
+	appSeen := make(map[string]bool)
+	for i := range sorted {
+		p := &sorted[i]
+		c.App[i] = intern(strings.ToLower(p.AppName))
+		c.SKU[i] = intern(strings.ToLower(p.SKU))
+		c.Alias[i] = intern(strings.ToLower(p.SKUAlias))
+		c.Input[i] = intern(p.InputDesc)
+		c.Nodes[i] = int32(p.NNodes)
+		c.Exec[i] = p.ExecTimeSec
+		c.Cost[i] = p.CostUSD
+		if p.Failed {
+			c.Failed[i>>6] |= 1 << (uint(i) & 63)
+		}
+		if !appSeen[p.AppName] {
+			appSeen[p.AppName] = true
+			c.Apps = append(c.Apps, p.AppName)
+		}
+		// The sorted order is (alias, input, nodes), so distinct aliases
+		// arrive in runs; inputs recur across aliases and dedup below.
+		if len(c.SKUAliases) == 0 || c.SKUAliases[len(c.SKUAliases)-1] != p.SKUAlias {
+			c.SKUAliases = append(c.SKUAliases, p.SKUAlias)
+		}
+	}
+	inputSeen := make([]bool, len(c.Syms))
+	for _, id := range c.Input {
+		if !inputSeen[id] {
+			inputSeen[id] = true
+			c.Inputs = append(c.Inputs, c.Syms[id])
+		}
+	}
+	sort.Strings(c.Apps)
+	sort.Strings(c.Inputs)
+	return c
 }
 
-func (cs *columns) failedBit(i int) bool {
-	return cs.failed[i>>6]&(1<<(uint(i)&63)) != 0
-}
+// The indexed fields: each has a posting list and a hot slot per symbol ID.
+const (
+	fieldApp = iota
+	fieldSKU // full name or alias
+	fieldInput
+	numFields
+)
 
 // colFilter is a CanonicalFilter with its string constraints resolved to
 // this snapshot's symbol IDs, so matching a candidate does no string work
 // at all (tags excepted — they stay a residual map probe on the row).
 type colFilter struct {
-	c                     *CanonicalFilter
-	appID, skuID, inputID uint32
-	hasApp, hasSKU, hasIn bool
+	c      *CanonicalFilter
+	id     [numFields]uint32
+	has    [numFields]bool
+	absent bool // a constrained value is not in the symbol table: nothing matches
 }
 
-// resolve interns the filter's string constraints against the snapshot's
+// resolve looks the filter's string constraints up in the snapshot's
 // symbol table. A constrained value absent from the table matches nothing
-// in any column, so lookups that miss still yield a correct (never-match)
-// filter; the ok result lets callers skip the scan entirely.
-func (sn *Snapshot) resolve(c *CanonicalFilter) (colFilter, bool) {
+// in any column, which absent records so callers skip the scan entirely.
+func (sn *Snapshot) resolve(c *CanonicalFilter) colFilter {
 	cf := colFilter{c: c}
-	if c.app != "" {
-		id, ok := sn.col.syms[c.app]
-		if !ok {
-			return cf, false
+	for f, s := range [numFields]string{c.app, c.sku, c.input} {
+		if s == "" {
+			continue
 		}
-		cf.appID, cf.hasApp = id, true
-	}
-	if c.sku != "" {
-		id, ok := sn.col.syms[c.sku]
+		id, ok := sn.syms[s]
 		if !ok {
-			return cf, false
+			cf.absent = true
+			break
 		}
-		cf.skuID, cf.hasSKU = id, true
+		cf.id[f], cf.has[f] = id, true
 	}
-	if c.input != "" {
-		id, ok := sn.col.syms[c.input]
-		if !ok {
-			return cf, false
-		}
-		cf.inputID, cf.hasIn = id, true
-	}
-	return cf, true
+	return cf
 }
 
 // matchAt reports whether point i passes the resolved filter. It mirrors
@@ -95,23 +197,23 @@ func (sn *Snapshot) resolve(c *CanonicalFilter) (colFilter, bool) {
 // together against SelectScan), touching only the columns until the tag
 // residual.
 func (sn *Snapshot) matchAt(cf *colFilter, i int) bool {
-	col := &sn.col
+	col := sn.col
 	if !cf.c.includeFailed && col.failedBit(i) {
 		return false
 	}
-	if cf.hasApp && col.app[i] != cf.appID {
+	if cf.has[fieldApp] && col.App[i] != cf.id[fieldApp] {
 		return false
 	}
-	if cf.hasSKU && col.sku[i] != cf.skuID && col.alias[i] != cf.skuID {
+	if id := cf.id[fieldSKU]; cf.has[fieldSKU] && col.SKU[i] != id && col.Alias[i] != id {
 		return false
 	}
-	if cf.hasIn && col.input[i] != cf.inputID {
+	if cf.has[fieldInput] && col.Input[i] != cf.id[fieldInput] {
 		return false
 	}
-	if cf.c.minNodes > 0 && int(col.nodes[i]) < cf.c.minNodes {
+	if cf.c.minNodes > 0 && int(col.Nodes[i]) < cf.c.minNodes {
 		return false
 	}
-	if cf.c.maxNodes > 0 && int(col.nodes[i]) > cf.c.maxNodes {
+	if cf.c.maxNodes > 0 && int(col.Nodes[i]) > cf.c.maxNodes {
 		return false
 	}
 	if len(cf.c.tags) > 0 {
@@ -182,8 +284,8 @@ func sortByTimeCost(idx []int32, exec, cost []float64) {
 // positions equals pareto.Front(sn.Select(f)) byte for byte without
 // copying the candidate points first. The returned positions are in
 // by-time order.
-func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
-	pos := sn.matchPositions(c)
+func (sn *Snapshot) frontPositions(cf *colFilter) []int32 {
+	pos := sn.matchPositions(cf)
 	cand := pos[:0] // pareto.Front skips failed runs: drop them in place
 	for _, i := range pos {
 		if !sn.col.failedBit(int(i)) {
@@ -193,8 +295,8 @@ func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 	if len(cand) == 0 {
 		return nil
 	}
-	sortByTimeCost(cand, sn.col.exec, sn.col.cost)
-	cost := sn.col.cost
+	cost := sn.col.Cost
+	sortByTimeCost(cand, sn.col.Exec, cost)
 	front := cand[:0] // survivors are a subsequence of cand: reuse it
 	minCost := cost[cand[0]] + 1
 	for _, i := range cand {
@@ -206,19 +308,12 @@ func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 	return front
 }
 
-// hotFrontLimit caps how many filters get hot fronts per snapshot.
-// Candidates (the unfiltered view, each app, each SKU alias, each input)
-// are ranked by match count, so the cap keeps the filters that are most
-// expensive to front on demand.
-const hotFrontLimit = 24
-
 // hotFront is the per-snapshot memo of the cold advice path for one hot
 // filter: the surviving positions in by-time order plus both presentation
 // orders as JSON array fragments the serving layer stitches into its
 // envelope without reflection. Everything inside is written once, under
 // once, on first use, and immutable afterwards.
 type hotFront struct {
-	c    CanonicalFilter
 	once sync.Once
 
 	pos                []int32 // surviving positions, by-time order
@@ -226,14 +321,50 @@ type hotFront struct {
 	err                error // a survivor's row could not marshal
 }
 
-func (hf *hotFront) compute(sn *Snapshot) {
+// json returns the memoized fragment in the requested order, computing the
+// front on first use. Every filter that maps to this slot selects the same
+// rows, so whichever one arrives first computes it.
+func (hf *hotFront) json(sn *Snapshot, cf *colFilter, byCost bool) ([]byte, error) {
+	hf.compute(sn, cf)
+	if byCost {
+		return hf.costJSON, hf.err
+	}
+	return hf.timeJSON, hf.err
+}
+
+func (hf *hotFront) compute(sn *Snapshot, cf *colFilter) {
 	hf.once.Do(func() {
-		hf.pos = sn.frontPositions(&hf.c)
+		hf.pos = sn.frontPositions(cf)
 		hf.timeJSON, hf.err = sn.frontJSON(hf.pos, false)
 		if hf.err == nil {
 			hf.costJSON, hf.err = sn.frontJSON(hf.pos, true)
 		}
 	})
+}
+
+// hotSlot returns the memo slot of a hot filter and nil for any other. The
+// hot filters are the unfiltered view and every filter on exactly one of
+// app, SKU (full name or alias) and input, with no node bound, tag or
+// IncludeFailed: one slot per (field, symbol ID), so how many there are is
+// bounded by the symbol table, not by the request stream. Invalidation is
+// the snapshot lifecycle itself: a generation roll builds a new snapshot
+// with empty slots, and the old ones are garbage the moment the last
+// reader drops the old snapshot.
+func (sn *Snapshot) hotSlot(cf *colFilter) *hotFront {
+	c := cf.c
+	if cf.absent || c.includeFailed || c.minNodes > 0 || c.maxNodes > 0 || len(c.tags) > 0 {
+		return nil
+	}
+	hf, fields := &sn.hotAll, 0
+	for f, has := range cf.has {
+		if has {
+			hf, fields = &sn.hot[f][cf.id[f]], fields+1
+		}
+	}
+	if fields > 1 {
+		return nil
+	}
+	return hf
 }
 
 // frontJSON renders front positions (by-time order) as a JSON array of
@@ -262,41 +393,6 @@ func (sn *Snapshot) frontJSON(pos []int32, byCost bool) ([]byte, error) {
 	return append(buf, ']'), nil
 }
 
-// buildHotFronts selects the top-K single-field filters by match count and
-// installs their fronts, each computed on its first query. The hot map
-// itself is immutable after this returns; see hotFront for the
-// compute-once discipline. Invalidation is the snapshot lifecycle itself:
-// a generation roll builds a new snapshot with new hot entries, and the
-// old ones are garbage the moment the last reader drops the old snapshot.
-func (sn *Snapshot) buildHotFronts() {
-	type cand struct {
-		f Filter
-		n int
-	}
-	cands := make([]cand, 0, 1+len(sn.apps)+len(sn.skus)+len(sn.inputs))
-	cands = append(cands, cand{Filter{}, len(sn.sorted)})
-	for _, app := range sn.apps {
-		cands = append(cands, cand{Filter{AppName: app}, len(sn.byApp[strings.ToLower(app)])})
-	}
-	for _, alias := range sn.skus {
-		cands = append(cands, cand{Filter{SKU: alias}, len(sn.bySKU[strings.ToLower(alias)])})
-	}
-	for _, in := range sn.inputs {
-		if in != "" {
-			cands = append(cands, cand{Filter{InputDesc: in}, len(sn.byInput[in])})
-		}
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].n > cands[j].n })
-	if len(cands) > hotFrontLimit {
-		cands = cands[:hotFrontLimit]
-	}
-	sn.hot = make(map[string]*hotFront, len(cands))
-	for _, cd := range cands {
-		c := cd.f.Canonical()
-		sn.hot[c.Key()] = &hotFront{c: c}
-	}
-}
-
 // Advice returns the advice rows of any filter in the requested order:
 // the Pareto front of its matches, equal to pareto.Advice(sn.Select(f))
 // row for row. A hot filter answers from its memoized front; any other
@@ -305,12 +401,13 @@ func (sn *Snapshot) buildHotFronts() {
 // chunks that hold them are decoded. The rows are a fresh slice on every
 // call; the query engine memoizes them per generation.
 func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
+	cf := sn.resolve(c)
 	var pos []int32
-	if hf := sn.hot[c.Key()]; hf != nil {
-		hf.compute(sn)
+	if hf := sn.hotSlot(&cf); hf != nil {
+		hf.compute(sn, &cf)
 		pos = hf.pos
 	} else {
-		pos = sn.frontPositions(c)
+		pos = sn.frontPositions(&cf)
 	}
 	if len(pos) == 0 {
 		return nil
@@ -335,26 +432,25 @@ func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
 // fragment is spliced from the persisted row bytes, so no row is decoded.
 // A survivor that cannot marshal is an error.
 func (sn *Snapshot) AdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, error) {
-	hf := sn.hot[c.Key()]
-	if hf == nil {
-		pos := sn.frontPositions(c)
-		b, err := sn.frontJSON(pos, byCost)
-		return b, len(pos), err
+	cf := sn.resolve(c)
+	if hf := sn.hotSlot(&cf); hf != nil {
+		b, err := hf.json(sn, &cf, byCost)
+		return b, len(hf.pos), err
 	}
-	hf.compute(sn)
-	if byCost {
-		return hf.costJSON, len(hf.pos), hf.err
-	}
-	return hf.timeJSON, len(hf.pos), hf.err
+	pos := sn.frontPositions(&cf)
+	b, err := sn.frontJSON(pos, byCost)
+	return b, len(pos), err
 }
 
 // HotAdviceJSON is AdviceJSON restricted to hot filters: ok=false when the
 // filter is not hot or its rows cannot marshal. It reports whether a
 // request is answered from the memo without computing a front.
 func (sn *Snapshot) HotAdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, bool) {
-	if sn.hot[c.Key()] == nil {
+	cf := sn.resolve(c)
+	hf := sn.hotSlot(&cf)
+	if hf == nil {
 		return nil, 0, false
 	}
-	b, n, err := sn.AdviceJSON(c, byCost)
-	return b, n, err == nil
+	b, err := hf.json(sn, &cf, byCost)
+	return b, len(hf.pos), err == nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -52,8 +53,8 @@ func naiveAdvice(points []Point, byCost bool) []Point {
 	return front
 }
 
-// hotCandidateFilters enumerates every filter the snapshot may have
-// precomputed: unfiltered plus each single app/alias/input.
+// hotCandidateFilters enumerates hot filters the snapshot memoizes:
+// unfiltered plus each single app/alias/input.
 func hotCandidateFilters(sn *Snapshot) []Filter {
 	filters := []Filter{{}}
 	for _, app := range sn.Apps() {
@@ -239,6 +240,67 @@ func TestHotFrontLazyAfterAppend(t *testing.T) {
 		rows := sn.Advice(&c, false)
 		if want := naiveAdvice(s.SelectScan(f), false); !reflect.DeepEqual(rows, want) {
 			t.Fatalf("append %d: lazily computed front diverges from oracle", i)
+		}
+	}
+}
+
+// Every unfiltered or single-field filter is hot on both constructors —
+// each app, SKU alias, SKU full name and input, in any case — and answers
+// with the oracle's bytes; a filter with a second field, a node bound, a
+// tag, IncludeFailed or an unknown symbol is not hot. Both constructors
+// list the same names for the same points.
+func TestHotSlotCoverage(t *testing.T) {
+	s := randomStore(rand.New(rand.NewSource(17)), 600)
+	heap, mapped := s.Snapshot(), mappedSnapshot(t, s)
+	for _, names := range []func(*Snapshot) []string{(*Snapshot).Apps, (*Snapshot).SKUAliases, (*Snapshot).Inputs} {
+		if h, m := names(heap), names(mapped); !reflect.DeepEqual(h, m) {
+			t.Fatalf("heap and mapped snapshots list different names: %q vs %q", h, m)
+		}
+	}
+	hot := hotCandidateFilters(heap)
+	fullNames := map[string]bool{}
+	for _, p := range s.All() {
+		if !fullNames[p.SKU] {
+			fullNames[p.SKU] = true
+			hot = append(hot, Filter{SKU: p.SKU}, Filter{SKU: strings.ToUpper(p.SKU)})
+		}
+	}
+	hot = append(hot, Filter{AppName: "LAMMPS"}, Filter{MinNodes: -1})
+	cold := []Filter{
+		{AppName: "lammps", SKU: "hb120rs_v3"},
+		{SKU: "Standard_HC44rs", InputDesc: "cells=8M"},
+		{AppName: "wrf", MinNodes: 2},
+		{MaxNodes: 4},
+		{InputDesc: "atoms=864M", Tags: map[string]string{"run": "r1"}},
+		{Tags: map[string]string{"run": "r0"}},
+		{AppName: "gromacs", IncludeFailed: true},
+		{IncludeFailed: true},
+		{AppName: "nosuchapp"},
+		{SKU: "nosuchsku"},
+		{InputDesc: "LAMMPS"}, // an app symbol, not an input
+	}
+	for _, sn := range []*Snapshot{heap, mapped} {
+		for _, tc := range []struct {
+			filters []Filter
+			hot     bool
+		}{{hot, true}, {cold, false}} {
+			for _, f := range tc.filters {
+				c := f.Canonical()
+				for _, byCost := range []bool{false, true} {
+					want := adviceJSONOracle(t, naiveAdvice(s.SelectScan(f), byCost))
+					frag, _, ok := sn.HotAdviceJSON(&c, byCost)
+					if ok != tc.hot {
+						t.Fatalf("%+v mapped=%v: hot=%v, want %v", f, sn.lazy != nil, ok, tc.hot)
+					}
+					if !ok {
+						frag, _, _ = sn.AdviceJSON(&c, byCost)
+					}
+					if string(frag) != string(want) {
+						t.Fatalf("%+v mapped=%v byCost=%v: advice diverges from json.Marshal of the oracle\n got: %s\nwant: %s",
+							f, sn.lazy != nil, byCost, frag, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -140,43 +140,86 @@ func (c *CanonicalFilter) Key() string {
 // goroutines may query one concurrently, and queries never block appends.
 type Snapshot struct {
 	gen uint64
-	n   int // append-order points covered, for merge amortization
 
 	sorted []Point
 
-	// Posting lists of positions into sorted, ascending, so index probes
-	// return points already in canonical order. Keys are lowercased for the
-	// case-insensitive fields.
-	byApp   map[string][]int32
-	bySKU   map[string][]int32 // both full name and alias key the same list
-	byInput map[string][]int32
-
-	apps   []string // distinct AppNames (original case), sorted
-	skus   []string // distinct SKUAliases (original case), sorted
-	inputs []string // distinct InputDescs, sorted
-
-	// col is the struct-of-arrays mirror of sorted (see columnar.go):
+	// col is the struct-of-arrays form of sorted (see columnar.go):
 	// interned symbol IDs and typed columns, so matchPositions compares
 	// uint32s over contiguous memory instead of case-folding strings per
-	// candidate. Immutable after build, like the rest of the snapshot.
-	col columns
+	// candidate. On a mapped snapshot its slices alias the file's bytes,
+	// and col.Ref pins them for the snapshot's lifetime.
+	col *Columnar
 
-	// hot maps CanonicalFilter.Key() of the top-K single-field filters to
-	// their Pareto fronts and serialized advice rows. The map is immutable
-	// after build; each entry computes at most once, on first use (see
-	// hotFront).
-	hot map[string]*hotFront
+	// syms inverts col.Syms: interned string -> symbol ID.
+	syms map[string]uint32
+
+	// post[field][id] lists, ascending, the positions whose field cell
+	// holds symbol id, so index probes return points already in canonical
+	// order. A position is listed under both its SKU and its alias symbol.
+	post [numFields][][]int32
+
+	// hotAll and hot[field][id] memoize the advice of the unfiltered view
+	// and of each single-field filter; each slot computes at most once, on
+	// first use (see hotSlot).
+	hotAll hotFront
+	hot    [numFields][]hotFront
 
 	// lazy, when non-nil, defers row materialization (mmap-backed
 	// snapshots): sorted[i] starts zero and is decoded from the row bytes
 	// chunk-by-chunk on first touch (see lazy.go). Every read of sorted[i]
 	// must go through ensureRow(i) first.
 	lazy *lazyRows
+}
 
-	// mapRef pins whatever owns the memory the columns and row bytes may
-	// alias — an mmap region whose finalizer unmaps it — for the
-	// snapshot's lifetime.
-	mapRef any
+// newSnapshot is the one snapshot constructor, for heap and mapped
+// snapshots alike: it serves sorted over c's columns, inverting the symbol
+// table and building one posting list per (field, symbol ID). On a mapped
+// snapshot lazy is non-nil and sorted starts zero.
+func newSnapshot(c *Columnar, sorted []Point, lazy *lazyRows, gen uint64) *Snapshot {
+	nsym := len(c.Syms)
+	sn := &Snapshot{gen: gen, sorted: sorted, col: c, lazy: lazy, syms: make(map[string]uint32, nsym)}
+	for id, s := range c.Syms {
+		sn.syms[s] = uint32(id)
+	}
+	sn.post[fieldApp] = postingLists(nsym, c.App)
+	sn.post[fieldSKU] = postingLists(nsym, c.SKU, c.Alias)
+	sn.post[fieldInput] = postingLists(nsym, c.Input)
+	for f := range sn.hot {
+		sn.hot[f] = make([]hotFront, nsym)
+	}
+	return sn
+}
+
+// postingLists inverts one or two id columns into per-symbol posting
+// lists: position i is listed once under each distinct id its cells hold.
+// Lists are ascending and carved from one backing array.
+func postingLists(nsym int, cols ...[]uint32) [][]int32 {
+	first := cols[0]
+	counts := make([]int, nsym)
+	total := 0
+	for k, col := range cols {
+		for i, id := range col {
+			if k == 0 || id != first[i] {
+				counts[id]++
+				total++
+			}
+		}
+	}
+	backing := make([]int32, total)
+	lists := make([][]int32, nsym)
+	off := 0
+	for id, n := range counts {
+		lists[id] = backing[off : off : off+n]
+		off += n
+	}
+	for i := range first {
+		for k, col := range cols {
+			if id := col[i]; k == 0 || id != first[i] {
+				lists[id] = append(lists[id], int32(i))
+			}
+		}
+	}
+	return lists
 }
 
 // Generation identifies the store state the snapshot was built from.
@@ -187,96 +230,49 @@ func (sn *Snapshot) Len() int { return len(sn.sorted) }
 
 // Apps lists distinct application names present, sorted.
 func (sn *Snapshot) Apps() []string {
-	out := make([]string, len(sn.apps))
-	copy(out, sn.apps)
+	out := make([]string, len(sn.col.Apps))
+	copy(out, sn.col.Apps)
 	return out
 }
 
 // SKUAliases lists distinct SKU aliases present, sorted.
 func (sn *Snapshot) SKUAliases() []string {
-	out := make([]string, len(sn.skus))
-	copy(out, sn.skus)
+	out := make([]string, len(sn.col.SKUAliases))
+	copy(out, sn.col.SKUAliases)
 	return out
 }
 
 // Inputs lists distinct input descriptions present, sorted.
 func (sn *Snapshot) Inputs() []string {
-	out := make([]string, len(sn.inputs))
-	copy(out, sn.inputs)
-	return out
-}
-
-// postings returns the candidate positions for the filter's indexed
-// fields: the smallest applicable posting list intersected with the
-// others (all lists are ascending, so the intersection is a linear merge
-// that preserves canonical order). The second result is false when the
-// filter constrains none of app, SKU and input — empty, tag-only and
-// node-bound-only filters — and every row is a candidate.
-func (sn *Snapshot) postings(c *CanonicalFilter) ([]int32, bool) {
-	var lists [][]int32
-	if c.app != "" {
-		lists = append(lists, sn.byApp[c.app])
-	}
-	if c.sku != "" {
-		lists = append(lists, sn.bySKU[c.sku])
-	}
-	if c.input != "" {
-		lists = append(lists, sn.byInput[c.input])
-	}
-	if len(lists) == 0 {
-		return nil, false
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, next := range lists[1:] {
-		if len(out) == 0 {
-			break
-		}
-		out = intersectPostings(out, next)
-	}
-	return out, true
-}
-
-// intersectPostings intersects two ascending posting lists. The result can
-// be no larger than the smaller input, so that is all it allocates.
-func intersectPostings(a, b []int32) []int32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]int32, 0, n)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
+	out := make([]string, len(sn.col.Inputs))
+	copy(out, sn.col.Inputs)
 	return out
 }
 
 // matchPositions returns the positions of the points passing the filter,
-// ascending and so in canonical order. It walks the smallest posting list
+// ascending and so in canonical order. It walks the shortest posting list
 // of the constrained indexed fields, or every row when the filter
-// constrains none of them, evaluating only the residual predicates per
-// candidate. The result is always a fresh slice, so callers may filter it
-// in place.
-func (sn *Snapshot) matchPositions(c *CanonicalFilter) []int32 {
-	cf, ok := sn.resolve(c)
-	if !ok {
-		return nil // a constrained symbol is absent: nothing can match
+// constrains none of them, evaluating the whole predicate per candidate
+// on the columns. The result is always a fresh slice, so callers may
+// filter it in place.
+func (sn *Snapshot) matchPositions(cf *colFilter) []int32 {
+	if cf.absent {
+		return nil
 	}
-	list, indexed := sn.postings(c)
+	var list []int32
+	indexed := false
+	for f, has := range cf.has {
+		if !has {
+			continue
+		}
+		if l := sn.post[f][cf.id[f]]; !indexed || len(l) < len(list) {
+			list, indexed = l, true
+		}
+	}
 	if !indexed {
 		out := make([]int32, 0, len(sn.sorted))
 		for i := range sn.sorted {
-			if sn.matchAt(&cf, i) {
+			if sn.matchAt(cf, i) {
 				out = append(out, int32(i))
 			}
 		}
@@ -284,7 +280,7 @@ func (sn *Snapshot) matchPositions(c *CanonicalFilter) []int32 {
 	}
 	out := make([]int32, 0, len(list))
 	for _, i := range list {
-		if sn.matchAt(&cf, int(i)) {
+		if sn.matchAt(cf, int(i)) {
 			out = append(out, i)
 		}
 	}
@@ -296,7 +292,8 @@ func (sn *Snapshot) matchPositions(c *CanonicalFilter) []int32 {
 // into a slice of their final size.
 func (sn *Snapshot) Select(f Filter) []Point {
 	c := f.Canonical()
-	pos := sn.matchPositions(&c)
+	cf := sn.resolve(&c)
+	pos := sn.matchPositions(&cf)
 	if len(pos) == 0 {
 		return nil // nil, not an empty non-nil slice, like the scan baseline
 	}
@@ -336,20 +333,15 @@ func (sn *Snapshot) GroupSeries(f Filter) map[SeriesKey][]Point {
 // snapshot rebuild after k appends costs O(k log k + n) instead of
 // O(n log n).
 func buildSnapshot(prev *Snapshot, points []Point, gen uint64) *Snapshot {
-	sn := &Snapshot{gen: gen, n: len(points)}
 	var sortedPrefix []Point
-	covered := 0
-	if prev != nil && prev.n <= len(points) {
+	if prev != nil && len(prev.sorted) <= len(points) {
 		sortedPrefix = prev.sorted
-		covered = prev.n
 	}
-	fresh := make([]Point, len(points)-covered)
-	copy(fresh, points[covered:])
+	fresh := make([]Point, len(points)-len(sortedPrefix))
+	copy(fresh, points[len(sortedPrefix):])
 	sort.SliceStable(fresh, func(i, j int) bool { return pointLess(&fresh[i], &fresh[j]) })
-	sn.sorted = mergeSorted(sortedPrefix, fresh)
-	sn.buildIndexes()
-	sn.buildHotFronts()
-	return sn
+	merged := mergeSorted(sortedPrefix, fresh)
+	return newSnapshot(columnsOf(merged), merged, nil, gen)
 }
 
 // mergeSorted stably merges two sorted slices; on equal keys the left
@@ -372,62 +364,4 @@ func mergeSorted(a, b []Point) []Point {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-func (sn *Snapshot) buildIndexes() {
-	n := len(sn.sorted)
-	sn.byApp = make(map[string][]int32)
-	sn.bySKU = make(map[string][]int32)
-	sn.byInput = make(map[string][]int32)
-	sn.col = columns{
-		syms:   make(map[string]uint32),
-		app:    make([]uint32, n),
-		sku:    make([]uint32, n),
-		alias:  make([]uint32, n),
-		input:  make([]uint32, n),
-		nodes:  make([]int32, n),
-		exec:   make([]float64, n),
-		cost:   make([]float64, n),
-		failed: make([]uint64, (n+63)/64),
-	}
-	appSeen := make(map[string]bool)
-	for i := range sn.sorted {
-		p := &sn.sorted[i]
-		pos := int32(i)
-		app := strings.ToLower(p.AppName)
-		sn.byApp[app] = append(sn.byApp[app], pos)
-		sku := strings.ToLower(p.SKU)
-		sn.bySKU[sku] = append(sn.bySKU[sku], pos)
-		alias := strings.ToLower(p.SKUAlias)
-		if alias != sku {
-			sn.bySKU[alias] = append(sn.bySKU[alias], pos)
-		}
-		sn.byInput[p.InputDesc] = append(sn.byInput[p.InputDesc], pos)
-		sn.col.app[i] = sn.col.intern(app)
-		sn.col.sku[i] = sn.col.intern(sku)
-		sn.col.alias[i] = sn.col.intern(alias)
-		sn.col.input[i] = sn.col.intern(p.InputDesc)
-		sn.col.nodes[i] = int32(p.NNodes)
-		sn.col.exec[i] = p.ExecTimeSec
-		sn.col.cost[i] = p.CostUSD
-		if p.Failed {
-			sn.col.failed[i>>6] |= 1 << (uint(i) & 63)
-		}
-		if !appSeen[p.AppName] {
-			appSeen[p.AppName] = true
-			sn.apps = append(sn.apps, p.AppName)
-		}
-		// The sorted order is (alias, input, nodes), so distinct aliases and
-		// per-alias distinct inputs arrive in runs; inputs still need a
-		// global dedup since one input recurs across aliases.
-		if len(sn.skus) == 0 || sn.skus[len(sn.skus)-1] != p.SKUAlias {
-			sn.skus = append(sn.skus, p.SKUAlias)
-		}
-	}
-	sn.inputs = make([]string, 0, len(sn.byInput))
-	for in := range sn.byInput {
-		sn.inputs = append(sn.inputs, in)
-	}
-	sort.Strings(sn.apps)
-	sort.Strings(sn.inputs)
 }

@@ -71,11 +71,21 @@ func ParseOrder(s string) (pareto.SortOrder, error) {
 	return pareto.ByTime, BadRequestf("unknown sort %q (want time or cost)", s)
 }
 
-// ParseGrid parses the prediction grid: comma-separated node counts >= 1.
-// Empty means "derive from the measured data".
+// maxGridNodes bounds how many node counts one prediction grid may name.
+// Every grid point is predicted, rendered and memoized per generation, so
+// an unbounded grid lets one request cost unbounded time and memory; the
+// paper's sweeps and DefaultGrid stay far below the bound.
+const maxGridNodes = 64
+
+// ParseGrid parses the prediction grid: at most maxGridNodes
+// comma-separated node counts >= 1. Empty means "derive from the measured
+// data".
 func ParseGrid(spec string) ([]int, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
+	}
+	if n := strings.Count(spec, ",") + 1; n > maxGridNodes {
+		return nil, BadRequestf("grid names %d node counts, at most %d allowed", n, maxGridNodes)
 	}
 	var out []int
 	for _, field := range strings.Split(spec, ",") {

@@ -97,6 +97,13 @@ func TestParseOrderAndGrid(t *testing.T) {
 			t.Fatalf("grid %q kind = %v, want bad request", bad, KindOf(err))
 		}
 	}
+	full := strings.Repeat("1,", maxGridNodes-1) + "1"
+	if g, err := ParseGrid(full); err != nil || len(g) != maxGridNodes {
+		t.Fatalf("grid of %d node counts = %d, %v", maxGridNodes, len(g), err)
+	}
+	if _, err := ParseGrid(full + ",2"); KindOf(err) != KindBadRequest {
+		t.Fatalf("grid of %d node counts kind = %v, want bad request", maxGridNodes+1, KindOf(err))
+	}
 }
 
 func TestParsePlotRequestPredFlag(t *testing.T) {
