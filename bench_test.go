@@ -1225,7 +1225,7 @@ func BenchmarkPredictedAdviceThroughput(b *testing.B) {
 }
 
 //
-// Storage engine benchmarks (segment log vs jsonl)
+// Storage engine benchmarks
 //
 
 // storageBenchPoint fabricates one synthetic datapoint for the storage
@@ -1249,45 +1249,30 @@ func storageBenchPoint(i int) dataset.Point {
 }
 
 // BenchmarkStorageAppendThroughput measures the durable append path: how
-// fast collected points land in each backend with batched fsyncs.
+// fast collected points land in the segment store with batched fsyncs.
 func BenchmarkStorageAppendThroughput(b *testing.B) {
-	open := map[string]func(b *testing.B, dir string) storage.Backend{
-		"segment": func(b *testing.B, dir string) storage.Backend {
-			s, err := storage.OpenSegments(filepath.Join(dir, "data.seg"), nil)
-			if err != nil {
+	b.Run("segment", func(b *testing.B) {
+		be, err := storage.OpenSegments(filepath.Join(b.TempDir(), "data.seg"), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer be.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := be.Append(storageBenchPoint(i)); err != nil {
 				b.Fatal(err)
 			}
-			return s
-		},
-		"jsonl": func(b *testing.B, dir string) storage.Backend {
-			j, err := storage.OpenJSONL(filepath.Join(dir, "data.jsonl"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return j
-		},
-	}
-	for _, name := range []string{"segment", "jsonl"} {
-		b.Run(name, func(b *testing.B) {
-			be := open[name](b, b.TempDir())
-			defer be.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := be.Append(storageBenchPoint(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := be.Sync(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-	}
+		}
+		if err := be.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points/s")
+	})
 }
 
-// BenchmarkStorageLoad measures opening a persisted dataset: the jsonl
-// reparse, the segment log replay, and the compacted segment snapshot
-// (served over its persisted columns, with no re-sort).
+// BenchmarkStorageLoad measures opening a persisted dataset: the segment
+// log replay, and the compacted segment snapshot (served over its
+// persisted columns, with no re-sort).
 func BenchmarkStorageLoad(b *testing.B) {
 	const npoints = 5000
 	dir := b.TempDir()
@@ -1302,12 +1287,12 @@ func BenchmarkStorageLoad(b *testing.B) {
 	if err := seed.SaveFile(jsonlPath); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := storage.Convert(jsonlPath, segPath); err != nil {
+	if _, _, err := storage.Convert(jsonlPath, segPath); err != nil {
 		b.Fatal(err)
 	}
 	// Convert compacts; re-append half the points so segPath exercises the
 	// mixed snapshot+log replay path while segCompacted stays pure.
-	if _, err := storage.Convert(jsonlPath, segCompacted); err != nil {
+	if _, _, err := storage.Convert(jsonlPath, segCompacted); err != nil {
 		b.Fatal(err)
 	}
 	sb, err := storage.OpenSegments(segPath, nil)
@@ -1327,7 +1312,6 @@ func BenchmarkStorageLoad(b *testing.B) {
 		name string
 		path string
 	}{
-		{"jsonl", jsonlPath},
 		{"segment-log", segPath},
 		{"segment-compacted", segCompacted},
 	}

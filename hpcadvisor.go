@@ -60,11 +60,11 @@
 // executions in the cloud". Backtest reports how far those models can be
 // trusted.
 //
-// Datasets persist through a pluggable storage engine: Advisor.OpenStore
-// attaches a durable backend (a JSON Lines file or a WAL-backed binary
-// segment store with CRC-checksummed frames, compaction, and crash
-// recovery) so every collected point is written through the moment it
-// lands; see the "Storage engine" section of docs/ARCHITECTURE.md.
+// Datasets persist in a segment store: Advisor.OpenStore attaches a
+// WAL-backed binary store with CRC-checksummed frames, compaction, and
+// crash recovery, so every collected point is written through the moment
+// it lands. JSON Lines is the import and export format of `dataset
+// convert`; see the "Storage engine" section of docs/ARCHITECTURE.md.
 package hpcadvisor
 
 import (

@@ -124,21 +124,23 @@ commands (paper Table II):
                                    graceful drain on SIGTERM; advice stays
                                    live while a collection streams points
                                    through the attached store
-  dataset info [-store path]       describe the dataset store (format, points,
+  dataset info [-store path]       describe the dataset store (points,
                                    segments, snapshot format + columnar
                                    footprint, mmap serving, recovery)
   dataset compact [-store path]    fold the segment log into a sorted snapshot
                                    segment for fast loads
   dataset convert -to dst [-store src]
-                                   copy the dataset into a new store,
-                                   converting between jsonl and segment
-                                   formats (a .jsonl suffix means jsonl,
-                                   anything else a segment directory)
+                                   copy the dataset into a new store or file:
+                                   src is a store or a .jsonl file (a torn
+                                   final line is dropped and reported), dst
+                                   is a .jsonl file or else a store directory,
+                                   published whole or not at all
   apps                             list available application models
 
-The dataset lives in a pluggable store (-store): a JSON Lines file or a
-durable binary segment log (WAL + CRC frames + compaction). The default is
-<state>/dataset.seg if it exists, else <state>/dataset.jsonl.
+The dataset lives in a durable binary segment store (-store; WAL + CRC
+frames + compaction), by default <state>/dataset.seg. JSON Lines is the
+import and export format of 'dataset convert'; a state dir that still holds
+only a dataset.jsonl must be converted once before other commands use it.
 `
 
 func (c *CLI) run(args []string) error {
@@ -190,18 +192,25 @@ type state struct {
 
 func (c *CLI) statePath(name string) string { return filepath.Join(c.StateDir, name) }
 
-// resolveStore picks the dataset store path: the -store flag when given,
-// else an existing segment store in the state directory (so a converted
-// dataset stays in use), else the classic JSONL file.
-func (c *CLI) resolveStore(flagValue string) string {
-	if flagValue != "" {
-		return flagValue
+// resolveStore picks the dataset store: the -store flag when given, else
+// <state>/dataset.seg. A JSON Lines dataset is never opened as a store nor
+// rewritten behind the user's back: a -store path naming a file, or a
+// state dir holding a dataset.jsonl but no dataset.seg, fails with the
+// convert command that upgrades it.
+func (c *CLI) resolveStore(flagValue string) (string, error) {
+	path, legacy := flagValue, flagValue
+	if path == "" {
+		path, legacy = c.statePath("dataset.seg"), c.statePath("dataset.jsonl")
+		if _, err := os.Stat(path); err == nil {
+			return path, nil
+		}
 	}
-	seg := c.statePath("dataset.seg")
-	if fi, err := os.Stat(seg); err == nil && fi.IsDir() {
-		return seg
+	if fi, err := os.Stat(legacy); err == nil && !fi.IsDir() {
+		dst := strings.TrimSuffix(legacy, filepath.Ext(legacy)) + ".seg"
+		return "", fmt.Errorf("%s is a JSON Lines dataset, which is no longer opened as a store; "+
+			"convert it once with: hpcadvisor dataset convert -store %s -to %s", legacy, legacy, dst)
 	}
-	return c.statePath("dataset.jsonl")
+	return path, nil
 }
 
 func (c *CLI) loadState() (*state, error) {
@@ -231,9 +240,14 @@ func (c *CLI) saveState(st *state) error {
 }
 
 // advisorFor rehydrates the simulation: recreates recorded deployments,
-// opens the dataset store at storePath (attaching its storage backend),
-// and loads the task lists. Callers should CloseStore when done.
-func (c *CLI) advisorFor(subscription string, st *state, storePath string) (*core.Advisor, error) {
+// opens the dataset store that resolveStore picks for storeFlag (attaching
+// it as the advisor's backend), and loads the task lists. Callers should
+// CloseStore when done.
+func (c *CLI) advisorFor(subscription string, st *state, storeFlag string) (*core.Advisor, error) {
+	storePath, err := c.resolveStore(storeFlag)
+	if err != nil {
+		return nil, err
+	}
 	if subscription == "" && len(st.Deployments) > 0 {
 		subscription = st.Deployments[0].SubscriptionID
 	}
@@ -307,7 +321,7 @@ func (c *CLI) cmdDeploy(args []string) error {
 		if err != nil {
 			return err
 		}
-		adv, err := c.advisorFor(cfg.Subscription, st, c.resolveStore(""))
+		adv, err := c.advisorFor(cfg.Subscription, st, "")
 		if err != nil {
 			return err
 		}
@@ -340,7 +354,7 @@ func (c *CLI) cmdDeploy(args []string) error {
 		if *name == "" {
 			return fmt.Errorf("deploy shutdown requires -n name")
 		}
-		adv, err := c.advisorFor("", st, c.resolveStore(""))
+		adv, err := c.advisorFor("", st, "")
 		if err != nil {
 			return err
 		}
@@ -392,7 +406,7 @@ func (c *CLI) cmdCollect(args []string) error {
 	resume := fs.Bool("resume", false, "resume an interrupted sweep from its journal")
 	brkThreshold := fs.Int("breaker-threshold", 0, "consecutive capacity failures that open a SKU's circuit breaker (0 = default 3, -1 disables)")
 	brkCooldown := fs.Float64("breaker-cooldown", 0, "virtual seconds an open breaker waits before a half-open probe (0 = default 600)")
-	storePath := fs.String("store", "", "dataset store path (.jsonl file or segment directory)")
+	storePath := fs.String("store", "", "dataset store path (segment directory)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -407,12 +421,12 @@ func (c *CLI) cmdCollect(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The state directory must exist before the store backend lazily
-	// creates the dataset file inside it on the first streamed point.
+	// The state directory must exist before the sweep journal is created
+	// inside it.
 	if err := os.MkdirAll(c.StateDir, 0o755); err != nil {
 		return err
 	}
-	adv, err := c.advisorFor(cfg.Subscription, st, c.resolveStore(*storePath))
+	adv, err := c.advisorFor(cfg.Subscription, st, *storePath)
 	if err != nil {
 		return err
 	}
@@ -579,7 +593,7 @@ func (c *CLI) cmdPlot(args []string) error {
 	predict := fs.Bool("predict", false, "overlay fitted scaling curves and prediction intervals")
 	gridSpec := fs.String("grid", "", "prediction node counts, comma-separated (default: derived)")
 	region := fs.String("region", "", "pricing region for predicted points (default "+service.DefaultRegion+")")
-	storePath := fs.String("store", "", "dataset store path (.jsonl file or segment directory)")
+	storePath := fs.String("store", "", "dataset store path (segment directory)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -598,7 +612,7 @@ func (c *CLI) cmdPlot(args []string) error {
 	if err != nil {
 		return err
 	}
-	adv, err := c.advisorFor("", st, c.resolveStore(*storePath))
+	adv, err := c.advisorFor("", st, *storePath)
 	if err != nil {
 		return err
 	}
@@ -636,7 +650,7 @@ func (c *CLI) cmdAdvice(args []string) error {
 	region := fs.String("region", "", "pricing region for recipes and predictions (default "+service.DefaultRegion+")")
 	predict := fs.Bool("predict", false, "merge model-predicted scenarios into the advice (marked in the Source column)")
 	gridSpec := fs.String("grid", "", "prediction node counts, comma-separated (default: derived)")
-	storePath := fs.String("store", "", "dataset store path (.jsonl file or segment directory)")
+	storePath := fs.String("store", "", "dataset store path (segment directory)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -647,7 +661,7 @@ func (c *CLI) cmdAdvice(args []string) error {
 	if err != nil {
 		return err
 	}
-	adv, err := c.advisorFor("", st, c.resolveStore(*storePath))
+	adv, err := c.advisorFor("", st, *storePath)
 	if err != nil {
 		return err
 	}
@@ -719,7 +733,7 @@ func (c *CLI) cmdPredict(args []string) error {
 	sortBy := fs.String("sort", "time", "sort advice by 'time' or 'cost'")
 	region := fs.String("region", "", "pricing region for predicted points (default "+service.DefaultRegion+")")
 	gridSpec := fs.String("grid", "", "prediction node counts, comma-separated (default: derived)")
-	storePath := fs.String("store", "", "dataset store path (.jsonl file or segment directory)")
+	storePath := fs.String("store", "", "dataset store path (segment directory)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -731,7 +745,7 @@ func (c *CLI) cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	adv, err := c.advisorFor("", st, c.resolveStore(*storePath))
+	adv, err := c.advisorFor("", st, *storePath)
 	if err != nil {
 		return err
 	}
@@ -763,7 +777,7 @@ func (c *CLI) openServing(cfgPath, storePath string) (*config.Config, *core.Advi
 	if err := os.MkdirAll(c.StateDir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	adv, err := c.advisorFor(cfg.Subscription, st, c.resolveStore(storePath))
+	adv, err := c.advisorFor(cfg.Subscription, st, storePath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -775,7 +789,7 @@ func (c *CLI) cmdGUI(args []string) error {
 	fs.SetOutput(c.Stderr)
 	addr := fs.String("addr", ":8199", "listen address")
 	cfgPath := fs.String("c", "", "configuration file")
-	storePath := fs.String("store", "", "dataset store path (.jsonl file or segment directory)")
+	storePath := fs.String("store", "", "dataset store path (segment directory)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -801,17 +815,17 @@ func (c *CLI) cmdGUI(args []string) error {
 // generation, which both invalidates the query engine's caches and rolls
 // the ETag every API response carries.
 //
-// With a segment-store backend the process is also a replication leader:
-// /replica/v1/ ships the write-ahead log to followers. With -follow the
-// process is instead a read replica: it mirrors the leader's log into its
-// own directory, serves the identical read surface (same generations, same
-// ETags), and rejects writes.
+// The process is also a replication leader: /replica/v1/ ships the store's
+// write-ahead log to followers. With -follow the process is instead a read
+// replica: it mirrors the leader's log into its own directory, serves the
+// identical read surface (same generations, same ETags), and rejects
+// writes.
 func (c *CLI) cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(c.Stderr)
 	addr := fs.String("addr", ":8199", "listen address")
 	cfgPath := fs.String("c", "", "configuration file")
-	storePath := fs.String("store", "", "dataset store path (.jsonl file or segment directory)")
+	storePath := fs.String("store", "", "dataset store path (segment directory)")
 	follow := fs.String("follow", "", "run as a read replica of the leader at this base URL")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -851,9 +865,6 @@ func (c *CLI) serveFollower(addr, cfgPath, storePath, leaderURL string) error {
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(storePath, ".jsonl") {
-		return fmt.Errorf("-follow replicates a segment store; %q is a jsonl path", storePath)
-	}
 	if storePath == "" {
 		// Deliberately not resolveStore's dataset default: a follower's
 		// mirror is leader-owned state and must never collide with a local
@@ -880,16 +891,16 @@ func (c *CLI) serveFollower(addr, cfgPath, storePath, leaderURL string) error {
 // Both read through one advisor and one query engine, and both default
 // predictions to the configured deployment region, so they can never
 // disagree about the dataset or price identical requests differently.
-// An advisor writing through a segment store additionally serves the
-// replication protocol under /replica/v1/.
+// An advisor writing through a store additionally serves the replication
+// protocol under /replica/v1/.
 func ServeMux(adv *core.Advisor, cfg *config.Config) *http.ServeMux {
 	svc := service.NewWithRegion(adv, cfg.Region)
 	mux := http.NewServeMux()
-	if seg, ok := adv.Backend.(*storage.SegmentStore); ok {
+	if adv.Backend != nil {
 		svc.SetReplication(func() service.ReplicationStatus {
 			return service.ReplicationStatus{Role: "leader", Synced: true}
 		})
-		mux.Handle("/replica/v1/", replica.NewLeader(seg).Mux())
+		mux.Handle("/replica/v1/", replica.NewLeader(adv.Backend).Mux())
 	}
 	apiMux := api.New(svc).Mux()
 	mux.Handle("/api/v1/", apiMux)
@@ -927,8 +938,8 @@ func FollowerMux(adv *core.Advisor, cfg *config.Config, fol *replica.Follower) *
 	return mux
 }
 
-// cmdDataset manages the dataset store itself: describe it, compact the
-// segment log, or convert between the jsonl and segment formats.
+// cmdDataset manages the dataset store itself: describe it, compact its
+// log, or convert it to or from JSON Lines.
 func (c *CLI) cmdDataset(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("dataset needs a subcommand: info, compact, or convert")
@@ -936,41 +947,35 @@ func (c *CLI) cmdDataset(args []string) error {
 	sub := args[0]
 	fs := flag.NewFlagSet("dataset "+sub, flag.ContinueOnError)
 	fs.SetOutput(c.Stderr)
-	storePath := fs.String("store", "", "dataset store path (.jsonl file or segment directory)")
-	to := fs.String("to", "", "convert: destination store path")
+	storePath := fs.String("store", "", "dataset store path (segment directory; convert also reads a .jsonl file)")
+	to := fs.String("to", "", "convert: destination (.jsonl file, else segment directory)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	path := c.resolveStore(*storePath)
 	switch sub {
-	case "info":
+	case "info", "compact":
+		path, err := c.resolveStore(*storePath)
+		if err != nil {
+			return err
+		}
 		b, err := storage.OpenBackend(path)
 		if err != nil {
 			return err
 		}
 		defer b.Close()
-		if b.Format() == storage.FormatSegment {
-			// Best-effort load so the report reflects the real serve
-			// path on this machine (mmap vs heap fallback); a corrupt
-			// store still prints its on-disk state.
+		if sub == "info" {
+			// Best-effort load so the report reflects the real serve path
+			// on this machine (mmap vs heap fallback); a corrupt store
+			// still prints its on-disk state.
 			_, _ = b.Load()
-		}
-		info, err := b.Info()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(c.Stdout, info.String())
-		return nil
-	case "compact":
-		b, err := storage.OpenBackend(path)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		if err := b.Compact(); err != nil {
-			if errors.Is(err, storage.ErrNoCompaction) {
-				return fmt.Errorf("%s is a %s store; compaction applies to segment stores ('dataset convert' first)", path, b.Format())
+			info, err := b.Info()
+			if err != nil {
+				return err
 			}
+			fmt.Fprint(c.Stdout, info.String())
+			return nil
+		}
+		if err := b.Compact(); err != nil {
 			return err
 		}
 		info, err := b.Info()
@@ -983,12 +988,22 @@ func (c *CLI) cmdDataset(args []string) error {
 		if *to == "" {
 			return fmt.Errorf("dataset convert requires -to destination")
 		}
-		n, err := storage.Convert(path, *to)
+		// The source may be a JSON Lines file: convert is how one is read.
+		src := *storePath
+		if src == "" {
+			var err error
+			if src, err = c.resolveStore(""); err != nil {
+				return err
+			}
+		}
+		n, torn, err := storage.Convert(src, *to)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(c.Stdout, "converted %d points: %s (%s) -> %s (%s)\n",
-			n, path, storage.DetectFormat(path), *to, storage.DetectFormat(*to))
+		fmt.Fprintf(c.Stdout, "converted %d points: %s -> %s\n", n, src, *to)
+		if torn > 0 {
+			fmt.Fprintf(c.Stdout, "dropped a torn final line (%d bytes) from %s; the source file is unchanged\n", torn, src)
+		}
 		return nil
 	}
 	return fmt.Errorf("unknown dataset subcommand %q (want info, compact, or convert)", sub)

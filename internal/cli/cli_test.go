@@ -2,9 +2,11 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,8 @@ import (
 
 	"hpcadvisor/internal/config"
 	"hpcadvisor/internal/core"
+	"hpcadvisor/internal/dataset"
+	"hpcadvisor/internal/service"
 )
 
 const testConfig = `subscription: mysubscription
@@ -37,6 +41,47 @@ func exec(t *testing.T, stateDir string, args ...string) *run {
 	full := append([]string{"-state", stateDir}, args...)
 	r.code = Run(full, &r.out, &r.err)
 	return r
+}
+
+// storeFiles reads every file of the segment store at dir, by name, for
+// byte comparison. A missing or empty store fails the test, so comparing
+// two of them can never pass vacuously.
+func storeFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("reading store %s: %v", dir, err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatalf("store file %s: %v", e.Name(), err)
+		}
+		files[e.Name()] = data
+	}
+	if len(files) == 0 {
+		t.Fatalf("store %s holds no files", dir)
+	}
+	return files
+}
+
+// sameFiles reports every difference between two name -> bytes maps.
+func sameFiles(t *testing.T, what string, got, want map[string][]byte) {
+	t.Helper()
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok {
+			t.Errorf("%s: %s is missing", what, name)
+		} else if !bytes.Equal(g, w) {
+			t.Errorf("%s: %s differs (%d bytes, want %d)", what, name, len(g), len(w))
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: unexpected file %s", what, name)
+		}
+	}
 }
 
 func writeConfig(t *testing.T, dir string) string {
@@ -329,13 +374,13 @@ func TestCollectBudgetFlag(t *testing.T) {
 
 func TestCollectParallelPoolsFlag(t *testing.T) {
 	// The same 3-SKU sweep collected sequentially and with -parallel-pools
-	// must leave byte-identical dataset files behind, and the parallel run
+	// must leave byte-identical store files behind, and the parallel run
 	// reports its concurrent cloud time.
 	multiSKU := strings.Replace(testConfig,
 		"skus:\n  - Standard_HB120rs_v3",
 		"skus:\n  - Standard_HB120rs_v3\n  - Standard_HB120rs_v2\n  - Standard_HC44rs", 1)
 
-	collect := func(extra ...string) (string, []byte) {
+	collect := func(extra ...string) (string, map[string][]byte) {
 		dir := t.TempDir()
 		state := filepath.Join(dir, ".hpcadvisor")
 		cfgPath := filepath.Join(dir, "config.yaml")
@@ -347,18 +392,12 @@ func TestCollectParallelPoolsFlag(t *testing.T) {
 		if r.code != 0 {
 			t.Fatalf("collect %v failed: %s", extra, r.err.String())
 		}
-		data, err := os.ReadFile(filepath.Join(state, "dataset.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.out.String(), data
+		return r.out.String(), storeFiles(t, filepath.Join(state, "dataset.seg"))
 	}
 
 	_, seqData := collect()
 	out, parData := collect("-parallel-pools", "3")
-	if !bytes.Equal(seqData, parData) {
-		t.Error("-parallel-pools 3 dataset differs from sequential collect")
-	}
+	sameFiles(t, "-parallel-pools 3 store vs sequential collect", parData, seqData)
 	if !strings.Contains(out, "parallel lanes: 3 pools x 3 workers") {
 		t.Errorf("parallel collect output missing lane summary: %q", out)
 	}
@@ -527,8 +566,9 @@ func TestCorruptTaskListSurfacesError(t *testing.T) {
 }
 
 // TestDatasetSubcommands drives the storage engine end-to-end through the
-// CLI: collect into jsonl, info, convert to a segment store, serve advice
-// from it, compact, and verify the advice is unchanged.
+// CLI: collect into the default segment store, info, compact (advice
+// unchanged), and a store -> jsonl -> store -> jsonl round trip that is
+// byte-identical.
 func TestDatasetSubcommands(t *testing.T) {
 	dir := t.TempDir()
 	state := filepath.Join(dir, ".hpcadvisor")
@@ -537,58 +577,37 @@ func TestDatasetSubcommands(t *testing.T) {
 	if r := exec(t, state, "collect", "-c", cfg); r.code != 0 {
 		t.Fatalf("collect: %s", r.err.String())
 	}
+	if fi, err := os.Stat(filepath.Join(state, "dataset.seg")); err != nil || !fi.IsDir() {
+		t.Fatalf("collect did not create the default segment store: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(state, "dataset.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("collect wrote a dataset.jsonl (stat err %v)", err)
+	}
 
-	// info on the default jsonl store
+	// info on the default store: the collected points sit in the WAL.
 	r := exec(t, state, "dataset", "info")
 	if r.code != 0 {
 		t.Fatalf("dataset info: %s", r.err.String())
 	}
-	if !strings.Contains(r.out.String(), "format:          jsonl") ||
-		!strings.Contains(r.out.String(), "points:          2") {
-		t.Errorf("info output = %q", r.out.String())
+	for _, sub := range []string{"format:          segment", "points:          2", "log segments:    1"} {
+		if !strings.Contains(r.out.String(), sub) {
+			t.Errorf("info output missing %q:\n%s", sub, r.out.String())
+		}
 	}
-
-	// jsonl has no compaction
-	if r = exec(t, state, "dataset", "compact"); r.code == 0 {
-		t.Error("compact on jsonl should fail with guidance")
-	}
-
-	// convert to the default segment location
-	seg := filepath.Join(state, "dataset.seg")
-	r = exec(t, state, "dataset", "convert", "-to", seg)
-	if r.code != 0 {
-		t.Fatalf("convert: %s", r.err.String())
-	}
-	if !strings.Contains(r.out.String(), "converted 2 points") {
-		t.Errorf("convert output = %q", r.out.String())
-	}
-
-	// dataset.seg now exists, so it becomes the default store: advice must
-	// serve identically from it.
-	adviceJSONL := exec(t, state, "advice", "-store", filepath.Join(state, "dataset.jsonl"))
-	adviceSeg := exec(t, state, "advice")
-	if adviceSeg.code != 0 {
-		t.Fatalf("advice from segment store: %s", adviceSeg.err.String())
-	}
-	if adviceJSONL.out.String() != adviceSeg.out.String() {
-		t.Errorf("advice differs between stores:\njsonl: %s\nseg: %s",
-			adviceJSONL.out.String(), adviceSeg.out.String())
-	}
-
-	// info on the segment store
-	r = exec(t, state, "dataset", "info")
-	if r.code != 0 || !strings.Contains(r.out.String(), "format:          segment") {
-		t.Fatalf("segment info = %q (%s)", r.out.String(), r.err.String())
+	before := exec(t, state, "advice")
+	if before.code != 0 {
+		t.Fatalf("advice: %s", before.err.String())
 	}
 
 	// compact, then advice again: unchanged
-	if r = exec(t, state, "dataset", "compact"); r.code != 0 {
-		t.Fatalf("compact: %s", r.err.String())
+	r = exec(t, state, "dataset", "compact")
+	if r.code != 0 || !strings.Contains(r.out.String(), "2 points in sorted snapshot segment") {
+		t.Fatalf("compact = %q (%s)", r.out.String(), r.err.String())
 	}
 	after := exec(t, state, "advice")
-	if after.code != 0 || after.out.String() != adviceSeg.out.String() {
+	if after.code != 0 || after.out.String() != before.out.String() {
 		t.Errorf("advice changed across compaction:\nbefore: %s\nafter: %s",
-			adviceSeg.out.String(), after.out.String())
+			before.out.String(), after.out.String())
 	}
 
 	// info on the compacted store reports the v2 columnar layout and
@@ -604,12 +623,135 @@ func TestDatasetSubcommands(t *testing.T) {
 		}
 	}
 
+	// export, import, export again: the two exports are byte-identical,
+	// and advice serves identically from the imported store.
+	out1 := filepath.Join(dir, "out1.jsonl")
+	back := filepath.Join(dir, "back.seg")
+	out2 := filepath.Join(dir, "out2.jsonl")
+	r = exec(t, state, "dataset", "convert", "-to", out1)
+	if r.code != 0 || !strings.Contains(r.out.String(), "converted 2 points") {
+		t.Fatalf("export = %q (%s)", r.out.String(), r.err.String())
+	}
+	if r = exec(t, state, "dataset", "convert", "-store", out1, "-to", back); r.code != 0 {
+		t.Fatalf("import: %s", r.err.String())
+	}
+	if r = exec(t, state, "dataset", "convert", "-store", back, "-to", out2); r.code != 0 {
+		t.Fatalf("re-export: %s", r.err.String())
+	}
+	raw1, _ := os.ReadFile(out1)
+	raw2, _ := os.ReadFile(out2)
+	if len(raw1) == 0 || !bytes.Equal(raw1, raw2) {
+		t.Errorf("jsonl -> seg -> jsonl is not byte-identical:\n%s\nvs\n%s", raw1, raw2)
+	}
+	if r = exec(t, state, "advice", "-store", back); r.out.String() != before.out.String() {
+		t.Errorf("advice from the imported store differs:\n%s\nvs\n%s", r.out.String(), before.out.String())
+	}
+
+	// a convert never writes into a destination that holds data
+	if r = exec(t, state, "dataset", "convert", "-store", out1, "-to", back); r.code == 0 {
+		t.Error("convert onto a non-empty store should fail")
+	}
 	// unknown subcommand and missing -to
 	if r = exec(t, state, "dataset", "bogus"); r.code == 0 {
 		t.Error("unknown dataset subcommand should fail")
 	}
 	if r = exec(t, state, "dataset", "convert"); r.code == 0 {
 		t.Error("convert without -to should fail")
+	}
+}
+
+// dirListing renders a directory tree's names, sizes and modification
+// times, so a test can assert that a command wrote nothing.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s %d %s\n", path, fi.Size(), fi.ModTime())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestLegacyJSONLStateDir: a state dir that holds a dataset.jsonl but no
+// dataset.seg is never opened or rewritten silently. Every command that
+// opens the default store fails naming the exact convert command and
+// leaves the state dir as it was; after that convert, advice prints what
+// the JSON Lines dataset holds.
+func TestLegacyJSONLStateDir(t *testing.T) {
+	dir := t.TempDir()
+	state := filepath.Join(dir, ".hpcadvisor")
+	cfg := writeConfig(t, dir)
+	exec(t, state, "deploy", "create", "-c", cfg)
+	if r := exec(t, state, "collect", "-c", cfg); r.code != 0 {
+		t.Fatalf("collect: %s", r.err.String())
+	}
+	// Turn it into a legacy dir: the dataset as JSON Lines, no store.
+	jsonl := filepath.Join(state, "dataset.jsonl")
+	seg := filepath.Join(state, "dataset.seg")
+	if r := exec(t, state, "dataset", "convert", "-to", jsonl); r.code != 0 {
+		t.Fatalf("export: %s", r.err.String())
+	}
+	if err := os.RemoveAll(seg); err != nil {
+		t.Fatal(err)
+	}
+
+	// The advice the JSON Lines dataset holds, computed in-process.
+	legacy, err := dataset.LoadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.New("mysubscription")
+	ref.SetStore(legacy)
+	req, err := service.ParseAdviceRequest(url.Values{"sort": {"time"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := service.New(ref).AdvicePage(req)
+	if err != nil || !strings.Contains(want, "hb120rs_v3") {
+		t.Fatalf("reference advice = %q, %v", want, err)
+	}
+
+	fix := "hpcadvisor dataset convert -store " + jsonl + " -to " + seg
+	listing := dirListing(t, state)
+	for _, args := range [][]string{
+		{"collect", "-c", cfg},
+		{"advice"},
+		{"dataset", "info"},
+		{"advice", "-store", jsonl},
+	} {
+		r := exec(t, state, args...)
+		if r.code == 0 || !strings.Contains(r.err.String(), fix) {
+			t.Errorf("%v on a legacy dir = exit %d, stderr %q; want a failure naming %q", args, r.code, r.err.String(), fix)
+		}
+	}
+	c := &CLI{Stdout: io.Discard, Stderr: io.Discard, StateDir: state}
+	c.ServeHTTP = func(string, http.Handler) error {
+		t.Error("serve started on a legacy dir")
+		return nil
+	}
+	if err := c.run([]string{"serve", "-c", cfg}); err == nil || !strings.Contains(err.Error(), fix) {
+		t.Errorf("serve on a legacy dir = %v; want a failure naming %q", err, fix)
+	}
+	if got := dirListing(t, state); got != listing {
+		t.Errorf("failed commands changed the state dir:\nbefore:\n%s\nafter:\n%s", listing, got)
+	}
+
+	if r := exec(t, state, "dataset", "convert", "-store", jsonl, "-to", seg); r.code != 0 {
+		t.Fatalf("the named convert failed: %s", r.err.String())
+	}
+	r := exec(t, state, "advice")
+	if r.code != 0 || r.out.String() != want {
+		t.Errorf("advice after convert = %q (%s), want the JSON Lines advice %q", r.out.String(), r.err.String(), want)
 	}
 }
 
@@ -679,6 +821,18 @@ func TestServeCommandWiring(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotModified || len(revalidated) != 0 {
 			t.Fatalf("revalidation = %d (%d bytes), want empty 304", resp.StatusCode, len(revalidated))
+		}
+
+		// The default store is a segment store, so serve is a replication
+		// leader.
+		resp, err = ts.Client().Get(ts.URL + "/replica/v1/manifest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || !strings.Contains(string(manifest), `"segments"`) {
+			t.Fatalf("replica manifest = %d: %s", resp.StatusCode, manifest)
 		}
 
 		// GUI rides the same mux.

@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
@@ -10,6 +12,8 @@ import (
 	"time"
 
 	"hpcadvisor/internal/collector"
+	"hpcadvisor/internal/dataset"
+	"hpcadvisor/internal/storage"
 )
 
 // The kill-and-resume soak: a real child process runs `collect`, the parent
@@ -70,17 +74,19 @@ func soakReference(t *testing.T) map[string][]byte {
 	return soakArtifacts(t, state)
 }
 
-// soakArtifacts reads the dataset and task-list files for byte comparison.
+// soakArtifacts reads every file of the dataset store and the task list
+// for byte comparison.
 func soakArtifacts(t *testing.T, state string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
-	for _, name := range []string{"dataset.jsonl", "tasks-clitest-0001.json"} {
-		data, err := os.ReadFile(filepath.Join(state, name))
-		if err != nil {
-			t.Fatalf("artifact %s: %v", name, err)
-		}
-		out[name] = data
+	for name, data := range storeFiles(t, filepath.Join(state, "dataset.seg")) {
+		out["dataset.seg/"+name] = data
 	}
+	tasks, err := os.ReadFile(filepath.Join(state, "tasks-clitest-0001.json"))
+	if err != nil {
+		t.Fatalf("artifact tasks-clitest-0001.json: %v", err)
+	}
+	out["tasks-clitest-0001.json"] = tasks
 	return out
 }
 
@@ -155,13 +161,7 @@ func resumeAndCompare(t *testing.T, state, cfg string, ref map[string][]byte) {
 	if !strings.Contains(r.out.String(), "resuming sweep") {
 		t.Errorf("resume output = %q, want a resuming banner", r.out.String())
 	}
-	got := soakArtifacts(t, state)
-	for name, want := range ref {
-		if string(got[name]) != string(want) {
-			t.Errorf("resumed %s differs from uninterrupted run:\ngot:\n%s\nwant:\n%s",
-				name, got[name], want)
-		}
-	}
+	sameFiles(t, "resumed run vs uninterrupted run", soakArtifacts(t, state), ref)
 	replay, _, err := collector.ReadJournal(filepath.Join(state, "journal-clitest-0001.jnl"))
 	if err != nil {
 		t.Fatal(err)
@@ -219,6 +219,137 @@ func TestSigtermSealsAndResumes(t *testing.T) {
 		}
 		if attempt >= 5 {
 			t.Fatalf("child finished before SIGTERM in %d attempts; enlarge the soak sweep", attempt)
+		}
+	}
+}
+
+// TestHelperConvertProcess is not a test: it is the child process body for
+// TestConvertKilledMidRunPublishesWholeOrNothing.
+func TestHelperConvertProcess(t *testing.T) {
+	if os.Getenv("HPCADVISOR_CONVERT_HELPER") != "1" {
+		t.Skip("helper process for the convert crash test")
+	}
+	code := Run([]string{
+		"-state", t.TempDir(),
+		"dataset", "convert",
+		"-store", os.Getenv("HPCADVISOR_CONVERT_SRC"),
+		"-to", os.Getenv("HPCADVISOR_CONVERT_DST"),
+	}, os.Stdout, os.Stderr)
+	os.Exit(code)
+}
+
+// convertSource writes a JSON Lines dataset of n synthetic points and
+// returns its path and bytes.
+func convertSource(t *testing.T, n int) (string, []byte) {
+	t.Helper()
+	st := dataset.NewStore()
+	for i := 0; i < n; i++ {
+		alias := []string{"hb120rs_v3", "hb120rs_v2", "hc44rs"}[i%3]
+		st.Add(dataset.Point{
+			ScenarioID:  fmt.Sprintf("lammps-%s-n%d-%06d", alias, 1+i%16, i),
+			AppName:     "lammps",
+			SKU:         "Standard_" + alias,
+			SKUAlias:    alias,
+			NNodes:      1 + i%16,
+			PPN:         100,
+			InputDesc:   fmt.Sprintf("BOXFACTOR=%d", 10+i%5),
+			ExecTimeSec: 1000 / float64(1+i%16),
+			CostUSD:     float64(1+i%7) / 3,
+			Metrics:     map[string]string{"APPEXECTIME": fmt.Sprint(i)},
+		})
+	}
+	path := filepath.Join(t.TempDir(), "dataset.jsonl")
+	if err := st.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// assertWholeStore fails unless the store at dir holds exactly the points
+// of the JSON Lines bytes want, in order.
+func assertWholeStore(t *testing.T, dir string, want []byte) {
+	t.Helper()
+	s, err := storage.OpenBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("store %s holds %d points that differ from the source", dir, st.Len())
+	}
+}
+
+// TestConvertKilledMidRunPublishesWholeOrNothing: SIGKILL a child `dataset
+// convert` once its output starts to appear on disk. The destination is
+// then absent or holds every point (never a partial store a later command
+// would serve as the dataset), and a re-run converts cleanly over whatever
+// the killed run left behind.
+func TestConvertKilledMidRunPublishesWholeOrNothing(t *testing.T) {
+	src, want := convertSource(t, 4000)
+	for attempt := 1; ; attempt++ {
+		dst := filepath.Join(t.TempDir(), "dataset.seg")
+		cmd := osexec.Command(os.Args[0], "-test.run=^TestHelperConvertProcess$")
+		cmd.Env = append(os.Environ(),
+			"HPCADVISOR_CONVERT_HELPER=1",
+			"HPCADVISOR_CONVERT_SRC="+src,
+			"HPCADVISOR_CONVERT_DST="+dst,
+		)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+
+		// Kill as soon as anything of the output exists: the staging
+		// directory, or the destination itself.
+		exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+		deadline := time.After(20 * time.Second)
+		finished := false
+		for !finished {
+			select {
+			case <-done:
+				finished = true
+			case <-deadline:
+				_ = cmd.Process.Kill()
+				<-done
+				t.Fatal("child convert produced no output within 20s")
+			case <-time.After(200 * time.Microsecond):
+				if exists(dst) || exists(dst+".tmp") {
+					_ = cmd.Process.Kill()
+					<-done
+					finished = true
+				}
+			}
+		}
+
+		if exists(dst) {
+			// Killed after the publish (or finished first): whole.
+			assertWholeStore(t, dst, want)
+		} else {
+			r := exec(t, t.TempDir(), "dataset", "convert", "-store", src, "-to", dst)
+			if r.code != 0 {
+				t.Fatalf("re-run after a killed convert: %s", r.err.String())
+			}
+			assertWholeStore(t, dst, want)
+			if exists(dst + ".tmp") {
+				t.Error("re-run left the staging directory behind")
+			}
+			return
+		}
+		if attempt >= 5 {
+			t.Fatalf("convert finished before the kill in %d attempts; enlarge the source", attempt)
 		}
 	}
 }

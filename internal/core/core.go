@@ -54,10 +54,10 @@ type Advisor struct {
 	// collection run on this advisor; the API exposes them on /metrics.
 	Collection *monitor.CollectionStats
 
-	// Backend is the storage engine the Store writes through when the
+	// Backend is the segment store the Store writes through when the
 	// advisor was opened over a persistent dataset (OpenStore); nil for a
 	// purely in-memory advisor.
-	Backend storage.Backend
+	Backend *storage.SegmentStore
 
 	// mu guards the registry maps below and — held for the duration of a
 	// collection — the task structs the collector mutates, so concurrent
@@ -121,10 +121,10 @@ func (a *Advisor) SetStore(s *dataset.Store) {
 	a.engStore = s
 }
 
-// OpenStore loads the dataset persisted at path (auto-detecting the JSONL
-// or segment format) and attaches its storage backend, so every point a
-// collection appends is written through durably as it lands. Close with
-// CloseStore when done.
+// OpenStore loads the segment store at path (created on the first append
+// if missing) and attaches it, so every point a collection appends is
+// written through durably as it lands. A JSON Lines dataset is not a store;
+// import it with storage.Convert first. Close with CloseStore when done.
 func (a *Advisor) OpenStore(path string) error {
 	st, b, err := storage.Open(path)
 	if err != nil {

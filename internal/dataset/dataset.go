@@ -340,17 +340,21 @@ func (s *Store) Marshal() ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, p := range s.points {
+		start := buf.Len()
 		if err := enc.Encode(p); err != nil {
 			return nil, err
+		}
+		if n := buf.Len() - start; n > MaxLineBytes {
+			return nil, fmt.Errorf("dataset: point %s encodes to a %d-byte line, over the %d-byte JSON Lines limit",
+				p.ScenarioID, n, MaxLineBytes)
 		}
 	}
 	return buf.Bytes(), nil
 }
 
-// MaxLineBytes caps one JSON Lines record. Unmarshal's scanner rejects
-// longer lines, so writers (the storage JSONL backend) must refuse to
-// produce them — otherwise an accepted append could create a file that can
-// never be reopened.
+// MaxLineBytes caps one JSON Lines record, its newline included.
+// Unmarshal's scanner rejects longer lines, so Marshal refuses to produce
+// them: an export must never write a file its import cannot read.
 const MaxLineBytes = 16 * 1024 * 1024
 
 // Unmarshal parses a JSON Lines dataset.

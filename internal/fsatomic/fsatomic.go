@@ -2,8 +2,9 @@
 // the new contents in a temporary file in the destination directory, syncs
 // it, and renames it over the target. A crash at any point leaves either
 // the old complete file or the new complete file — never a truncated or
-// interleaved one. State files (the dataset JSONL, scenario task lists,
-// deployment records, storage snapshot segments) all go through this path.
+// interleaved one. State files (JSON Lines dataset exports, scenario task
+// lists, deployment records, storage snapshot segments) all go through
+// this path.
 package fsatomic
 
 import (

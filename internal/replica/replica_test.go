@@ -457,16 +457,15 @@ func TestSlowFollowerNeverOverreachesDurable(t *testing.T) {
 // against either.
 func TestLeaderFollowerServeIdenticalResponses(t *testing.T) {
 	leaderDir := filepath.Join(t.TempDir(), "dataset.seg")
-	st, backend, err := storage.Open(leaderDir)
+	st, seg, err := storage.Open(leaderDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { backend.Close() })
-	seg := backend.(*storage.SegmentStore)
+	t.Cleanup(func() { seg.Close() })
 
 	leaderAdv := core.New("sub-leader")
 	leaderAdv.SetStore(st)
-	leaderAdv.Backend = backend
+	leaderAdv.Backend = seg
 	for i := 0; i < 25; i++ {
 		st.Add(point(i))
 	}

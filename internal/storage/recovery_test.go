@@ -275,44 +275,60 @@ func TestRecoveryAfterCrashedCompaction(t *testing.T) {
 	}
 }
 
+// importInto converts the JSON Lines file at src into a fresh segment
+// store and returns the points it holds and the torn byte count Convert
+// reported. It fails the test if the import wrote to src.
+func importInto(t *testing.T, src string) (pts []dataset.Point, torn int64) {
+	t.Helper()
+	before, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), "imported.seg")
+	n, torn, err := Convert(src, dst)
+	if err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	after, _ := os.ReadFile(src)
+	if !bytes.Equal(before, after) {
+		t.Fatal("import wrote to its source file")
+	}
+	s, err := OpenSegments(dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != n {
+		t.Fatalf("Convert reported %d points, the store holds %d", n, st.Len())
+	}
+	return st.All(), torn
+}
+
+// TestJSONLTornFinalLineRecovery: a crashed writer's torn final line is
+// dropped on import and its length reported; every whole line survives.
 func TestJSONLTornFinalLineRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dataset.jsonl")
 	pts := points(10)
-
-	j, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, pts)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	data := marshalOf(t, pts)
 	// Tear the final line mid-record.
-	fi, _ := os.Stat(path)
-	if err := os.Truncate(path, fi.Size()-10); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	j2, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatalf("recovery open: %v", err)
+	got, torn := importInto(t, path)
+	if len(got) != len(pts)-1 {
+		t.Fatalf("imported %d points, want %d", len(got), len(pts)-1)
 	}
-	st, err := j2.Load()
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(marshalOf(t, got), marshalOf(t, pts[:len(pts)-1])) {
+		t.Fatal("imported points are not the whole-line prefix")
 	}
-	if st.Len() != len(pts)-1 {
-		t.Fatalf("recovered %d points, want %d", st.Len(), len(pts)-1)
+	lastLine := len(marshalOf(t, pts[len(pts)-1:]))
+	if want := int64(lastLine - 10); torn != want {
+		t.Fatalf("torn bytes = %d, want %d", torn, want)
 	}
-	if !bytes.Equal(marshalOf(t, st.All()), marshalOf(t, pts[:len(pts)-1])) {
-		t.Fatal("recovered points are not the appended prefix")
-	}
-	info, _ := j2.Info()
-	if !info.Recovered || info.RecoveredBytes == 0 {
-		t.Fatalf("info should report recovery, got %+v", info)
-	}
-	j2.Close()
 }
 
 func TestJSONLCorruptWholeLineIsAnError(t *testing.T) {
@@ -322,73 +338,36 @@ func TestJSONLCorruptWholeLineIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJSONL(path); err == nil {
+	dst := filepath.Join(t.TempDir(), "out.seg")
+	if _, _, err := Convert(path, dst); err == nil {
 		t.Fatal("a corrupt whole line is real corruption and must error")
+	}
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		t.Fatalf("failed import left a destination behind (stat err %v)", err)
 	}
 }
 
 // TestJSONLUnterminatedValidFinalLineIsKept: hand-written or imported
 // files often omit the trailing newline; a complete, valid final record
-// must be preserved, not truncated as a torn tail — and the file must not
-// be rewritten by read-only use.
+// must be imported, not dropped as a torn tail — and the source file is
+// never rewritten.
 func TestJSONLUnterminatedValidFinalLineIsKept(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dataset.jsonl")
 	pts := points(5)
-	st := dataset.NewStore()
-	st.AddAll(pts)
-	data, err := st.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := marshalOf(t, pts)
 	// Strip the final newline: the last record is complete but unterminated.
 	if err := os.WriteFile(path, bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	j, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
+	got, torn := importInto(t, path)
+	if len(got) != len(pts) {
+		t.Fatalf("kept %d points, want %d (valid final record must survive)", len(got), len(pts))
 	}
-	loaded, err := j.Load()
-	if err != nil {
-		t.Fatal(err)
+	if torn != 0 {
+		t.Fatalf("a valid unterminated record is not a torn tail: %d bytes dropped", torn)
 	}
-	if loaded.Len() != len(pts) {
-		t.Fatalf("kept %d points, want %d (valid final record must survive)", loaded.Len(), len(pts))
-	}
-	info, _ := j.Info()
-	if info.Recovered {
-		t.Fatalf("a valid unterminated record is not a torn tail: %+v", info)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Read-only open left the file byte-identical.
-	raw, _ := os.ReadFile(path)
-	if !bytes.Equal(raw, bytes.TrimSuffix(data, []byte("\n"))) {
-		t.Fatal("read-only open rewrote the file")
-	}
-
-	// Appending after such an open must not concatenate onto the record.
-	j2, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := point(99)
-	if err := j2.Append(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]dataset.Point{}, pts...), extra)
-	j3, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if got := loadMarshal(t, j3); !bytes.Equal(got, marshalOf(t, all)) {
-		t.Fatal("append after unterminated open corrupted the dataset")
+	if !bytes.Equal(marshalOf(t, got), data) {
+		t.Fatal("imported points differ from the source records")
 	}
 }
 

@@ -86,7 +86,9 @@ func (o *SegmentOptions) withDefaults() SegmentOptions {
 	return out
 }
 
-// SegmentStore is the binary segment-log backend.
+// SegmentStore is the dataset's durable store: a binary segment log with
+// a compacted snapshot. It doubles as a dataset.Sink, so a loaded store
+// writes every Add through it, and it is safe for concurrent use.
 type SegmentStore struct {
 	mu   sync.Mutex
 	dir  string
@@ -269,9 +271,6 @@ func OpenSegments(dir string, opts *SegmentOptions) (*SegmentStore, error) {
 	}
 	return s, nil
 }
-
-// Format names the backend's layout.
-func (s *SegmentStore) Format() Format { return FormatSegment }
 
 // ensureActive opens the active segment, creating the directory and the
 // next segment file on first use.
@@ -584,7 +583,7 @@ func (s *SegmentStore) Info() (Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info := Info{
-		Format:         FormatSegment,
+		Format:         "segment",
 		Path:           s.dir,
 		Points:         s.count,
 		Segments:       len(s.walSeqs),

@@ -64,7 +64,7 @@ func marshalOf(t *testing.T, pts []dataset.Point) []byte {
 	return data
 }
 
-func appendAll(t *testing.T, b Backend, pts []dataset.Point) {
+func appendAll(t *testing.T, b *SegmentStore, pts []dataset.Point) {
 	t.Helper()
 	for i := range pts {
 		if err := b.Append(pts[i]); err != nil {
@@ -73,7 +73,7 @@ func appendAll(t *testing.T, b Backend, pts []dataset.Point) {
 	}
 }
 
-func loadMarshal(t *testing.T, b Backend) []byte {
+func loadMarshal(t *testing.T, b *SegmentStore) []byte {
 	t.Helper()
 	st, err := b.Load()
 	if err != nil {

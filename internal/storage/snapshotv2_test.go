@@ -646,7 +646,7 @@ func TestUndecodableRowIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(t.TempDir(), "out.jsonl")
-	if n, err := Convert(dir, dst); err == nil {
+	if n, _, err := Convert(dir, dst); err == nil {
 		t.Fatalf("Convert copied %d points, the undecodable row included", n)
 	}
 	if _, err := os.Stat(dst); !os.IsNotExist(err) {

@@ -11,31 +11,6 @@ import (
 	"hpcadvisor/internal/dataset"
 )
 
-func TestDetectFormat(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "some.dat")
-	os.WriteFile(file, []byte("x"), 0o644)
-	sub := filepath.Join(dir, "store")
-	os.MkdirAll(sub, 0o755)
-
-	cases := []struct {
-		path string
-		want Format
-	}{
-		{file, FormatJSONL},  // existing file
-		{sub, FormatSegment}, // existing dir
-		{filepath.Join(dir, "new.jsonl"), FormatJSONL},
-		{filepath.Join(dir, "new.json"), FormatJSONL},
-		{filepath.Join(dir, "new.seg"), FormatSegment},
-		{filepath.Join(dir, "plain"), FormatSegment},
-	}
-	for _, c := range cases {
-		if got := DetectFormat(c.path); got != c.want {
-			t.Errorf("DetectFormat(%s) = %s, want %s", c.path, got, c.want)
-		}
-	}
-}
-
 func TestOpenAttachesAppendThrough(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.seg")
 	st, b, err := Open(path)
@@ -81,9 +56,9 @@ func TestConvertRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n, err := Convert(jsonl1, seg)
-	if err != nil || n != len(pts) {
-		t.Fatalf("jsonl->segment: n=%d err=%v", n, err)
+	n, torn, err := Convert(jsonl1, seg)
+	if err != nil || n != len(pts) || torn != 0 {
+		t.Fatalf("jsonl->segment: n=%d torn=%d err=%v", n, torn, err)
 	}
 	// Convert compacts segment destinations: the reopened store loads
 	// through the sorted snapshot fast path.
@@ -100,7 +75,7 @@ func TestConvertRoundTripByteIdentical(t *testing.T) {
 	}
 	sb.Close()
 
-	n, err = Convert(seg, jsonl2)
+	n, _, err = Convert(seg, jsonl2)
 	if err != nil || n != len(pts) {
 		t.Fatalf("segment->jsonl: n=%d err=%v", n, err)
 	}
@@ -132,11 +107,21 @@ func TestConvertRefusesNonEmptyDestination(t *testing.T) {
 	if err := st.SaveFile(dst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Convert(src, dst); err == nil {
+	if _, _, err := Convert(src, dst); err == nil {
 		t.Fatal("convert onto a non-empty destination must fail")
 	}
-	if _, err := Convert(src, src); err == nil {
+	if _, _, err := Convert(src, src); err == nil {
 		t.Fatal("convert onto itself must fail")
+	}
+	seg := filepath.Join(dir, "dst.seg")
+	if _, _, err := Convert(src, seg); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Convert(src, seg); err == nil {
+		t.Fatal("convert onto a store that holds points must fail")
+	}
+	if _, _, err := Convert(filepath.Join(dir, "missing.jsonl"), filepath.Join(dir, "x.seg")); err == nil {
+		t.Fatal("convert from a missing source must fail")
 	}
 }
 
@@ -238,22 +223,28 @@ func TestAppendRejectsOversizedPoints(t *testing.T) {
 		t.Fatal("segment Append must reject a frame over the 64MB read limit")
 	}
 
-	big := point(1)
-	big.Metrics = map[string]string{"BLOB": strings.Repeat("y", 17<<20)}
-	j, err := OpenJSONL(filepath.Join(t.TempDir(), "d.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.Append(big); err == nil {
-		t.Fatal("jsonl Append must reject a line over dataset.MaxLineBytes")
-	}
-	// Both stores stay usable after the rejection.
+	// The store stays usable after the rejection.
 	if err := seg.Append(point(2)); err != nil {
 		t.Fatalf("segment append after rejection: %v", err)
 	}
-	if err := j.Append(point(3)); err != nil {
-		t.Fatalf("jsonl append after rejection: %v", err)
+
+	// A segment store accepts frames past the JSON Lines line limit, so
+	// the export must refuse a point import could not read back, and leave
+	// no file behind.
+	big := point(1)
+	big.Metrics = map[string]string{"BLOB": strings.Repeat("y", 17<<20)}
+	if err := seg.Append(big); err != nil {
+		t.Fatalf("segment append under the frame limit: %v", err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "x.jsonl")
+	if _, _, err := Convert(seg.dir, out); err == nil {
+		t.Fatal("export must reject a line over dataset.MaxLineBytes")
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(out)); len(entries) != 0 {
+		t.Fatalf("refused export left %d files behind", len(entries))
 	}
 }
 
@@ -277,4 +268,42 @@ func TestOpenSegmentsRejectsForeignDirectory(t *testing.T) {
 		t.Fatalf("empty directory should open: %v", err)
 	}
 	s.Close()
+}
+
+// TestConvertPublishesThroughStaging: a segment destination is built in
+// dst+".tmp" and renamed into place. A staging directory left by a crashed
+// convert (here: a torn WAL segment) is never read as data, is replaced by
+// the next convert, and does not survive it.
+func TestConvertPublishesThroughStaging(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.jsonl")
+	pts := points(50)
+	if err := os.WriteFile(src, marshalOf(t, pts), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "dst.seg")
+	stage := dst + ".tmp"
+	if err := os.MkdirAll(stage, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stage, walName(1)), []byte("HPALOG1\n\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := Convert(src, dst); err != nil || n != len(pts) {
+		t.Fatalf("convert over a leftover staging dir: n=%d err=%v", n, err)
+	}
+	if _, err := os.Stat(stage); !os.IsNotExist(err) {
+		t.Fatalf("staging dir survived a successful convert (stat err %v)", err)
+	}
+	s, err := OpenSegments(dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := loadMarshal(t, s); !bytes.Equal(got, marshalOf(t, pts)) {
+		t.Fatal("published store differs from the source")
+	}
+	if info, _ := s.Info(); info.Segments != 0 || info.SnapshotPoints != len(pts) {
+		t.Fatalf("published store is not fully compacted: %+v", info)
+	}
 }
