@@ -196,7 +196,8 @@ func (c *CLI) statePath(name string) string { return filepath.Join(c.StateDir, n
 // <state>/dataset.seg. A JSON Lines dataset is never opened as a store nor
 // rewritten behind the user's back: a -store path naming a file, or a
 // state dir holding a dataset.jsonl but no dataset.seg, fails with the
-// convert command that upgrades it.
+// convert command that upgrades it — or, when the store that convert
+// would write already exists, with the -store value that opens it.
 func (c *CLI) resolveStore(flagValue string) (string, error) {
 	path, legacy := flagValue, flagValue
 	if path == "" {
@@ -207,6 +208,10 @@ func (c *CLI) resolveStore(flagValue string) (string, error) {
 	}
 	if fi, err := os.Stat(legacy); err == nil && !fi.IsDir() {
 		dst := strings.TrimSuffix(legacy, filepath.Ext(legacy)) + ".seg"
+		if _, err := os.Stat(dst); err == nil {
+			return "", fmt.Errorf("%s is a JSON Lines dataset, which is no longer opened as a store; "+
+				"it has been converted to %s already: use -store %s", legacy, dst, dst)
+		}
 		return "", fmt.Errorf("%s is a JSON Lines dataset, which is no longer opened as a store; "+
 			"convert it once with: hpcadvisor dataset convert -store %s -to %s", legacy, legacy, dst)
 	}

@@ -753,6 +753,13 @@ func TestLegacyJSONLStateDir(t *testing.T) {
 	if r.code != 0 || r.out.String() != want {
 		t.Errorf("advice after convert = %q (%s), want the JSON Lines advice %q", r.out.String(), r.err.String(), want)
 	}
+
+	// Converted already: the message names the store to open, not a
+	// convert that would fail because its destination exists.
+	r = exec(t, state, "advice", "-store", jsonl)
+	if r.code == 0 || !strings.Contains(r.err.String(), "use -store "+seg) || strings.Contains(r.err.String(), "dataset convert") {
+		t.Errorf("advice -store %s after convert = exit %d, stderr %q; want a failure naming -store %s", jsonl, r.code, r.err.String(), seg)
+	}
 }
 
 // TestCollectIntoSegmentStore streams a collection straight into a segment

@@ -326,6 +326,11 @@ type hotFront struct {
 // rows, so whichever one arrives first computes it.
 func (hf *hotFront) json(sn *Snapshot, cf *colFilter, byCost bool) ([]byte, error) {
 	hf.compute(sn, cf)
+	return hf.pick(byCost)
+}
+
+// pick returns the computed fragment in the requested order.
+func (hf *hotFront) pick(byCost bool) ([]byte, error) {
 	if byCost {
 		return hf.costJSON, hf.err
 	}
@@ -335,9 +340,9 @@ func (hf *hotFront) json(sn *Snapshot, cf *colFilter, byCost bool) ([]byte, erro
 func (hf *hotFront) compute(sn *Snapshot, cf *colFilter) {
 	hf.once.Do(func() {
 		hf.pos = sn.frontPositions(cf)
-		hf.timeJSON, hf.err = sn.frontJSON(hf.pos, false)
+		hf.timeJSON, hf.err = frontJSON(hf.pos, false, sn.rowJSON)
 		if hf.err == nil {
-			hf.costJSON, hf.err = sn.frontJSON(hf.pos, true)
+			hf.costJSON, hf.err = frontJSON(hf.pos, true, sn.rowJSON)
 		}
 	})
 }
@@ -367,6 +372,17 @@ func (sn *Snapshot) hotSlot(cf *colFilter) *hotFront {
 	return hf
 }
 
+// frontOf returns the filter's front positions in by-time order: the hot
+// slot's memo, shared and read-only, when the filter is hot, else a fresh
+// front.
+func (sn *Snapshot) frontOf(cf *colFilter) []int32 {
+	if hf := sn.hotSlot(cf); hf != nil {
+		hf.compute(sn, cf)
+		return hf.pos
+	}
+	return sn.frontPositions(cf)
+}
+
 // frontJSON renders front positions (by-time order) as a JSON array of
 // their rows: the same bytes json.Marshal produces for the points. On a
 // mapped snapshot each row's bytes are spliced from the row section, so no
@@ -374,7 +390,7 @@ func (sn *Snapshot) hotSlot(cf *colFilter) *hotFront {
 // front's cost is strictly decreasing in time order, so the cost order is
 // the time order's exact reversal — no second sort, and no tie-break to
 // disagree on. A row that cannot marshal (e.g. a NaN metric) is an error.
-func (sn *Snapshot) frontJSON(pos []int32, byCost bool) ([]byte, error) {
+func frontJSON(pos []int32, byCost bool, rowJSON func(int32) ([]byte, error)) ([]byte, error) {
 	buf := []byte{'['}
 	for i := range pos {
 		if i > 0 {
@@ -384,13 +400,30 @@ func (sn *Snapshot) frontJSON(pos []int32, byCost bool) ([]byte, error) {
 		if byCost {
 			p = pos[len(pos)-1-i]
 		}
-		row, err := sn.rowJSON(int(p))
+		row, err := rowJSON(p)
 		if err != nil {
 			return nil, err
 		}
 		buf = append(buf, row...)
 	}
 	return append(buf, ']'), nil
+}
+
+// frontRows materializes front positions (by-time order) in the requested
+// order.
+func frontRows(pos []int32, byCost bool, row func(int32) *Point) []Point {
+	if len(pos) == 0 {
+		return nil
+	}
+	rows := make([]Point, len(pos))
+	for i, p := range pos {
+		if byCost {
+			rows[len(rows)-1-i] = *row(p)
+		} else {
+			rows[i] = *row(p)
+		}
+	}
+	return rows
 }
 
 // Advice returns the advice rows of any filter in the requested order:
@@ -401,27 +434,11 @@ func (sn *Snapshot) frontJSON(pos []int32, byCost bool) ([]byte, error) {
 // chunks that hold them are decoded. The rows are a fresh slice on every
 // call; the query engine memoizes them per generation.
 func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
+	if d := sn.delta; d != nil {
+		return frontRows(d.frontRefs(c), byCost, d.row)
+	}
 	cf := sn.resolve(c)
-	var pos []int32
-	if hf := sn.hotSlot(&cf); hf != nil {
-		hf.compute(sn, &cf)
-		pos = hf.pos
-	} else {
-		pos = sn.frontPositions(&cf)
-	}
-	if len(pos) == 0 {
-		return nil
-	}
-	rows := make([]Point, len(pos))
-	for i, p := range pos {
-		sn.ensureRow(int(p))
-		if byCost {
-			rows[len(rows)-1-i] = sn.sorted[p]
-		} else {
-			rows[i] = sn.sorted[p]
-		}
-	}
-	return rows
+	return frontRows(sn.frontOf(&cf), byCost, sn.row)
 }
 
 // AdviceJSON returns the advice rows of any filter as a JSON array
@@ -432,13 +449,16 @@ func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
 // fragment is spliced from the persisted row bytes, so no row is decoded.
 // A survivor that cannot marshal is an error.
 func (sn *Snapshot) AdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, error) {
+	if sn.delta != nil {
+		return sn.delta.adviceJSON(c, byCost)
+	}
 	cf := sn.resolve(c)
 	if hf := sn.hotSlot(&cf); hf != nil {
 		b, err := hf.json(sn, &cf, byCost)
 		return b, len(hf.pos), err
 	}
 	pos := sn.frontPositions(&cf)
-	b, err := sn.frontJSON(pos, byCost)
+	b, err := frontJSON(pos, byCost, sn.rowJSON)
 	return b, len(pos), err
 }
 
@@ -446,6 +466,9 @@ func (sn *Snapshot) AdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, er
 // filter is not hot or its rows cannot marshal. It reports whether a
 // request is answered from the memo without computing a front.
 func (sn *Snapshot) HotAdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, bool) {
+	if sn.delta != nil {
+		return sn.delta.hotAdviceJSON(c, byCost)
+	}
 	cf := sn.resolve(c)
 	hf := sn.hotSlot(&cf)
 	if hf == nil {

@@ -350,27 +350,10 @@ func TestBuildColumnarRejectsUnsorted(t *testing.T) {
 }
 
 // mappedSnapshot builds the snapshot a v2 segment load serves for the
-// store's points: BuildColumnar's columns plus each row marshalled the way
-// the segment writer stores it. Every row starts undecoded.
+// store's points (see mappedColumnar). Every row starts undecoded.
 func mappedSnapshot(t testing.TB, s *Store) *Snapshot {
 	t.Helper()
-	sorted := s.Snapshot().sorted
-	c, err := BuildColumnar(sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RowOffs = make([]uint64, 1, len(sorted)+1)
-	c.AppendIdx = make([]uint32, len(sorted))
-	for k := range sorted {
-		b, err := json.Marshal(&sorted[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Rows = append(c.Rows, b...)
-		c.RowOffs = append(c.RowOffs, uint64(len(c.Rows)))
-		c.AppendIdx[k] = uint32(k)
-	}
-	sn, err := newMappedSnapshot(c)
+	sn, err := newMappedSnapshot(mappedColumnar(t, s.All()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,8 +71,15 @@ type Sink interface {
 
 // Store is an append-only collection of points, safe for concurrent use.
 // Reads are served from an immutable copy-on-write Snapshot built at most
-// once per generation (see snapshot.go), so queries never hold the lock
-// while filtering and never contend with concurrent appends.
+// once per generation, so queries never hold the lock while filtering and
+// never contend with concurrent appends.
+//
+// The read view is a base plus a delta (see delta.go). The base is an
+// immutable Snapshot: the mapped columnar snapshot NewMappedStore serves,
+// or one heap build. The delta is the points appended since, in append
+// order. A generation roll builds only the delta's snapshot, in
+// O(|delta|); past a fixed size rule the delta folds into a new heap base,
+// built off the lock by the reader that first sees the rule met.
 //
 // A Store may have a Sink attached (Attach): every Add/AddAll then writes
 // through to it, so each collected point lands durably the moment it is
@@ -80,52 +87,19 @@ type Sink interface {
 // surfaced by Flush, keeping the hot Add path signature-free.
 type Store struct {
 	mu      sync.RWMutex
-	points  []Point   // guarded-by: mu; append order (only the tail past base while base != nil)
-	base    *Snapshot // guarded-by: mu; mapped seed not yet expanded into points (see lazy.go)
-	baseN   int       // guarded-by: mu; points covered by base
+	base    *Snapshot // guarded-by: mu; immutable, covers the first base.Len() points
+	delta   []Point   // guarded-by: mu; the points appended since, append order
+	log     deltaLog  // guarded-by: mu; the delta interned and ranked against base
+	folding bool      // guarded-by: mu; a reader is building the next base off the lock
 	gen     uint64    // guarded-by: mu
-	snap    *Snapshot // guarded-by: mu; cached, valid iff snap.gen == gen, kept stale for merge amortization
+	snap    *Snapshot // guarded-by: mu; cached, valid iff snap.gen == gen
 	sink    Sink      // guarded-by: mu
 	sinkErr error     // guarded-by: mu; first write-through failure, surfaced by Flush
-	rowErr  error     // guarded-by: mu; first mapped row that failed to decode, surfaced by Err and Marshal
+	rowErr  error     // guarded-by: mu; first row of a folded mapped base that failed to decode
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
-
-// materializeBaseLocked expands a mapped base snapshot into the points
-// slice: every row decodes (lazy chunks force) and scatters back to append
-// order, with any tail appended after it, and the first decode failure
-// stays on the store for Err and Marshal. Mapped stores pay this once, on
-// the first operation that needs the append-order view (All, Marshal,
-// SelectScan, or a snapshot rebuild after an append); pure snapshot
-// serving never does. Callers hold s.mu.
-func (s *Store) materializeBaseLocked() {
-	if s.base == nil {
-		return
-	}
-	pts := s.base.appendOrderPoints()
-	s.rowErr = s.base.lazy.firstErr()
-	if len(s.points) > 0 {
-		pts = append(pts, s.points...)
-	}
-	s.points = pts
-	s.base, s.baseN = nil, 0
-}
-
-// ensureMaterialized is the lock-acquiring wrapper for read paths that
-// need the full append-order points slice.
-func (s *Store) ensureMaterialized() {
-	s.mu.RLock()
-	mapped := s.base != nil
-	s.mu.RUnlock()
-	if !mapped {
-		return
-	}
-	s.mu.Lock()
-	s.materializeBaseLocked()
-	s.mu.Unlock()
-}
+func NewStore() *Store { return &Store{base: heapBase(nil, nil, 0)} }
 
 // Attach installs (or, with nil, removes) the write-through sink. Points
 // already in the store are not replayed: an attached backend is expected to
@@ -164,7 +138,7 @@ func (s *Store) appendThroughLocked(p Point) {
 // Add appends a point and bumps the store generation.
 func (s *Store) Add(p Point) {
 	s.mu.Lock()
-	s.points = append(s.points, p)
+	s.delta = append(s.delta, p)
 	s.gen++
 	s.appendThroughLocked(p)
 	s.mu.Unlock()
@@ -177,7 +151,7 @@ func (s *Store) AddAll(pts []Point) {
 		return
 	}
 	s.mu.Lock()
-	s.points = append(s.points, pts...)
+	s.delta = append(s.delta, pts...)
 	s.gen += uint64(len(pts))
 	for i := range pts {
 		s.appendThroughLocked(pts[i])
@@ -193,7 +167,7 @@ func (s *Store) AddAll(pts []Point) {
 func (s *Store) Err() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.base != nil {
+	if s.rowErr == nil && s.base.lazy != nil {
 		return s.base.lazy.firstErr()
 	}
 	return s.rowErr
@@ -215,41 +189,98 @@ func (s *Store) Generation() uint64 {
 
 // Snapshot returns the read-optimized view of the current generation,
 // building it lazily on first use after a mutation. The returned snapshot
-// is immutable and shared: concurrent readers get the same pointer, and a
-// rebuild merges only the newly appended suffix into the previous sorted
-// order.
+// is immutable and shared: concurrent readers get the same pointer. With
+// nothing appended since the base it is the base itself; otherwise a roll
+// extends the previous delta by the new points without touching the base.
+//
+// The reader whose roll first meets the fold rule then builds the next
+// base from that immutable snapshot off the lock, and retakes the lock
+// only to install it; Add and other readers do not wait for it. A store
+// with no base yet builds its first one synchronously instead, as soon as
+// the rule is met: there is nothing to serve while it is built.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.RLock()
-	if s.snap != nil && s.snap.gen == s.gen {
-		snap := s.snap
+	if snap := s.snap; snap != nil && snap.gen == s.gen {
 		s.mu.RUnlock()
 		return snap
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snap == nil || s.snap.gen != s.gen {
-		s.materializeBaseLocked() // rebuilds merge over append-order points
-		s.snap = buildSnapshot(s.snap, s.points, s.gen)
+	if s.snap != nil && s.snap.gen == s.gen {
+		snap := s.snap
+		s.mu.Unlock()
+		return snap
 	}
-	return s.snap
+	s.snap = s.rollLocked()
+	snap := s.snap
+	fold := !s.folding && snap.delta != nil && foldDue(snap.delta.base.Len(), snap.delta.run.Len())
+	s.folding = s.folding || fold
+	s.mu.Unlock()
+	if fold {
+		s.install(snap.delta.fold(snap.gen))
+	}
+	return snap
+}
+
+// rollLocked builds the snapshot of the current generation. Callers hold
+// s.mu.
+func (s *Store) rollLocked() *Snapshot {
+	if s.base.Len() == 0 && foldDue(0, len(s.delta)) {
+		s.setBaseLocked(foldPoints(s.delta, s.gen))
+	}
+	if len(s.delta) == 0 {
+		return s.base
+	}
+	s.log.extend(s.base, s.delta)
+	return s.log.snapshot(s.base, s.delta, s.gen)
+}
+
+// install swaps in a base folded off the lock.
+func (s *Store) install(base *Snapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.folding = false
+	if s.rowErr == nil && s.base.lazy != nil {
+		s.rowErr = s.base.lazy.firstErr() // the fold decoded every row
+	}
+	s.setBaseLocked(base)
+	if s.snap.gen == base.gen {
+		s.snap = base
+	}
+}
+
+// setBaseLocked makes base, which extends the current base by a prefix of
+// the delta, the store's base, and drops that prefix from the delta.
+// Callers hold s.mu.
+func (s *Store) setBaseLocked(base *Snapshot) {
+	folded := base.Len() - s.base.Len()
+	s.delta = append([]Point(nil), s.delta[folded:]...)
+	s.base, s.log = base, deltaLog{}
+}
+
+// view pins the append-order view: the base, whose rows come first, and
+// the delta after it.
+func (s *Store) view() (*Snapshot, []Point) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.base, s.delta[:len(s.delta):len(s.delta)]
 }
 
 // Len returns the number of stored points.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.baseN + len(s.points)
+	return s.base.Len() + len(s.delta)
 }
 
-// All returns a copy of every point.
+// All returns a copy of every point, in append order.
 func (s *Store) All() []Point {
-	s.ensureMaterialized()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
+	base, tail := s.view()
+	out := make([]Point, 0, base.Len()+len(tail))
+	for _, k := range base.appendOrder() {
+		out = append(out, *base.row(k))
+	}
+	return append(out, tail...)
 }
 
 // Filter selects points; zero values match everything.
@@ -284,20 +315,23 @@ func (s *Store) Select(f Filter) []Point {
 }
 
 // SelectScan is the pre-index reference path: canonicalize the filter once,
-// scan every point under the read lock, then sort. It returns exactly what
+// scan every point in append order, then sort. It returns exactly what
 // Select returns and is retained as the correctness oracle for property
 // tests and the baseline for the index-vs-scan ablation benchmarks.
 func (s *Store) SelectScan(f Filter) []Point {
 	c := f.Canonical()
-	s.ensureMaterialized()
-	s.mu.RLock()
+	base, tail := s.view()
 	var out []Point
-	for i := range s.points {
-		if c.Match(&s.points[i]) {
-			out = append(out, s.points[i])
+	for _, k := range base.appendOrder() {
+		if p := base.row(k); c.Match(p) {
+			out = append(out, *p)
 		}
 	}
-	s.mu.RUnlock()
+	for i := range tail {
+		if c.Match(&tail[i]) {
+			out = append(out, tail[i])
+		}
+	}
 	sort.SliceStable(out, func(i, j int) bool { return pointLess(&out[i], &out[j]) })
 	return out
 }
@@ -331,22 +365,31 @@ func (s *Store) Apps() []string {
 
 // Marshal renders the store as JSON Lines, points in append order.
 func (s *Store) Marshal() ([]byte, error) {
-	s.ensureMaterialized()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.rowErr != nil {
-		return nil, s.rowErr
-	}
+	base, tail := s.view()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, p := range s.points {
+	encode := func(p *Point) error {
 		start := buf.Len()
 		if err := enc.Encode(p); err != nil {
-			return nil, err
+			return err
 		}
 		if n := buf.Len() - start; n > MaxLineBytes {
-			return nil, fmt.Errorf("dataset: point %s encodes to a %d-byte line, over the %d-byte JSON Lines limit",
+			return fmt.Errorf("dataset: point %s encodes to a %d-byte line, over the %d-byte JSON Lines limit",
 				p.ScenarioID, n, MaxLineBytes)
+		}
+		return nil
+	}
+	for _, k := range base.appendOrder() {
+		if err := encode(base.row(k)); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
+	for i := range tail {
+		if err := encode(&tail[i]); err != nil {
+			return nil, err
 		}
 	}
 	return buf.Bytes(), nil

@@ -83,11 +83,32 @@ func (sn *Snapshot) ensureAllRows() {
 // that is the persisted row, which the writer produced with the same
 // json.Marshal(&sorted[k]), so no row is decoded; on a heap snapshot it is
 // a fresh marshal.
-func (sn *Snapshot) rowJSON(i int) ([]byte, error) {
+func (sn *Snapshot) rowJSON(i int32) ([]byte, error) {
 	if sn.lazy != nil {
 		return sn.col.Rows[sn.col.RowOffs[i]:sn.col.RowOffs[i+1]], nil
 	}
 	return json.Marshal(&sn.sorted[i])
+}
+
+// row returns sorted[i], materialized.
+func (sn *Snapshot) row(i int32) *Point {
+	sn.ensureRow(int(i))
+	return &sn.sorted[i]
+}
+
+// rowKey decodes the fields pointLess reads from mapped row i's bytes,
+// leaving its chunk untouched. A row that fails to decode keys as the zero
+// Point its chunk would serve.
+func (sn *Snapshot) rowKey(i int) Point {
+	var k struct {
+		SKUAlias  string `json:"sku_alias"`
+		InputDesc string `json:"input_desc"`
+		NNodes    int    `json:"nnodes"`
+	}
+	if err := json.Unmarshal(sn.col.Rows[sn.col.RowOffs[i]:sn.col.RowOffs[i+1]], &k); err != nil {
+		return Point{}
+	}
+	return Point{SKUAlias: k.SKUAlias, InputDesc: k.InputDesc, NNodes: k.NNodes}
 }
 
 func (sn *Snapshot) decodeChunk(c int) {
@@ -108,28 +129,13 @@ func (sn *Snapshot) decodeChunk(c int) {
 	}
 }
 
-// appendOrderPoints decodes every row and scatters them back to append
-// order — the expansion a mapped store pays once, on the first operation
-// that needs the append-order view (see Store.materializeBaseLocked).
-func (sn *Snapshot) appendOrderPoints() []Point {
-	sn.ensureAllRows()
-	out := make([]Point, len(sn.sorted))
-	if sn.lazy == nil {
-		copy(out, sn.sorted)
-		return out
-	}
-	for k, idx := range sn.col.AppendIdx {
-		out[idx] = sn.sorted[k]
-	}
-	return out
-}
-
-// NewMappedStore builds a store whose current snapshot is constructed
+// NewMappedStore builds a store whose base snapshot is constructed
 // directly over persisted columnar state — the zero-copy cold-start path.
 // The returned store serves Snapshot queries immediately without decoding
-// rows; appends work normally (the mapped snapshot becomes the merge
-// prefix, expanded to append order on the first rebuild). Validation
-// failures return an error so callers can rebuild from the rows instead.
+// rows. Appends become the delta over that base: a roll never decodes or
+// copies a base row, and only a fold (see delta.go) decodes them all,
+// once. Validation failures return an error so callers can rebuild from
+// the rows instead.
 //
 // The store's generation is the log position, c.Count: the same
 // generation a store that appended the same points reports.
@@ -138,7 +144,7 @@ func NewMappedStore(c *Columnar) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{base: sn, baseN: c.Count, gen: sn.gen, snap: sn}, nil
+	return &Store{base: sn, gen: sn.gen, snap: sn}, nil
 }
 
 func newMappedSnapshot(c *Columnar) (*Snapshot, error) {

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // This file implements the read-optimized side of the store: immutable
@@ -136,6 +137,10 @@ func (c *CanonicalFilter) Key() string {
 
 // Snapshot is an immutable, read-optimized view of a store at one
 // generation: the points in canonical sorted order plus inverted indexes.
+// A store's snapshot is its base — the mapped columnar snapshot a load
+// serves, or one heap build — while nothing has been appended since, and a
+// base + delta snapshot otherwise, which serves the base and the appended
+// points as one canonical order without copying or re-indexing the base.
 // Snapshots are never modified after construction, so any number of
 // goroutines may query one concurrently, and queries never block appends.
 type Snapshot struct {
@@ -169,6 +174,17 @@ type Snapshot struct {
 	// chunk-by-chunk on first touch (see lazy.go). Every read of sorted[i]
 	// must go through ensureRow(i) first.
 	lazy *lazyRows
+
+	// inOrder lists the positions in append order (the inverse of
+	// col.AppendIdx), computed on first use by the store's append-order
+	// reads.
+	inOrderOnce sync.Once
+	inOrder     []int32
+
+	// delta, when non-nil, makes this a base + delta snapshot (see
+	// delta.go): every field above is zero, and the exported methods serve
+	// delta.base and delta.run merged. A snapshot with no delta is its base.
+	delta *deltaView
 }
 
 // newSnapshot is the one snapshot constructor, for heap and mapped
@@ -226,10 +242,18 @@ func postingLists(nsym int, cols ...[]uint32) [][]int32 {
 func (sn *Snapshot) Generation() uint64 { return sn.gen }
 
 // Len returns the number of points in the snapshot.
-func (sn *Snapshot) Len() int { return len(sn.sorted) }
+func (sn *Snapshot) Len() int {
+	if d := sn.delta; d != nil {
+		return d.base.Len() + d.run.Len()
+	}
+	return len(sn.sorted)
+}
 
 // Apps lists distinct application names present, sorted.
 func (sn *Snapshot) Apps() []string {
+	if d := sn.delta; d != nil {
+		return unionNames(d.base.col.Apps, d.run.col.Apps)
+	}
 	out := make([]string, len(sn.col.Apps))
 	copy(out, sn.col.Apps)
 	return out
@@ -237,6 +261,9 @@ func (sn *Snapshot) Apps() []string {
 
 // SKUAliases lists distinct SKU aliases present, sorted.
 func (sn *Snapshot) SKUAliases() []string {
+	if d := sn.delta; d != nil {
+		return unionNames(d.base.col.SKUAliases, d.run.col.SKUAliases)
+	}
 	out := make([]string, len(sn.col.SKUAliases))
 	copy(out, sn.col.SKUAliases)
 	return out
@@ -244,6 +271,9 @@ func (sn *Snapshot) SKUAliases() []string {
 
 // Inputs lists distinct input descriptions present, sorted.
 func (sn *Snapshot) Inputs() []string {
+	if d := sn.delta; d != nil {
+		return unionNames(d.base.col.Inputs, d.run.col.Inputs)
+	}
 	out := make([]string, len(sn.col.Inputs))
 	copy(out, sn.col.Inputs)
 	return out
@@ -292,6 +322,9 @@ func (sn *Snapshot) matchPositions(cf *colFilter) []int32 {
 // into a slice of their final size.
 func (sn *Snapshot) Select(f Filter) []Point {
 	c := f.Canonical()
+	if sn.delta != nil {
+		return sn.delta.selectRows(&c)
+	}
 	cf := sn.resolve(&c)
 	pos := sn.matchPositions(&cf)
 	if len(pos) == 0 {
@@ -327,41 +360,27 @@ func (sn *Snapshot) GroupSeries(f Filter) map[SeriesKey][]Point {
 	return out
 }
 
-// buildSnapshot constructs the snapshot for points at gen. When prev covers
-// a prefix of points (the append-only store guarantees it), only the new
-// suffix is sorted and merged with prev's already-sorted slice, so a
-// snapshot rebuild after k appends costs O(k log k + n) instead of
-// O(n log n).
-func buildSnapshot(prev *Snapshot, points []Point, gen uint64) *Snapshot {
-	var sortedPrefix []Point
-	if prev != nil && len(prev.sorted) <= len(points) {
-		sortedPrefix = prev.sorted
-	}
-	fresh := make([]Point, len(points)-len(sortedPrefix))
-	copy(fresh, points[len(sortedPrefix):])
-	sort.SliceStable(fresh, func(i, j int) bool { return pointLess(&fresh[i], &fresh[j]) })
-	merged := mergeSorted(sortedPrefix, fresh)
-	return newSnapshot(columnsOf(merged), merged, nil, gen)
+// upperBound returns the first position whose row sorts after p: the
+// merge rank of a point appended after every row of this snapshot. On a
+// mapped snapshot each probe decodes the sort key from the row's bytes;
+// no chunk is materialized.
+func (sn *Snapshot) upperBound(p *Point) int32 {
+	return int32(sort.Search(len(sn.sorted), func(i int) bool {
+		if sn.lazy == nil {
+			return pointLess(p, &sn.sorted[i])
+		}
+		k := sn.rowKey(i)
+		return pointLess(p, &k)
+	}))
 }
 
-// mergeSorted stably merges two sorted slices; on equal keys the left
-// (earlier-appended) element wins, preserving append order.
-func mergeSorted(a, b []Point) []Point {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Point, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if pointLess(&b[j], &a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
+// appendOrder returns the positions in append order.
+func (sn *Snapshot) appendOrder() []int32 {
+	sn.inOrderOnce.Do(func() {
+		sn.inOrder = make([]int32, len(sn.col.AppendIdx))
+		for k, idx := range sn.col.AppendIdx {
+			sn.inOrder[idx] = int32(k)
 		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	})
+	return sn.inOrder
 }

@@ -96,8 +96,8 @@ func TestPropertyIndexedSelectEqualsScan(t *testing.T) {
 	}
 }
 
-// Appends after a snapshot must not disturb the merge-amortized rebuild:
-// interleave appends and queries and re-check the scan equivalence at every
+// Appends after a snapshot must not disturb the delta roll: interleave
+// appends and queries and re-check the scan equivalence at every
 // generation.
 func TestSnapshotMergeAmortizedRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -3,7 +3,12 @@ package storage
 // BenchmarkStoreOpenCold measures the cold-open path: OpenSegments + Load +
 // the first Snapshot over a ~100k-point store, for the two load rungs. v2
 // is the columnar load every build takes (mmap on Linux, read bytes under
-// the nommap tag); v1-parse is the row rebuild.
+// the nommap tag); v1-parse is the row rebuild. Two more cases time the
+// first read after the store has changed since its compaction, with the
+// open itself untimed: v2-first-append is the next Snapshot plus one hot
+// AdviceJSON after one Add to a freshly opened store, and v2-wal-tail is
+// the first Snapshot plus one hot AdviceJSON of a store opened with one
+// point in its WAL.
 
 import (
 	"path/filepath"
@@ -30,6 +35,47 @@ func benchSnapshotDir(b *testing.B, pts []dataset.Point, order []int, v2 bool) s
 		b.Fatal(err)
 	}
 	return dir
+}
+
+// benchHotFilter is the hot advice filter the changed-store cases serve.
+var benchHotFilter = dataset.Filter{AppName: "lammps"}.Canonical()
+
+// benchFirstRead times the first Snapshot plus one hot AdviceJSON of each
+// store prepare opens; prepare itself is untimed.
+func benchFirstRead(b *testing.B, wantLen int, prepare func(b *testing.B) (*SegmentStore, *dataset.Store)) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		seg, st := prepare(b)
+		b.StartTimer()
+		sn := st.Snapshot()
+		if _, n, err := sn.AdviceJSON(&benchHotFilter, false); err != nil || n == 0 {
+			b.Fatalf("hot advice: %d rows, %v", n, err)
+		}
+		b.StopTimer()
+		if sn.Len() != wantLen {
+			b.Fatalf("snapshot len %d, want %d", sn.Len(), wantLen)
+		}
+		if err := seg.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+func benchLoad(b *testing.B, dir string) (*SegmentStore, *dataset.Store) {
+	b.Helper()
+	seg, err := OpenSegments(dir, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := seg.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return seg, st
 }
 
 func benchOpenCold(b *testing.B, dir string, wantLen int) {
@@ -69,5 +115,30 @@ func BenchmarkStoreOpenCold(b *testing.B) {
 	})
 	b.Run("v2", func(b *testing.B) {
 		benchOpenCold(b, dirV2, len(pts))
+	})
+	b.Run("v2-first-append", func(b *testing.B) {
+		benchFirstRead(b, len(pts)+1, func(b *testing.B) (*SegmentStore, *dataset.Store) {
+			seg, st := benchLoad(b, dirV2)
+			st.Snapshot()
+			st.Add(point(len(pts)))
+			return seg, st
+		})
+	})
+
+	dirTail := benchSnapshotDir(b, pts, order, true)
+	seg, err := OpenSegments(dirTail, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := seg.Append(point(len(pts))); err != nil {
+		b.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("v2-wal-tail", func(b *testing.B) {
+		benchFirstRead(b, len(pts)+1, func(b *testing.B) (*SegmentStore, *dataset.Store) {
+			return benchLoad(b, dirTail)
+		})
 	})
 }

@@ -436,8 +436,9 @@ func (s *SegmentStore) Close() error {
 //
 //  1. A v2 snapshot is served by the columnar constructor over the file's
 //     bytes, mapped on Linux and read into the heap elsewhere. Every
-//     section is CRC-verified first, and rows decode lazily. Any CRC,
-//     bounds or validation failure drops to 2.
+//     section is CRC-verified first, and rows decode lazily. The WAL tail
+//     becomes the store's delta over that base, so it decodes and copies
+//     no snapshot row. Any CRC, bounds or validation failure drops to 2.
 //  2. Anything else (a v1 snapshot, or a v2 file rung 1 rejects) decodes
 //     the rows in append order and builds an ordinary heap store, the way
 //     live collection does. Damaged rows are a Load error.
