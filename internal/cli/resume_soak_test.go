@@ -2,10 +2,12 @@ package cli
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -37,15 +39,16 @@ appinputs:
 
 // TestHelperCollectProcess is not a test: it is the child process body for
 // the soak tests, re-exec'ed from the test binary with the state dir and
-// config passed through the environment.
+// config passed through the environment. Arguments after the test binary's
+// "--" are appended to the collect command line.
 func TestHelperCollectProcess(t *testing.T) {
 	if os.Getenv("HPCADVISOR_SOAK_HELPER") != "1" {
 		t.Skip("helper process for the kill-and-resume soak")
 	}
-	code := Run([]string{
+	code := Run(append([]string{
 		"-state", os.Getenv("HPCADVISOR_SOAK_STATE"),
 		"collect", "-c", os.Getenv("HPCADVISOR_SOAK_CONFIG"),
-	}, os.Stdout, os.Stderr)
+	}, flag.Args()...), os.Stdout, os.Stderr)
 	os.Exit(code)
 }
 
@@ -90,11 +93,12 @@ func soakArtifacts(t *testing.T, state string) map[string][]byte {
 	return out
 }
 
-// interruptChildSweep starts the helper child on a fresh state dir, waits
-// for the journal to accumulate a few durable outcomes, and delivers sig.
-// It reports the state dir, the config path, and whether the child was
-// caught mid-sweep (false: the child finished first — caller retries).
-func interruptChildSweep(t *testing.T, sig syscall.Signal) (string, string, bool) {
+// interruptChildSweep starts the helper child on a fresh state dir with
+// collectArgs appended to its collect command, waits for the journal to
+// accumulate a few outcomes, and delivers sig. It reports the state dir,
+// the config path, and whether the child was caught mid-sweep (false: the
+// child finished first — caller retries).
+func interruptChildSweep(t *testing.T, sig syscall.Signal, collectArgs ...string) (string, string, bool) {
 	t.Helper()
 	dir := t.TempDir()
 	state := filepath.Join(dir, ".hpcadvisor")
@@ -103,7 +107,8 @@ func interruptChildSweep(t *testing.T, sig syscall.Signal) (string, string, bool
 		t.Fatalf("deploy create: %s", r.err.String())
 	}
 
-	cmd := osexec.Command(os.Args[0], "-test.run=^TestHelperCollectProcess$")
+	cmd := osexec.Command(os.Args[0],
+		append([]string{"-test.run=^TestHelperCollectProcess$", "--"}, collectArgs...)...)
 	cmd.Env = append(os.Environ(),
 		"HPCADVISOR_SOAK_HELPER=1",
 		"HPCADVISOR_SOAK_STATE="+state,
@@ -175,13 +180,35 @@ func resumeAndCompare(t *testing.T, state, cfg string, ref map[string][]byte) {
 // TestKillAndResumeSoak: SIGKILL mid-sweep — no teardown, no seal, a
 // possibly torn journal tail — then resume to the byte-identical dataset.
 func TestKillAndResumeSoak(t *testing.T) {
+	killAndResume(t, 1)
+}
+
+// TestKillAndResumeSoakParallelPools: the same soak with the killed child
+// collecting three pool lanes concurrently. Lane outcomes are journaled
+// non-durable and nothing is merged before the kill, so the sequential
+// resume re-runs them to the sequential reference.
+func TestKillAndResumeSoakParallelPools(t *testing.T) {
+	killAndResume(t, 3)
+}
+
+// killAndResume SIGKILLs a child collect run with -parallel-pools parallel
+// mid-sweep, then resumes it to the sequential reference.
+func killAndResume(t *testing.T, parallel int) {
+	t.Helper()
+	var collectArgs []string
+	if parallel > 1 {
+		collectArgs = []string{"-parallel-pools", strconv.Itoa(parallel)}
+	}
 	ref := soakReference(t)
 	for attempt := 1; ; attempt++ {
-		state, cfg, caught := interruptChildSweep(t, syscall.SIGKILL)
+		state, cfg, caught := interruptChildSweep(t, syscall.SIGKILL, collectArgs...)
 		if caught {
-			replay, _, err := collector.ReadJournal(filepath.Join(state, "journal-clitest-0001.jnl"))
+			replay, recs, err := collector.ReadJournal(filepath.Join(state, "journal-clitest-0001.jnl"))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(recs) == 0 || recs[0].Parallel != parallel {
+				t.Fatalf("killed child's journal does not begin with parallel=%d: %+v", parallel, recs[:min(1, len(recs))])
 			}
 			if replay.Sealed {
 				t.Error("SIGKILL left a sealed journal; kill was not abrupt")

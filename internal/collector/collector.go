@@ -6,14 +6,15 @@
 // the previous pool is resized to zero or deleted according to user
 // preference.
 //
-// The walk runs in one of two modes. The default (Options.MaxParallelPools
-// <= 1) is the paper's sequential loop: one pool at a time, one scenario at
-// a time, everything on the deployment's shared virtual clock. With
+// The per-task loop is written once (walk, in engine.go) and runs over one
+// batch service at a time. By default (Options.MaxParallelPools <= 1) it
+// walks the whole list on the deployment's shared virtual clock: the
+// paper's sequential loop, one pool and one scenario at a time. With
 // MaxParallelPools > 1 the scenario list is partitioned per VM type into
-// independent pool lanes and up to that many lanes collect concurrently,
-// each on a private simulation substrate (see engine.go). Both modes
-// produce byte-identical datasets and identical accounting for the same
-// scenario list — parallelism reorders execution, not outcomes.
+// independent pool lanes, and up to that many lanes walk their partitions
+// concurrently, each on a private simulation substrate. Both modes produce
+// byte-identical datasets and identical accounting for the same scenario
+// list — parallelism reorders execution, not outcomes.
 //
 // The walk is also a durable, failure-aware state machine. Every error is
 // classified by the failure taxonomy (taxonomy.go) with a per-class retry
@@ -53,9 +54,9 @@ type Planner interface {
 	// Decide inspects the task and the data collected so far. Returning
 	// run=false skips the scenario, recording the reason. In sequential
 	// mode store is the collection's target store; in concurrent mode it is
-	// the lane's own shard, so cross-VM-type strategies (e.g. aggressive
-	// discarding) only see evidence from their own lane — use sequential
-	// collection when a strategy needs to compare VM types.
+	// the store of the lane's own points, so cross-VM-type strategies (e.g.
+	// aggressive discarding) only see evidence from their own lane — use
+	// sequential collection when a strategy needs to compare VM types.
 	Decide(t *scenario.Task, store *dataset.Store) (run bool, reason string)
 }
 
@@ -231,10 +232,14 @@ func (c *Collector) Run(list *scenario.List, store *dataset.Store, opts Options)
 	}
 	opts.have = resumeHave(opts.Resume, store)
 
+	var lanes []*lane
+	if opts.MaxParallelPools > 1 {
+		lanes = partitionLanes(list, opts.Resume)
+	}
 	var rep *Report
 	var err error
-	if opts.MaxParallelPools > 1 && countActiveSKUs(list, opts.Resume) > 1 {
-		rep, err = c.runConcurrent(list, store, opts)
+	if len(lanes) > 1 {
+		rep, err = c.runConcurrent(lanes, store, opts)
 	} else {
 		rep, err = c.runSequential(list, store, opts)
 	}
@@ -256,19 +261,6 @@ func (c *Collector) Run(list *scenario.List, store *dataset.Store, opts Options)
 		}
 	}
 	return rep, err
-}
-
-// countActiveSKUs reports how many distinct VM types the walk will touch:
-// pending tasks plus (under resume) journaled tasks to ghost-replay — the
-// number of lanes a concurrent run would create.
-func countActiveSKUs(list *scenario.List, resume *Replay) int {
-	seen := map[string]bool{}
-	for _, t := range list.Tasks {
-		if t.Status == scenario.StatusPending || isGhost(resume, t) {
-			seen[t.SKU] = true
-		}
-	}
-	return len(seen)
 }
 
 // isGhost reports whether a task has a journaled outcome to replay.
@@ -319,10 +311,9 @@ func interrupted(opts Options) bool {
 	}
 }
 
-// taskRun is the per-task execution context shared by the sequential walk
-// and the concurrent lanes: the service to run on, the lane being
-// accounted, the SKU's breaker, and whether this is a ghost replay of a
-// journaled outcome.
+// taskRun is the per-task execution context of a walk: the service to run
+// on, the lane being accounted, the SKU's breaker, and whether this is a
+// ghost replay of a journaled outcome.
 type taskRun struct {
 	svc      *batchsim.Service
 	opts     Options
@@ -526,9 +517,8 @@ func (c *Collector) admitTask(r *taskRun, task *scenario.Task) bool {
 	return false
 }
 
-// runSequential is the paper's Algorithm 1: one pool at a time on the
-// deployment's shared clock, with per-VM-type lane accounting maintained
-// along the way so its report matches the concurrent engine's.
+// runSequential is the paper's Algorithm 1: the whole list walked on the
+// deployment's shared clock into the target store.
 func (c *Collector) runSequential(list *scenario.List, store *dataset.Store, opts Options) (*Report, error) {
 	start := c.Service.Clock.Now()
 	report := &Report{NodeSecondsBySKU: make(map[string]float64)}
@@ -552,119 +542,13 @@ func (c *Collector) runSequential(list *scenario.List, store *dataset.Store, opt
 		flush = store.Flush
 	}
 	run := &taskRun{svc: c.Service, opts: opts, agg: agg, addPoint: addPoint, flush: flush}
-	breakers := map[string]*breakerState{}
-
-	previousVMType := ""
-	poolID := ""
-	segStart := start // virtual time the active pool segment opened
-	segNS := 0.0      // the active SKU's node-second total at segment open
-	closeSegment := func() {
-		if previousVMType == "" {
-			return
-		}
-		ln := lanes.get(previousVMType, "")
-		now := c.Service.Clock.Now()
-		ln.VirtualSeconds += (now - segStart).Seconds()
-		ln.NodeSeconds += c.Service.NodeSecondsBySKU()[previousVMType] - segNS
-		segStart = now
-	}
-	teardown := func() error {
-		if poolID == "" {
-			return nil
-		}
-		closeSegment()
-		if opts.DeletePoolAfter {
-			if err := c.Service.DeletePool(poolID); err != nil {
-				return err
-			}
-		} else if err := c.Service.Resize(poolID, 0); err != nil {
-			return err
-		}
-		poolID = ""
-		return nil
-	}
-
-	for _, task := range list.Tasks {
-		if interrupted(opts) {
-			if err := teardown(); err != nil {
-				return report, err
-			}
-			report.Interrupted = true
-			return report, ErrInterrupted
-		}
-		gout, ghost := TaskOutcome{}, false
-		if opts.Resume != nil {
-			gout, ghost = opts.Resume.Outcomes[task.ID]
-		}
-		if task.Status != scenario.StatusPending && !ghost {
-			continue
-		}
-		lane := lanes.get(task.SKU, task.SKUAlias)
-		run.lane = lane
-		run.ghost = ghost
-		run.brk = breakerFor(breakers, task.SKU, opts.Breaker)
-		if ghost && gout.Status == scenario.StatusSkipped {
-			restoreSkip(opts, task, lane, gout)
-			continue
-		}
-		if !ghost && opts.Planner != nil {
-			if ok, reason := opts.Planner.Decide(task, store); !ok {
-				task.Status = scenario.StatusSkipped
-				task.Error = reason
-				lane.Skipped++
-				// Journaled so resume restores the decision instead of
-				// re-deciding against a different store state.
-				run.journalOutcome(task, ClassNone, reason)
-				notify(opts, task)
-				continue
-			}
-		}
-
-		// Pool-per-VM-type reuse (Algorithm 1 lines 3-7).
-		if ghost {
-			// Ghost replay recomputes the attempt history from scratch so
-			// it matches an uninterrupted run exactly.
-			task.Attempts = 0
-			task.Status = scenario.StatusPending
-			task.Error = ""
-		}
-		if task.SKU != previousVMType {
-			if err := teardown(); err != nil {
-				return report, err
-			}
-			poolID = "pool-" + task.SKUAlias
-			if err := c.createPool(run, task, poolID); err != nil {
-				return report, err
-			}
-			previousVMType = task.SKU
-			segStart = c.Service.Clock.Now()
-			segNS = c.Service.NodeSecondsBySKU()[task.SKU]
-		}
-		if !c.admitTask(run, task) {
-			continue
-		}
-		if ok, err := c.resizePool(run, task, poolID); err != nil {
-			return report, err
-		} else if !ok {
-			if ghost {
-				run.finishGhost(task, gout)
-			}
-			continue
-		}
-
-		if err := c.runScenario(run, task, poolID); err != nil {
-			return report, err
-		}
-		if ghost {
-			run.finishGhost(task, gout)
-		}
-	}
-	if err := teardown(); err != nil {
+	if _, err := c.walk(run, list.Tasks, store, lanes.get); err != nil {
+		report.Interrupted = errors.Is(err, ErrInterrupted)
 		return report, err
 	}
 
 	report.NodeSecondsBySKU = c.Service.NodeSecondsBySKU()
-	cost, err := c.priceNodeSeconds(report.NodeSecondsBySKU, opts.UseSpot)
+	cost, err := c.PriceNodeSeconds(report.NodeSecondsBySKU, opts.UseSpot)
 	if err != nil {
 		return report, err
 	}
@@ -688,8 +572,7 @@ func breakerFor(m map[string]*breakerState, sku string, policy BreakerPolicy) *b
 }
 
 // runScenario executes one task with class-driven retries on the lane's
-// pool and records its datapoint, updating the lane's counters. It is the
-// per-scenario core shared by the sequential walk and the concurrent lanes.
+// pool and records its datapoint, updating the lane's counters.
 func (c *Collector) runScenario(r *taskRun, task *scenario.Task, poolID string) error {
 	opts := r.opts
 	svc := r.svc
@@ -840,9 +723,10 @@ func (c *Collector) hourly(sku string, spot bool) (float64, error) {
 	return c.Prices.Hourly(c.Region, sku)
 }
 
-// priceNodeSeconds totals the cost of a node-seconds-by-SKU map, summing in
-// sorted SKU order so the float result is deterministic.
-func (c *Collector) priceNodeSeconds(ns map[string]float64, spot bool) (float64, error) {
+// PriceNodeSeconds totals the cost of a node-seconds-by-SKU map at the
+// collector's region and on-demand or spot terms, summing in sorted SKU
+// order so the float result is deterministic.
+func (c *Collector) PriceNodeSeconds(ns map[string]float64, spot bool) (float64, error) {
 	total := 0.0
 	for _, sku := range sortedKeys(ns) {
 		hourly, err := c.hourly(sku, spot)
@@ -879,9 +763,6 @@ func newLaneSet() *laneSet {
 
 func (s *laneSet) get(sku, alias string) *LaneReport {
 	if i, ok := s.index[sku]; ok {
-		if s.all[i].SKUAlias == "" {
-			s.all[i].SKUAlias = alias
-		}
 		return s.all[i]
 	}
 	s.index[sku] = len(s.all)

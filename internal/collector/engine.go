@@ -1,17 +1,26 @@
-// The concurrent collection engine. The scenario list is partitioned per VM
-// type into independent pool lanes; each lane replays exactly the pool
-// lifecycle the sequential collector would have given it — create, resize
-// per scenario, execute, teardown — but on a private simulation substrate: a
-// fresh virtual clock at time zero, a control-plane replica with its own
-// quota ledger, and a private batch service (batchsim.Service.Lane). A
-// bounded worker pool runs up to Options.MaxParallelPools lanes at once on
-// real OS threads.
+// The collection walk and the concurrent lane engine.
+//
+// walk is Algorithm 1's per-task loop, written once. It walks a task slice
+// on one batch service: the sequential run walks the whole list on the
+// deployment's service into the target store, and each concurrent lane
+// walks its VM type's partition on a private service into a store of its
+// own. Either way the walk opens a VM type's pool when the VM type changes,
+// resizes it per scenario, tears it down at the next change, and books
+// each pool segment's virtual seconds and node-seconds to that VM type's
+// LaneReport.
+//
+// In concurrent mode the scenario list is partitioned per VM type into
+// independent pool lanes; each lane's walk runs on a private simulation
+// substrate: a fresh virtual clock at time zero, a control-plane replica
+// with its own quota ledger, and a private batch service
+// (batchsim.Service.Lane). A bounded worker pool runs up to
+// Options.MaxParallelPools lanes at once on real OS threads.
 //
 // Determinism comes from the merge, not from the schedule. Every simulated
 // quantity a lane produces (execution times, costs, metrics, spot
 // preemption draws, node names) depends only on pool-relative coordinates,
 // so each lane's local timeline is a time-shifted copy of its segment of
-// the sequential timeline. After the lanes join, their datapoint shards are
+// the sequential timeline. After the lanes join, their points are
 // concatenated in canonical lane order (first appearance of the VM type in
 // the task list) and each point's timestamp is rebased — in integer
 // nanosecond arithmetic, so not even a float ulp drifts — onto the
@@ -23,7 +32,7 @@
 // lane ghost-replays its journaled prefix so lane clocks and durations
 // match the uninterrupted run, and the merge drops points whose scenario is
 // already durable in the target store. On Options.Interrupt the engine
-// discards the lane shards entirely instead of merging partial lanes:
+// discards the lanes' points entirely instead of merging partial lanes:
 // merging a half-finished lane would append its remainder after the other
 // lanes on resume and diverge from the canonical order, whereas discarding
 // leaves every journaled outcome non-durable so the resumed run re-executes
@@ -42,37 +51,172 @@ import (
 	"hpcadvisor/internal/scenario"
 )
 
+// walk runs Algorithm 1 over tasks on run.svc: the interrupt check, the
+// ghost lookup and skip restore, the planner (which sees view), the pool
+// (re)open on a VM-type change, then breaker admission, resize, and
+// execution. laneOf returns the report a task's VM type is booked to. It
+// returns the virtual time its pool segments spanned.
+//
+// A pool segment opens before its pool is created, so creation backoff is
+// booked, and closes at teardown. A hard error stops the walk with the pool
+// still up; its open segment is booked anyway, so a failed lane still has a
+// duration for the merge.
+func (c *Collector) walk(run *taskRun, tasks []*scenario.Task, view *dataset.Store, laneOf func(sku, alias string) *LaneReport) (elapsed time.Duration, err error) {
+	svc, opts := run.svc, run.opts
+	breakers := map[string]*breakerState{}
+
+	var (
+		poolID   string
+		seg      *LaneReport // the lane of the open pool segment; nil when none is open
+		segStart time.Duration
+		segNS    float64 // the segment SKU's node-second total at open
+	)
+	closeSegment := func() {
+		if seg == nil {
+			return
+		}
+		d := svc.Clock.Now() - segStart
+		seg.VirtualSeconds += d.Seconds()
+		seg.NodeSeconds += svc.NodeSecondsBySKU()[seg.SKU] - segNS
+		elapsed += d
+		seg = nil
+	}
+	teardown := func() error {
+		if seg == nil {
+			return nil
+		}
+		closeSegment()
+		if opts.DeletePoolAfter {
+			return svc.DeletePool(poolID)
+		}
+		return svc.Resize(poolID, 0)
+	}
+	defer closeSegment()
+
+	for _, task := range tasks {
+		if interrupted(opts) {
+			if err := teardown(); err != nil {
+				return elapsed, err
+			}
+			return elapsed, ErrInterrupted
+		}
+		gout, ghost := TaskOutcome{}, false
+		if opts.Resume != nil {
+			gout, ghost = opts.Resume.Outcomes[task.ID]
+		}
+		if task.Status != scenario.StatusPending && !ghost {
+			continue
+		}
+		lane := laneOf(task.SKU, task.SKUAlias)
+		run.lane = lane
+		run.ghost = ghost
+		run.brk = breakerFor(breakers, task.SKU, opts.Breaker)
+		if ghost && gout.Status == scenario.StatusSkipped {
+			restoreSkip(opts, task, lane, gout)
+			continue
+		}
+		if !ghost && opts.Planner != nil {
+			if ok, reason := opts.Planner.Decide(task, view); !ok {
+				task.Status = scenario.StatusSkipped
+				task.Error = reason
+				lane.Skipped++
+				// Journaled so resume restores the decision instead of
+				// re-deciding against a different store state.
+				run.journalOutcome(task, ClassNone, reason)
+				notify(opts, task)
+				continue
+			}
+		}
+		if ghost {
+			// Ghost replay recomputes the attempt history from scratch so
+			// it matches an uninterrupted run exactly.
+			task.Attempts = 0
+			task.Status = scenario.StatusPending
+			task.Error = ""
+		}
+
+		// Pool-per-VM-type reuse (Algorithm 1 lines 3-7).
+		if seg != lane {
+			if err := teardown(); err != nil {
+				return elapsed, err
+			}
+			seg, segStart, segNS = lane, svc.Clock.Now(), svc.NodeSecondsBySKU()[task.SKU]
+			poolID = "pool-" + task.SKUAlias
+			if err := c.createPool(run, task, poolID); err != nil {
+				return elapsed, err
+			}
+		}
+		if !c.admitTask(run, task) {
+			continue
+		}
+		if ok, err := c.resizePool(run, task, poolID); err != nil {
+			return elapsed, err
+		} else if !ok {
+			if ghost {
+				run.finishGhost(task, gout)
+			}
+			continue
+		}
+		if err := c.runScenario(run, task, poolID); err != nil {
+			return elapsed, err
+		}
+		if ghost {
+			run.finishGhost(task, gout)
+		}
+	}
+	if err := teardown(); err != nil {
+		return elapsed, err
+	}
+	return elapsed, nil
+}
+
 // lane is one VM type's partition of the task list plus everything its
-// worker produced: the private service, the datapoint shard, per-point
+// walk produced: the private service, the lane's points, per-point
 // completion stamps on the lane clock, and the lane report.
 type lane struct {
-	sku    string
-	alias  string
 	tasks  []*scenario.Task
 	svc    *batchsim.Service
-	shard  *dataset.Store
-	stamps []time.Duration // lane-clock completion time per shard point
+	points *dataset.Store
+	stamps []time.Duration // lane-clock completion time per point
 	rep    LaneReport
-	// duration is the lane's virtual timeline length: zero until the first
-	// pool is created, then the last task completion time on the lane
-	// clock (lane clocks start at zero).
+	// duration is the lane's virtual timeline length: its one pool
+	// segment, opened at lane time zero (zero if it never opened a pool).
 	duration time.Duration
 	err      error
 }
 
-// runConcurrent executes the task list with per-VM-type lanes at bounded
-// concurrency and merges the lane results into store deterministically.
-func (c *Collector) runConcurrent(list *scenario.List, store *dataset.Store, opts Options) (*Report, error) {
-	report := &Report{NodeSecondsBySKU: make(map[string]float64)}
-	lanes := partitionLanes(list, opts.Resume)
-	agg := monitor.NewAggregator()
-
-	// Shards are created up front, in canonical lane order, so the merged
-	// snapshot order never depends on worker scheduling.
-	shards := dataset.NewSharded()
-	for _, ln := range lanes {
-		ln.shard = shards.Shard(ln.sku)
+// collect walks the lane's partition on a private service into a store of
+// its own. Journaled outcomes from a lane are non-durable until the merge
+// commits (taskRun.flush stays nil).
+func (ln *lane) collect(c *Collector, opts Options, agg *monitor.Aggregator) error {
+	ln.points = dataset.NewStore()
+	svc, err := c.Service.Lane()
+	if err != nil {
+		return err
 	}
+	ln.svc = svc
+	addPoint := func(p dataset.Point) {
+		ln.points.Add(p)
+		ln.stamps = append(ln.stamps, svc.Clock.Now())
+	}
+	run := &taskRun{svc: svc, opts: opts, agg: agg, addPoint: addPoint}
+	ln.duration, err = c.walk(run, ln.tasks, ln.points, func(string, string) *LaneReport { return &ln.rep })
+	return err
+}
+
+// runConcurrent executes the lanes at bounded concurrency and merges their
+// results into store deterministically.
+func (c *Collector) runConcurrent(lanes []*lane, store *dataset.Store, opts Options) (*Report, error) {
+	report := &Report{NodeSecondsBySKU: make(map[string]float64)}
+	agg := monitor.NewAggregator()
+	laneReports := make([]*LaneReport, 0, len(lanes))
+	for _, ln := range lanes {
+		laneReports = append(laneReports, &ln.rep)
+	}
+	defer func() {
+		c.priceLanes(laneReports, opts.UseSpot)
+		foldLanes(report, laneReports, agg)
+	}()
 
 	// Progress callbacks fire from lane goroutines; serialize them so user
 	// code never observes two concurrent calls.
@@ -99,22 +243,16 @@ func (c *Collector) runConcurrent(list *scenario.List, store *dataset.Store, opt
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ln.err = c.runLane(ln, laneOpts, agg)
+			ln.err = ln.collect(c, laneOpts, agg)
 		}(ln)
 	}
 	wg.Wait()
 
 	for _, ln := range lanes {
 		if errors.Is(ln.err, ErrInterrupted) {
-			// Discard the shards (see the package comment): nothing is
-			// merged, journaled lane outcomes stay non-durable, and the
+			// Discard the lanes' points (see the package comment): nothing
+			// is merged, journaled lane outcomes stay non-durable, and the
 			// resumed run re-executes the whole list in canonical order.
-			laneReports := make([]*LaneReport, 0, len(lanes))
-			for _, l := range lanes {
-				l.rep.VirtualSeconds = l.duration.Seconds()
-				laneReports = append(laneReports, &l.rep)
-			}
-			foldLanes(report, laneReports, agg)
 			report.Interrupted = true
 			return report, ErrInterrupted
 		}
@@ -127,14 +265,13 @@ func (c *Collector) runConcurrent(list *scenario.List, store *dataset.Store, opt
 	var cum time.Duration
 	taskOffset := 0
 	var firstErr error
-	laneReports := make([]*LaneReport, 0, len(lanes))
 	for _, ln := range lanes {
-		pts := ln.shard.All()
+		pts := ln.points.All()
 		stamps := ln.stamps
 		if len(opts.have) > 0 {
-			// Resume: ghost replays re-added their points to the shard so
-			// the lane's planner view and stamps matched the original run;
-			// drop the ones whose datapoint is already durable in store.
+			// Resume: ghost replays re-added their points to the lane so
+			// its planner view and stamps matched the original run; drop
+			// the ones whose datapoint is already durable in store.
 			fp, fs := pts[:0], stamps[:0]
 			for i := range pts {
 				if opts.have[pts[i].ScenarioID] {
@@ -153,28 +290,23 @@ func (c *Collector) runConcurrent(list *scenario.List, store *dataset.Store, opt
 		if ln.err != nil && firstErr == nil {
 			firstErr = ln.err
 		}
-		ln.rep.VirtualSeconds = ln.duration.Seconds()
 		if ln.svc != nil {
-			ln.rep.NodeSeconds = ln.svc.NodeSecondsBySKU()[ln.sku]
 			c.Service.Meter.AddTotals(ln.svc.UsageSnapshot())
 		}
 		cum += ln.duration
 		taskOffset += ln.rep.Attempts + ln.rep.ResumedAttempts
-		laneReports = append(laneReports, &ln.rep)
 	}
 	c.Service.Clock.Advance(cum)
 
-	c.priceLanes(laneReports, opts.UseSpot)
-	foldLanes(report, laneReports, agg)
 	report.NodeSecondsBySKU = c.Service.NodeSecondsBySKU()
-	cost, err := c.priceNodeSeconds(report.NodeSecondsBySKU, opts.UseSpot)
+	cost, err := c.PriceNodeSeconds(report.NodeSecondsBySKU, opts.UseSpot)
 	if err != nil && firstErr == nil {
 		firstErr = err
 	}
 	report.CollectionCostUSD = cost
 	report.VirtualSeconds = cum.Seconds()
 	report.ElapsedVirtualSeconds = makespan(lanes, opts.MaxParallelPools).Seconds()
-	// Lane shards merged into store above went through its attached
+	// Lane points merged into store above went through its attached
 	// backend (if any) in canonical lane order; Flush makes them durable.
 	if err := store.Flush(); err != nil && firstErr == nil {
 		firstErr = err
@@ -198,107 +330,11 @@ func partitionLanes(list *scenario.List, resume *Replay) []*lane {
 		if !ok {
 			i = len(lanes)
 			index[t.SKU] = i
-			lanes = append(lanes, &lane{sku: t.SKU, alias: t.SKUAlias,
-				rep: LaneReport{SKU: t.SKU, SKUAlias: t.SKUAlias}})
+			lanes = append(lanes, &lane{rep: LaneReport{SKU: t.SKU, SKUAlias: t.SKUAlias}})
 		}
 		lanes[i].tasks = append(lanes[i].tasks, t)
 	}
 	return lanes
-}
-
-// runLane executes one VM type's scenarios on a private service. The
-// per-task sequence mirrors runSequential exactly: planner decision first,
-// pool created lazily on the first non-skipped task, resize per scenario
-// under the lane's breaker, teardown at the end. Journaled outcomes from a
-// lane are non-durable until the merge commits (taskRun.flush stays nil).
-func (c *Collector) runLane(ln *lane, opts Options, agg *monitor.Aggregator) error {
-	svc, err := c.Service.Lane()
-	if err != nil {
-		return err
-	}
-	ln.svc = svc
-	addPoint := func(p dataset.Point) {
-		ln.shard.Add(p)
-		ln.stamps = append(ln.stamps, svc.Clock.Now())
-	}
-	run := &taskRun{svc: svc, opts: opts, lane: &ln.rep, agg: agg,
-		addPoint: addPoint, brk: newBreaker(opts.Breaker)}
-
-	poolID := ""
-	teardown := func() error {
-		if poolID == "" {
-			return nil
-		}
-		ln.duration = svc.Clock.Now()
-		if opts.DeletePoolAfter {
-			return svc.DeletePool(poolID)
-		}
-		return svc.Resize(poolID, 0)
-	}
-	for _, task := range ln.tasks {
-		if interrupted(opts) {
-			if err := teardown(); err != nil {
-				return err
-			}
-			return ErrInterrupted
-		}
-		gout, ghost := TaskOutcome{}, false
-		if opts.Resume != nil {
-			gout, ghost = opts.Resume.Outcomes[task.ID]
-		}
-		if task.Status != scenario.StatusPending && !ghost {
-			continue
-		}
-		run.ghost = ghost
-		if ghost && gout.Status == scenario.StatusSkipped {
-			restoreSkip(opts, task, &ln.rep, gout)
-			continue
-		}
-		if !ghost && opts.Planner != nil {
-			if ok, reason := opts.Planner.Decide(task, ln.shard); !ok {
-				task.Status = scenario.StatusSkipped
-				task.Error = reason
-				ln.rep.Skipped++
-				// Journaled so resume restores the decision instead of
-				// re-deciding against a different shard state.
-				run.journalOutcome(task, ClassNone, reason)
-				notify(opts, task)
-				continue
-			}
-		}
-		if ghost {
-			// Ghost replay recomputes the attempt history from scratch so
-			// it matches an uninterrupted run exactly.
-			task.Attempts = 0
-			task.Status = scenario.StatusPending
-			task.Error = ""
-		}
-		if poolID == "" {
-			poolID = "pool-" + task.SKUAlias
-			if err := c.createPool(run, task, poolID); err != nil {
-				return err
-			}
-		}
-		if !c.admitTask(run, task) {
-			continue
-		}
-		if ok, err := c.resizePool(run, task, poolID); err != nil {
-			return err
-		} else if !ok {
-			if ghost {
-				run.finishGhost(task, gout)
-			}
-			continue
-		}
-		if err := c.runScenario(run, task, poolID); err != nil {
-			ln.duration = svc.Clock.Now()
-			return err
-		}
-		if ghost {
-			run.finishGhost(task, gout)
-		}
-	}
-	return teardown()
 }
 
 // renumberTasks rewrites the lane-local batch task IDs recorded on the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -212,6 +213,29 @@ func TestCreatePoolTransientRetry(t *testing.T) {
 	}
 	if rep.Completed != 1 || rep.Retries != 1 {
 		t.Errorf("completed = %d retries = %d, want 1 and 1", rep.Completed, rep.Retries)
+	}
+}
+
+// TestLaneSecondsIncludePoolCreateBackoff: a retried pool creation's
+// backoff is time the VM type's pool segment occupies, so the lanes'
+// virtual seconds still sum to the run's total.
+func TestLaneSecondsIncludePoolCreateBackoff(t *testing.T) {
+	f := newFixture(t)
+	f.cloud.InjectFault("CreatePool", cloudsim.ErrUnavailable)
+	list := smallLAMMPSList(t, []string{"Standard_HB120rs_v3", "Standard_HC44rs"}, []int{1, 2})
+	rep, err := f.col.Run(list, f.store, Options{MaxAttempts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Retries != 1 {
+		t.Fatalf("retries = %d, want the one injected creation fault", rep.Retries)
+	}
+	var vsec float64
+	for _, ln := range rep.Lanes {
+		vsec += ln.VirtualSeconds
+	}
+	if math.Abs(vsec-rep.VirtualSeconds) > 1e-9 {
+		t.Errorf("lane virtual-seconds sum %.3f != total %.3f", vsec, rep.VirtualSeconds)
 	}
 }
 

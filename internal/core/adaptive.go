@@ -26,116 +26,80 @@ func (a *Advisor) CollectAdaptive(deploymentName string, cfg *config.Config, bud
 	if budgetUSD <= 0 {
 		return nil, fmt.Errorf("core: adaptive collection needs a positive budget, got %.2f", budgetUSD)
 	}
-	// Held across the run for the same reason as Collect: the planner and
-	// collector mutate task statuses throughout, and registry readers must
-	// never observe a torn middle.
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	d, ok := a.deployments[deploymentName]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown deployment %q", deploymentName)
-	}
-	svc := a.services[deploymentName]
-
-	var err error
-	list := a.lists[deploymentName]
-	if list == nil {
-		list, err = scenario.Generate(cfg.ScenarioSpec(), a.Catalog)
-		if err != nil {
-			return nil, err
+	return a.withCollection(deploymentName, cfg, func(col *collector.Collector, list *scenario.List) (*collector.Report, error) {
+		svc := col.Service
+		agg := &collector.Report{NodeSecondsBySKU: make(map[string]float64)}
+		start := svc.Clock.Now()
+		spent := func() (float64, error) {
+			return col.PriceNodeSeconds(svc.NodeSecondsBySKU(), opts.UseSpot)
 		}
-		a.lists[deploymentName] = list
-	} else {
-		list.ResetRunning()
-	}
 
-	col := collector.New(svc, a.Apps, a.Prices, a.Catalog, d.Region, d.Name)
-	agg := &collector.Report{NodeSecondsBySKU: make(map[string]float64)}
-	start := svc.Clock.Now()
-
-	spent := func() (float64, error) {
-		total := 0.0
-		for sku, ns := range svc.NodeSecondsBySKU() {
-			var hourly float64
-			var err error
-			if opts.UseSpot {
-				hourly, err = a.Prices.HourlySpot(d.Region, sku)
-			} else {
-				hourly, err = a.Prices.Hourly(d.Region, sku)
+		for {
+			used, err := spent()
+			if err != nil {
+				return agg, err
+			}
+			if used >= budgetUSD {
+				break
+			}
+			ranked := sampler.PlanNext(a.Store, list.Pending(), a.Prices, col.Region, 1)
+			if len(ranked) == 0 {
+				break
+			}
+			sub := &scenario.List{Tasks: []*scenario.Task{ranked[0].Task}}
+			r, err := col.Run(sub, a.Store, collector.Options{
+				DeletePoolAfter: opts.DeletePoolAfter,
+				MaxAttempts:     opts.MaxAttempts,
+				UseSpot:         opts.UseSpot,
+				Progress:        opts.Progress,
+				Interrupt:       opts.Interrupt,
+				Backoff:         opts.Backoff,
+				Breaker:         opts.Breaker,
+				Stats:           a.Collection,
+			})
+			agg.Completed += r.Completed
+			agg.Failed += r.Failed
+			agg.Attempts += r.Attempts
+			agg.Retries += r.Retries
+			if errors.Is(err, collector.ErrInterrupted) {
+				// Stop planning; remaining scenarios stay pending so a later
+				// adaptive run (adaptive mode is not journaled) can pick the
+				// sweep back up under the same budget logic.
+				agg.Interrupted = true
+				agg.NodeSecondsBySKU = svc.NodeSecondsBySKU()
+				if cost, cerr := spent(); cerr == nil {
+					agg.CollectionCostUSD = cost
+				}
+				agg.VirtualSeconds = (svc.Clock.Now() - start).Seconds()
+				agg.ElapsedVirtualSeconds = agg.VirtualSeconds
+				return agg, collector.ErrInterrupted
 			}
 			if err != nil {
-				return 0, err
+				return agg, err
 			}
-			total += ns * hourly / 3600
 		}
-		return total, nil
-	}
 
-	for {
-		used, err := spent()
+		// Remaining pending scenarios were priced out by the budget.
+		for _, t := range list.Pending() {
+			t.Status = scenario.StatusSkipped
+			t.Error = fmt.Sprintf("adaptive collection budget $%.2f exhausted", budgetUSD)
+			agg.Skipped++
+			if opts.Progress != nil {
+				opts.Progress(t)
+			}
+		}
+
+		agg.NodeSecondsBySKU = svc.NodeSecondsBySKU()
+		cost, err := spent()
 		if err != nil {
 			return agg, err
 		}
-		if used >= budgetUSD {
-			break
-		}
-		ranked := sampler.PlanNext(a.Store, list.Pending(), a.Prices, d.Region, 1)
-		if len(ranked) == 0 {
-			break
-		}
-		sub := &scenario.List{Tasks: []*scenario.Task{ranked[0].Task}}
-		r, err := col.Run(sub, a.Store, collector.Options{
-			DeletePoolAfter: opts.DeletePoolAfter,
-			MaxAttempts:     opts.MaxAttempts,
-			UseSpot:         opts.UseSpot,
-			Progress:        opts.Progress,
-			Interrupt:       opts.Interrupt,
-			Backoff:         opts.Backoff,
-			Breaker:         opts.Breaker,
-			Stats:           a.Collection,
-		})
-		agg.Completed += r.Completed
-		agg.Failed += r.Failed
-		agg.Attempts += r.Attempts
-		agg.Retries += r.Retries
-		if errors.Is(err, collector.ErrInterrupted) {
-			// Stop planning; remaining scenarios stay pending so a later
-			// adaptive run (adaptive mode is not journaled) can pick the
-			// sweep back up under the same budget logic.
-			agg.Interrupted = true
-			agg.NodeSecondsBySKU = svc.NodeSecondsBySKU()
-			if cost, cerr := spent(); cerr == nil {
-				agg.CollectionCostUSD = cost
-			}
-			agg.VirtualSeconds = (svc.Clock.Now() - start).Seconds()
-			agg.ElapsedVirtualSeconds = agg.VirtualSeconds
-			return agg, collector.ErrInterrupted
-		}
-		if err != nil {
-			return agg, err
-		}
-	}
-
-	// Remaining pending scenarios were priced out by the budget.
-	for _, t := range list.Pending() {
-		t.Status = scenario.StatusSkipped
-		t.Error = fmt.Sprintf("adaptive collection budget $%.2f exhausted", budgetUSD)
-		agg.Skipped++
-		if opts.Progress != nil {
-			opts.Progress(t)
-		}
-	}
-
-	agg.NodeSecondsBySKU = svc.NodeSecondsBySKU()
-	cost, err := spent()
-	if err != nil {
-		return agg, err
-	}
-	agg.CollectionCostUSD = cost
-	agg.VirtualSeconds = (svc.Clock.Now() - start).Seconds()
-	// Adaptive steps run one scenario at a time on the shared clock, so the
-	// elapsed wall-clock is the sequential total (MaxParallelPools does not
-	// apply to this mode).
-	agg.ElapsedVirtualSeconds = agg.VirtualSeconds
-	return agg, nil
+		agg.CollectionCostUSD = cost
+		agg.VirtualSeconds = (svc.Clock.Now() - start).Seconds()
+		// Adaptive steps run one scenario at a time on the shared clock, so the
+		// elapsed wall-clock is the sequential total (MaxParallelPools does not
+		// apply to this mode).
+		agg.ElapsedVirtualSeconds = agg.VirtualSeconds
+		return agg, nil
+	})
 }

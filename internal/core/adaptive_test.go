@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"hpcadvisor/internal/config"
@@ -110,5 +111,33 @@ func TestAdaptiveCollectionValidation(t *testing.T) {
 	}
 	if _, err := adv.CollectAdaptive("ghost", cfg, 10, CollectOptions{}); err == nil {
 		t.Error("unknown deployment should fail")
+	}
+}
+
+// TestAdaptiveCollectionCostDeterministic: identical adaptive runs report
+// bit-identical collection costs. Node-seconds are priced in sorted SKU
+// order; summing them in map order made the last bits vary run to run.
+func TestAdaptiveCollectionCostDeterministic(t *testing.T) {
+	cfg := paperLAMMPSConfig(t)
+	var first uint64
+	for i := 0; i < 40; i++ {
+		adv := New("mysubscription")
+		dep, err := adv.DeployCreate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := adv.CollectAdaptive(dep.Name, cfg, 1000, CollectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := math.Float64bits(report.CollectionCostUSD)
+		if i == 0 {
+			first = bits
+			continue
+		}
+		if bits != first {
+			t.Fatalf("run %d cost %.17g differs from run 0's %.17g",
+				i, report.CollectionCostUSD, math.Float64frombits(first))
+		}
 	}
 }

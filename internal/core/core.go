@@ -310,23 +310,67 @@ type CollectOptions struct {
 // and runs the data-collection phase on the named deployment (Table II:
 // "collect").
 func (a *Advisor) Collect(deploymentName string, cfg *config.Config, opts CollectOptions) (*collector.Report, error) {
-	// The write lock is held across the whole run: the collector mutates
-	// the task list's statuses throughout, and concurrent registry readers
-	// (ScenarioTasks, the deployment pages) must observe either the state
-	// before the collection or after it, never a torn middle. Advice and
-	// plot serving reads dataset snapshots, not the registry, so it keeps
-	// flowing during a collect.
+	return a.withCollection(deploymentName, cfg, func(col *collector.Collector, list *scenario.List) (*collector.Report, error) {
+		planner := opts.Planner
+		if planner == nil {
+			var err error
+			planner, err = a.SamplerByName(opts.Sampler, col.Region)
+			if err != nil {
+				return nil, err
+			}
+		}
+		if opts.Resume != nil && opts.Resume.Begun {
+			// Sweep parameters shape the replay (retry budgets, spot draws):
+			// resuming under different ones would not reconverge on the
+			// uninterrupted run's dataset.
+			if opts.Resume.Spot != opts.UseSpot {
+				return nil, fmt.Errorf("core: resume: journal was collected with spot=%v, this run has spot=%v", opts.Resume.Spot, opts.UseSpot)
+			}
+			attempts := opts.MaxAttempts
+			if attempts < 1 {
+				attempts = 1
+			}
+			if opts.Resume.MaxAttempts != attempts {
+				return nil, fmt.Errorf("core: resume: journal was collected with attempts=%d, this run has attempts=%d", opts.Resume.MaxAttempts, attempts)
+			}
+		}
+		opts.Resume.Apply(list)
+		return col.Run(list, a.Store, collector.Options{
+			DeletePoolAfter:  opts.DeletePoolAfter,
+			MaxAttempts:      opts.MaxAttempts,
+			Planner:          planner,
+			Progress:         opts.Progress,
+			UseSpot:          opts.UseSpot,
+			MaxParallelPools: opts.MaxParallelPools,
+			Journal:          opts.Journal,
+			Resume:           opts.Resume,
+			Interrupt:        opts.Interrupt,
+			Backoff:          opts.Backoff,
+			Breaker:          opts.Breaker,
+			Stats:            a.Collection,
+		})
+	})
+}
+
+// withCollection runs one collection on the named deployment: it resolves
+// the deployment, generates its scenario list on first use (or resets tasks
+// an interrupted run left running), and calls run with a collector on the
+// deployment's service. The write lock is held across the whole run: the
+// collector mutates the task list's statuses throughout, and concurrent
+// registry readers (ScenarioTasks, the deployment pages) must observe
+// either the state before the collection or after it, never a torn middle.
+// Advice and plot serving reads dataset snapshots, not the registry, so it
+// keeps flowing during a collect.
+func (a *Advisor) withCollection(deploymentName string, cfg *config.Config, run func(*collector.Collector, *scenario.List) (*collector.Report, error)) (*collector.Report, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	d, ok := a.deployments[deploymentName]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown deployment %q", deploymentName)
 	}
-	svc := a.services[deploymentName]
-
-	var err error
 	list := a.lists[deploymentName]
 	if list == nil {
+		var err error
 		list, err = scenario.Generate(cfg.ScenarioSpec(), a.Catalog)
 		if err != nil {
 			return nil, err
@@ -335,45 +379,7 @@ func (a *Advisor) Collect(deploymentName string, cfg *config.Config, opts Collec
 	} else {
 		list.ResetRunning()
 	}
-
-	planner := opts.Planner
-	if planner == nil {
-		planner, err = a.SamplerByName(opts.Sampler, d.Region)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.Resume != nil && opts.Resume.Begun {
-		// Sweep parameters shape the replay (retry budgets, spot draws):
-		// resuming under different ones would not reconverge on the
-		// uninterrupted run's dataset.
-		if opts.Resume.Spot != opts.UseSpot {
-			return nil, fmt.Errorf("core: resume: journal was collected with spot=%v, this run has spot=%v", opts.Resume.Spot, opts.UseSpot)
-		}
-		attempts := opts.MaxAttempts
-		if attempts < 1 {
-			attempts = 1
-		}
-		if opts.Resume.MaxAttempts != attempts {
-			return nil, fmt.Errorf("core: resume: journal was collected with attempts=%d, this run has attempts=%d", opts.Resume.MaxAttempts, attempts)
-		}
-	}
-	opts.Resume.Apply(list)
-	col := collector.New(svc, a.Apps, a.Prices, a.Catalog, d.Region, d.Name)
-	return col.Run(list, a.Store, collector.Options{
-		DeletePoolAfter:  opts.DeletePoolAfter,
-		MaxAttempts:      opts.MaxAttempts,
-		Planner:          planner,
-		Progress:         opts.Progress,
-		UseSpot:          opts.UseSpot,
-		MaxParallelPools: opts.MaxParallelPools,
-		Journal:          opts.Journal,
-		Resume:           opts.Resume,
-		Interrupt:        opts.Interrupt,
-		Backoff:          opts.Backoff,
-		Breaker:          opts.Breaker,
-		Stats:            a.Collection,
-	})
+	return run(collector.New(a.services[deploymentName], a.Apps, a.Prices, a.Catalog, d.Region, d.Name), list)
 }
 
 // TaskList returns the scenario list of a deployment (nil if no collection

@@ -7,9 +7,9 @@
 //
 // Store is safe for concurrent use: appends and reads are guarded by a
 // read-write mutex, so progress callbacks and the GUI may read while a
-// collection appends. High-throughput concurrent producers — the collector's
-// parallel pool lanes — should not contend on one Store at all; they write
-// to per-SKU shards of a Sharded store and merge a snapshot afterwards.
+// collection appends. Concurrent producers that need a canonical order —
+// the collector's parallel pool lanes — each write to a Store of their own
+// and are merged into the target in a fixed order afterwards.
 package dataset
 
 import (

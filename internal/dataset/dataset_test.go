@@ -3,9 +3,11 @@ package dataset
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -390,5 +392,36 @@ func TestStoreFlushSurfacesStickySinkError(t *testing.T) {
 	// truth for queries; durability errors are the caller's to handle).
 	if s.Len() != 2 {
 		t.Errorf("store len = %d, want 2", s.Len())
+	}
+}
+
+func TestStoreConcurrentAddAndRead(t *testing.T) {
+	// Store itself must tolerate concurrent appends and reads (progress
+	// callbacks and the GUI read while collection appends). Run with -race.
+	s := NewStore()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				s.Add(Point{ScenarioID: fmt.Sprintf("w%d-%d", w, i), AppName: "lammps"})
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				_ = s.Len()
+				_ = s.Select(Filter{AppName: "lammps"})
+				_ = s.Apps()
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Len() != 400 {
+		t.Fatalf("Len = %d, want 400", s.Len())
+	}
+	if _, err := s.Marshal(); err != nil {
+		t.Fatal(err)
 	}
 }
