@@ -39,7 +39,7 @@ func (s *SegmentStore) ensureActive(path string) error {
 	return nil
 }
 
-// FrameLog methods are the framing layer; all of them may write.
+// FrameLog.reset writes the frame log header: an allowed raw writer.
 type FrameLog struct {
 	mu sync.Mutex
 	f  *os.File

@@ -15,21 +15,18 @@ var walHygienePackages = map[string]bool{
 	"collector": true,
 }
 
-// walFramingFuncs are the only functions allowed to write raw bytes to a
-// *os.File in those packages — the single shared frame encoder, the
-// segment-header writer, and the FrameLog's own methods. Everything else
-// must append through them so every durable byte is length-prefixed and
+// walRawWriters are the only functions allowed to write raw bytes to a
+// *os.File in those packages: the single shared frame encoder and the two
+// log-header writers, named "func" or "Type.method". Everything else must
+// append through appendFrame so every durable byte is length-prefixed and
 // CRC-framed; a raw Write anywhere else can interleave unframed bytes into
-// a log and turn a clean torn-tail recovery into data loss.
-var walFramingFuncs = map[string]bool{
-	"appendFrame":  true, // the one frame encoder (storage/segment.go)
-	"ensureActive": true, // writes the segment header of a new WAL segment
-}
-
-// walFramingTypes are receiver types all of whose methods may write raw
-// bytes: FrameLog is itself the framing layer.
-var walFramingTypes = map[string]bool{
-	"FrameLog": true,
+// a log and turn a clean torn-tail recovery into data loss. Each name must
+// be declared in internal/storage (walhygiene_test.go checks), so a rename
+// cannot leave a stale exemption behind.
+var walRawWriters = map[string]bool{
+	"appendFrame":               true, // the one frame encoder
+	"SegmentStore.ensureActive": true, // writes a new WAL segment's header
+	"FrameLog.reset":            true, // writes a fresh frame log header
 }
 
 // mmapSyscalls are the memory-mapping syscalls the mmap rule bans outside
@@ -60,8 +57,8 @@ var mmapExemptTypes = map[string]bool{
 // internal/collector, (1) any os.Rename must be preceded by an fsync in
 // the same function (publish-after-durable; fsatomic does this for
 // everyone else, these packages manage descriptors directly), and (2) raw
-// writes to *os.File values go only through the framing helpers listed
-// above, so every durable append is CRC-framed. Module-wide, (3)
+// writes to *os.File values happen only in the raw writers listed above,
+// so every durable append is CRC-framed. Module-wide, (3)
 // memory-mapping syscalls (Mmap/Munmap/Msync/...) appear only inside
 // storage's mmap helper (mapFile and the mmapRegion methods), so every
 // mapping's lifetime is finalizer-managed and pinned by the snapshots
@@ -69,7 +66,7 @@ var mmapExemptTypes = map[string]bool{
 var WALHygiene = &analysis.Analyzer{
 	Name: "walhygiene",
 	Doc: "in storage/collector: fsync before rename, and raw *os.File writes " +
-		"only inside the CRC framing helpers (FrameLog, appendFrame); " +
+		"only inside the CRC framing helpers (appendFrame, the log-header writers); " +
 		"module-wide: mmap syscalls only inside the storage mmap helper " +
 		"(mapFile, mmapRegion)",
 	Run: runWALHygiene,
@@ -100,7 +97,7 @@ func runWALHygiene(pass *analysis.Pass) error {
 				continue
 			}
 			checkSyncBeforeRename(pass, fd, imports)
-			if !framingExempt(fd) {
+			if !walRawWriters[funcKey(fd)] {
 				checkRawWrites(pass, fd, imports, fileFields)
 			}
 		}
@@ -164,15 +161,14 @@ func collectFileFields(f *ast.File, out map[string]bool) {
 	})
 }
 
-func framingExempt(fd *ast.FuncDecl) bool {
-	if walFramingFuncs[fd.Name.Name] {
-		return true
-	}
+// funcKey names a function declaration "func", or "Type.method" for a
+// method.
+func funcKey(fd *ast.FuncDecl) string {
 	if fd.Recv == nil {
-		return false
+		return fd.Name.Name
 	}
 	typeName, _ := receiverInfo(fd)
-	return walFramingTypes[typeName]
+	return typeName + "." + fd.Name.Name
 }
 
 // checkSyncBeforeRename reports os.Rename calls with no fsync (a .Sync()
@@ -262,7 +258,7 @@ func checkRawWrites(pass *analysis.Pass, fd *ast.FuncDecl, imports map[string]st
 		}
 		pass.Reportf(call.Pos(),
 			"raw %s on a *os.File outside the framing helpers; append through "+
-				"FrameLog/appendFrame so every durable byte is CRC-framed",
+				"appendFrame so every durable byte is CRC-framed",
 			sel.Sel.Name)
 		return true
 	})

@@ -1,15 +1,15 @@
 // framelog.go is a small append-only record log on the same CRC-framed
 // encoding as the WAL segments: an 8-byte magic header followed by
-// length-prefixed CRC-32C frames, one opaque payload per frame. The
-// collector's sweep journal rides on it. Unlike the segment store it is a
-// single file, every Append is fsynced before it returns (journal records
-// are tiny and rare next to datapoint writes), and recovery truncates a
-// torn tail at the last whole frame — the same crash contract as the WAL:
-// only an unacknowledged trailing write can be lost.
+// length-prefixed CRC-32C frames, one opaque, non-empty payload per frame.
+// The collector's sweep journal rides on it. Unlike the segment store it
+// is a single file, and every Append is fsynced before it returns (journal
+// records are tiny and rare next to datapoint writes). It recovers through
+// the same routine as the active WAL segment (recoverLog): the open keeps
+// every whole frame and truncates the rest, so only an unacknowledged
+// trailing write can be lost.
 package storage
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -23,12 +23,24 @@ const frameLogMagic = "HPAJNL1\n"
 
 const frameLogHeaderSize = len(frameLogMagic)
 
+// checkFrameLogHeader checks a frame log's magic. A WAL segment's magic is
+// an error of its own rather than a bad header, so the open refuses the
+// file instead of resetting it.
+func checkFrameLogHeader(hdr []byte) error {
+	switch string(hdr[:frameLogHeaderSize]) {
+	case frameLogMagic:
+		return nil
+	case logMagic:
+		return errors.New("a WAL segment, not a frame log")
+	}
+	return fmt.Errorf("%w: frame log magic %q", errBadHeader, hdr[:frameLogHeaderSize])
+}
+
 // FrameLog is an append-only, fsync-per-record, CRC-framed record log.
 type FrameLog struct {
 	mu     sync.Mutex
 	path   string
 	f      *os.File
-	size   int64
 	frames int
 	cut    int64
 	closed bool
@@ -37,77 +49,28 @@ type FrameLog struct {
 // OpenFrameLog opens (creating if absent) the frame log at path, recovers
 // any torn tail, and returns the surviving payloads in append order. A
 // file shorter than the header, or whose header was torn mid-write, is
-// reset to an empty log; a file with a well-formed foreign magic is an
-// error rather than something to clobber.
+// reset to an empty log; a WAL segment is an error rather than something
+// to clobber.
 func OpenFrameLog(path string) (*FrameLog, [][]byte, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
 	l := &FrameLog{path: path, f: f}
-	payloads, err := l.recover()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return l, payloads, nil
-}
-
-// recover scans the file, truncates at the last whole frame, and positions
-// the handle at the durable tail.
-func (l *FrameLog) recover() ([][]byte, error) {
-	fi, err := l.f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() < int64(frameLogHeaderSize) {
+	var payloads [][]byte
+	_, l.cut, err = recoverLog(f, frameLogHeaderSize, checkFrameLogHeader,
+		func(payload []byte) { payloads = append(payloads, payload) })
+	if errors.Is(err, errBadHeader) {
 		// New file, or a crash before the header fsync: nothing was ever
 		// acknowledged, so start fresh.
-		return nil, l.reset()
+		err = l.reset()
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
-	br := bufio.NewReaderSize(l.f, 1<<20)
-	var hdr [frameLogHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, l.reset()
-	}
-	if string(hdr[:]) != frameLogMagic {
-		if string(hdr[:]) == logMagic[:frameLogHeaderSize] {
-			return nil, fmt.Errorf("storage: %s is a WAL segment, not a frame log", l.path)
-		}
-		// A torn header write can persist garbage; nothing durable lived
-		// here, so reclaim the file.
-		return nil, l.reset()
-	}
-	var payloads [][]byte
-	good := int64(frameLogHeaderSize)
-	for {
-		payload, rerr := readFrame(br, good)
-		if rerr == io.EOF {
-			break
-		}
-		var torn *tornError
-		if errors.As(rerr, &torn) {
-			if err := l.f.Truncate(good); err != nil {
-				return nil, err
-			}
-			l.cut = fi.Size() - good
-			break
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		payloads = append(payloads, payload)
-		good += frameHeaderSize + int64(len(payload))
-	}
-	if _, err := l.f.Seek(good, io.SeekStart); err != nil {
-		return nil, err
-	}
-	l.size = good
 	l.frames = len(payloads)
-	return payloads, nil
+	return l, payloads, nil
 }
 
 // reset truncates the log to a fresh, fsynced header.
@@ -124,7 +87,6 @@ func (l *FrameLog) reset() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.size = int64(frameLogHeaderSize)
 	l.frames = 0
 	return nil
 }
@@ -132,8 +94,9 @@ func (l *FrameLog) reset() error {
 // Append frames one payload and fsyncs before returning: once Append
 // returns nil the record survives a crash.
 func (l *FrameLog) Append(payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("storage: frame log record of %d bytes is over the %d frame limit",
+	if len(payload) == 0 || len(payload) > maxFramePayload {
+		// The reader refuses such frames; never acknowledge one.
+		return fmt.Errorf("storage: frame log record of %d bytes is outside the 1..%d frame limit",
 			len(payload), maxFramePayload)
 	}
 	l.mu.Lock()
@@ -141,14 +104,12 @@ func (l *FrameLog) Append(payload []byte) error {
 	if l.closed {
 		return fmt.Errorf("storage: frame log %s is closed", l.path)
 	}
-	n, err := appendFrame(l.f, payload)
-	if err != nil {
+	if _, err := appendFrame(l.f, payload); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.size += n
 	l.frames++
 	return nil
 }
@@ -190,35 +151,26 @@ func (l *FrameLog) Close() error {
 
 // ReadFrameLog reads the payloads of the frame log at path without
 // truncating anything — safe to call on a log another process is
-// appending to; a torn or in-flight tail frame simply ends the scan.
-// A missing file reads as an empty log.
+// appending to; the first frame that is not whole (a torn or in-flight
+// tail) ends the scan. A missing file reads as an empty log.
 func ReadFrameLog(path string) ([][]byte, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var hdr [frameLogHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if len(data) < frameLogHeaderSize {
 		return nil, nil
 	}
-	if string(hdr[:]) != frameLogMagic {
-		return nil, fmt.Errorf("storage: %s: bad frame log magic %q", path, hdr[:])
+	if err := checkFrameLogHeader(data); err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	var payloads [][]byte
-	off := int64(frameLogHeaderSize)
-	for {
-		payload, rerr := readFrame(br, off)
-		if rerr != nil {
-			// Clean EOF or a torn tail: either way the durable prefix is
-			// what we have.
-			return payloads, nil
-		}
+	scanFrames(data[frameLogHeaderSize:], func(payload []byte) error {
 		payloads = append(payloads, payload)
-		off += frameHeaderSize + int64(len(payload))
-	}
+		return nil
+	})
+	return payloads, nil
 }

@@ -101,10 +101,14 @@ func TestFrameLogCorruptCRCDropsTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	size := l.size
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := fi.Size()
 
 	// Flip a byte inside the last frame's payload: CRC mismatch.
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -163,5 +167,30 @@ func TestReadFrameLogMissingFile(t *testing.T) {
 	payloads, err := ReadFrameLog(filepath.Join(t.TempDir(), "absent.jnl"))
 	if err != nil || payloads != nil {
 		t.Fatalf("missing file: payloads=%v err=%v", payloads, err)
+	}
+}
+
+// TestFrameLogZeroFilledTail: zeros after the last record are a torn tail,
+// not a run of empty records, and no empty record can be appended.
+func TestFrameLogZeroFilledTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "zeros.jnl")
+	l, _ := openLog(t, path)
+	if err := l.Append([]byte("record-0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendZeros(t, path, 4096)
+
+	l2, payloads := openLog(t, path)
+	if len(payloads) != 1 || string(payloads[0]) != "record-0" {
+		t.Fatalf("recovered %d records, want only record-0", len(payloads))
+	}
+	if cut := l2.RecoveredCut(); cut != 4096 {
+		t.Fatalf("RecoveredCut() = %d, want the 4096 zero bytes", cut)
+	}
+	if err := l2.Append(nil); err == nil {
+		t.Fatal("Append accepted an empty record, which the reader would reject")
 	}
 }

@@ -6,14 +6,13 @@ package storage
 // contents. Both must classify garbage — never panic, never over-read.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -46,7 +45,7 @@ func encodedFrames(tb testing.TB, n int) []byte {
 
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with real frame encodings: whole streams, a single frame, a
-	// truncated frame, and pure garbage.
+	// truncated frame, zero-filled tails, and pure garbage.
 	frames := encodedFrames(f, 3)
 	f.Add(frames)
 	one := encodedFrames(f, 1)
@@ -55,6 +54,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(one[:frameHeaderSize-2])
 	f.Add([]byte{})
 	f.Add([]byte("\x99\x12torn-frame-garbage"))
+	// A zero-filled tail (the usual power-loss artifact) is corrupt, not a
+	// run of empty frames, even though CRC-32C("") is 0.
+	f.Add(make([]byte, 64))
+	f.Add(append(append([]byte(nil), frames...), make([]byte, 4096)...))
 	// A frame with an implausible length prefix must be rejected, not
 	// trusted as an allocation size.
 	huge := make([]byte, frameHeaderSize)
@@ -62,55 +65,73 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// readFrame must terminate with a frame, io.EOF, or a torn-frame
-		// error — and consume at most the bytes it reports.
-		br := bufio.NewReader(bytes.NewReader(data))
-		var off int64
-		for {
-			payload, err := readFrame(br, off)
-			if err == io.EOF {
+		// The whole-buffer scan: every whole frame before the first that is
+		// not, and how that one is not.
+		var payloads [][]byte
+		n, err := scanFrames(data, func(payload []byte) error {
+			if len(payload) == 0 || len(payload) > maxFramePayload {
+				t.Fatalf("scan returned a %d-byte payload", len(payload))
+			}
+			payloads = append(payloads, payload)
+			return nil
+		})
+		if n > len(data) || (err == nil && n != len(data)) {
+			t.Fatalf("scan consumed %d of %d bytes (err %v)", n, len(data), err)
+		}
+		corrupt := errors.Is(err, errCorruptFrame)
+		if err != nil && !corrupt && !errors.Is(err, errShortFrame) {
+			t.Fatalf("scan stopped on neither a short nor a corrupt frame: %v", err)
+		}
+		// What the stream must emit: the points of those payloads, up to
+		// the first payload that is not a point (which fails the stream).
+		var want []string
+		for _, payload := range payloads {
+			var p dataset.Point
+			if json.Unmarshal(payload, &p) != nil {
+				corrupt = true
 				break
 			}
-			if err != nil {
-				var torn *tornError
-				if !errors.As(err, &torn) {
-					t.Fatalf("readFrame returned a non-torn error: %v", err)
-				}
-				break
-			}
-			if len(payload) > maxFramePayload {
-				t.Fatalf("readFrame returned an over-long payload: %d bytes", len(payload))
-			}
-			off += frameHeaderSize + int64(len(payload))
-			if off > int64(len(data)) {
-				t.Fatalf("readFrame consumed past the input: offset %d of %d", off, len(data))
-			}
+			want = append(want, pointJSON(t, p))
 		}
 
-		// The streaming decoder must accept the same bytes fed at any
-		// granularity without panicking, and a decode failure must be
-		// sticky.
+		// The stream decoder over the same bytes, in chunk sizes drawn from
+		// the input, must emit exactly those points and fail, stickily, if
+		// and only if the scan stopped on something corrupt.
 		dec := NewLogStreamDecoder(7)
 		stream := logStream(7, data)
-		var n int
-		failed := false
-		for i := 0; i < len(stream); i += 5 {
-			end := i + 5
-			if end > len(stream) {
-				end = len(stream)
+		var got []string
+		var feedErr error
+		for i, k := 0, 0; i < len(stream) && feedErr == nil; k++ {
+			end := i + 1
+			if len(data) > 0 {
+				end += int(data[k%len(data)]) % 17
 			}
-			err := dec.Feed(stream[i:end], func(dataset.Point) error { n++; return nil })
-			if err != nil {
-				failed = true
-				if again := dec.Feed(nil, func(dataset.Point) error { return nil }); again == nil {
-					t.Fatal("decoder accepted input after a decode failure")
-				}
-				break
-			}
+			end = min(end, len(stream))
+			feedErr = dec.Feed(stream[i:end], func(p dataset.Point) error {
+				got = append(got, pointJSON(t, p))
+				return nil
+			})
+			i = end
 		}
-		_ = failed
-		_ = n
+		if (feedErr != nil) != corrupt {
+			t.Fatalf("stream error %v, but the scan stopped on a corrupt frame: %t", feedErr, corrupt)
+		}
+		if feedErr != nil && dec.Feed(nil, func(dataset.Point) error { return nil }) == nil {
+			t.Fatal("decoder accepted input after a decode failure")
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("stream emitted %d points, the scan found %d", len(got), len(want))
+		}
 	})
+}
+
+// pointJSON renders p for comparison.
+func pointJSON(t *testing.T, p dataset.Point) string {
+	enc, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(enc)
 }
 
 func FuzzJournalDecode(f *testing.F) {
@@ -124,7 +145,8 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(valid[:len(valid)-4])
 	f.Add(valid[:frameLogHeaderSize+3])
 	f.Add(valid[:frameLogHeaderSize-2])
-	f.Add([]byte(logMagic)) // a WAL segment is not a journal
+	f.Add(append(append([]byte(nil), valid...), make([]byte, 512)...)) // zero-filled tail
+	f.Add([]byte(logMagic))                                            // a WAL segment is not a journal
 	f.Add([]byte("garbage that is not framed"))
 	f.Add([]byte{})
 
@@ -286,7 +308,8 @@ func FuzzSegmentOpen(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add(valid[:logHeaderSize-3])
-	f.Add(logStream(99, nil)) // header seq disagrees with the file name
+	f.Add(append(append([]byte(nil), valid...), make([]byte, 512)...)) // zero-filled tail
+	f.Add(logStream(99, nil))                                          // header seq disagrees with the file name
 	f.Add([]byte("not a segment at all"))
 	f.Add([]byte{})
 

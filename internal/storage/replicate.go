@@ -19,11 +19,9 @@ package storage
 // compaction) closes the watch channel and bumps the version.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -201,11 +199,11 @@ func (s *SegmentStore) SnapshotPayload(seq uint64) ([]byte, error) {
 
 // LogStreamDecoder incrementally decodes the byte stream of one log
 // segment — header first, then frames — as chunks arrive from replication.
-// Chunks may split frames arbitrarily; undecoded bytes are buffered until
-// the rest arrives. Any malformed byte is a permanent error: replicated
-// ranges come from below the leader's durable frontier, where torn frames
-// cannot occur, so damage means the stream is not the segment it claims to
-// be.
+// Chunks may split frames arbitrarily: a short frame (one the bytes so far
+// end inside) waits for the rest. A corrupt frame, a bad header or a
+// payload that is not a point is a permanent error: replicated ranges come
+// from below the leader's durable frontier, where torn frames cannot
+// occur, so damage means the stream is not the segment it claims to be.
 type LogStreamDecoder struct {
 	seq        uint64
 	buf        []byte
@@ -230,40 +228,31 @@ func (d *LogStreamDecoder) Feed(data []byte, emit func(p dataset.Point) error) e
 		if len(d.buf) < logHeaderSize {
 			return nil
 		}
-		if string(d.buf[:8]) != logMagic {
-			d.failed = fmt.Errorf("storage: log stream %d: bad magic %q", d.seq, d.buf[:8])
-			return d.failed
-		}
-		if got := binary.LittleEndian.Uint64(d.buf[8:logHeaderSize]); got != d.seq {
-			d.failed = fmt.Errorf("storage: log stream %d: header names seq %d", d.seq, got)
-			return d.failed
+		if err := checkLogHeader(d.buf, d.seq); err != nil {
+			return d.fail(err)
 		}
 		d.buf = d.buf[logHeaderSize:]
 		d.headerDone = true
 	}
-	for len(d.buf) >= frameHeaderSize {
-		n := binary.LittleEndian.Uint32(d.buf[:4])
-		if n > maxFramePayload {
-			d.failed = fmt.Errorf("storage: log stream %d: implausible frame length %d", d.seq, n)
-			return d.failed
-		}
-		if len(d.buf) < frameHeaderSize+int(n) {
-			return nil // wait for the rest of the frame
-		}
-		payload := d.buf[frameHeaderSize : frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(d.buf[4:8]) {
-			d.failed = fmt.Errorf("storage: log stream %d: payload CRC mismatch", d.seq)
-			return d.failed
-		}
+	n, err := scanFrames(d.buf, func(payload []byte) error {
 		var p dataset.Point
 		if err := json.Unmarshal(payload, &p); err != nil {
-			d.failed = fmt.Errorf("storage: log stream %d: decoding point: %w", d.seq, err)
-			return d.failed
+			return d.fail(fmt.Errorf("decoding point: %w", err))
 		}
-		d.buf = d.buf[frameHeaderSize+int(n):]
-		if err := emit(p); err != nil {
-			return err
-		}
+		return emit(p)
+	})
+	d.buf = d.buf[n:]
+	switch {
+	case errors.Is(err, errShortFrame):
+		return nil // wait for the rest of the frame
+	case errors.Is(err, errCorruptFrame):
+		return d.fail(err)
 	}
-	return nil
+	return err
+}
+
+// fail makes err the decoder's sticky error.
+func (d *LogStreamDecoder) fail(err error) error {
+	d.failed = fmt.Errorf("storage: log stream %d: %w", d.seq, err)
+	return d.failed
 }

@@ -31,8 +31,8 @@ import (
 // Log segment file:
 //
 //	header  8B magic "HPALOG1\n" | u64le segment seq
-//	frames  u32le payload len | u32le CRC-32C(payload) | payload
-//	        payload = one dataset.Point as JSON
+//	frames  u32le payload len (1..maxFramePayload) | u32le CRC-32C(payload)
+//	        | payload; payload = one dataset.Point as JSON
 //
 // Snapshot segment file, format v1 (still read; no longer written):
 //
@@ -47,9 +47,18 @@ import (
 //
 // Durability: frames are buffered and fsynced every SyncEvery appends and
 // on Sync/Close — a point is acknowledged when the covering fsync returns.
-// Recovery: a crash can tear only the tail of the active segment; open
-// truncates the torn tail at the last whole frame and replays the rest.
-// Sealed segments and snapshots are immutable and verified by CRC on read.
+//
+// Recovery: scanFrames is the one frame parser, for files and replication
+// streams alike. A length of 0 is corrupt, not an empty frame: the CRC-32C
+// of an empty payload is 0, so a zero-filled tail (the usual power-loss
+// artifact) would otherwise parse as a run of valid frames. Each reader is
+// a policy over the parser: sealed segments and v1 snapshots fail on
+// anything but a clean end; the two appendable logs, the active (last)
+// segment and the frame log, recover through recoverLog, the one torn-tail
+// rule (keep the whole frames, truncate the rest, report the cut);
+// ReadFrameLog stops at the first frame that is not whole; and
+// LogStreamDecoder.Feed waits on a short frame and fails on a corrupt one.
+// A snapshot header's point count is never trusted (parseSnapshotHeader).
 const (
 	logMagic        = "HPALOG1\n"
 	snapMagic       = "HPASNAP1"
@@ -127,8 +136,7 @@ type SegmentStore struct {
 	changed chan struct{}
 	version uint64
 
-	recovered      bool
-	recoveredBytes int64
+	recoveredBytes int64 // cut from the active segment's tail at open
 	closed         bool
 }
 
@@ -196,12 +204,14 @@ func OpenSegments(dir string, opts *SegmentOptions) (*SegmentStore, error) {
 		for _, old := range snaps[:len(snaps)-1] {
 			os.Remove(filepath.Join(dir, snapName(old)))
 		}
-		version, folded, count, err := readSnapshotHeader(filepath.Join(dir, snapName(s.snapSeq)))
+		path := filepath.Join(dir, snapName(s.snapSeq))
+		prefix, size, err := readSnapshotPrefix(path)
 		if err != nil {
 			return nil, err
 		}
-		if folded != s.snapSeq {
-			return nil, fmt.Errorf("storage: snapshot %s header claims seq %d", snapName(s.snapSeq), folded)
+		version, count, err := parseSnapshotHeader(prefix, size, path, s.snapSeq)
+		if err != nil {
+			return nil, err
 		}
 		s.snapVersion = version
 		s.snapCount = count
@@ -228,46 +238,51 @@ func OpenSegments(dir string, opts *SegmentOptions) (*SegmentStore, error) {
 		path := filepath.Join(dir, walName(seq))
 		if i < len(s.walSeqs)-1 {
 			// Sealed segment: must be whole.
-			n, err := readLogSegment(path, seq, nil)
+			n, err := readLogSegment(path, seq, func([]byte) error { return nil })
 			if err != nil {
 				return nil, err
 			}
 			s.count += n
 			continue
 		}
-		// Last segment: the crash frontier. Truncate any torn tail.
-		n, kept, cut, err := recoverLogTail(path, seq)
+		// Last segment: the crash frontier, recovered by the torn-tail rule.
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 		if err != nil {
 			return nil, err
 		}
-		s.count += n
-		if cut > 0 {
-			s.recovered = true
-			s.recoveredBytes += cut
-		}
-		if kept == 0 && n == 0 {
-			// Nothing valid survived (torn header): remove and recreate
-			// the seq on next append.
+		frames := 0
+		kept, cut, err := recoverLog(f, logHeaderSize,
+			func(hdr []byte) error { return checkLogHeader(hdr, seq) },
+			func([]byte) { frames++ })
+		s.recoveredBytes = cut
+		if errors.Is(err, errBadHeader) {
+			// Torn before its first fsync (garbage or zeros for a header):
+			// nothing in it was acknowledged, so drop it and recreate the
+			// seq on the next append, unlike the same damage when sealed.
+			f.Close()
 			os.Remove(path)
 			s.walSeqs = s.walSeqs[:len(s.walSeqs)-1]
 			s.nextSeq = seq
 			continue
 		}
-		if kept < s.opts.MaxSegmentBytes {
-			// Reopen for appending; otherwise leave it sealed and start a
-			// fresh segment on the next append. Every surviving frame is
-			// treated as acknowledged (the recovery contract), so the whole
-			// kept prefix is replicable.
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			s.f = f
-			s.w = bufio.NewWriter(f)
-			s.activeBytes = kept
-			s.durableBytes = kept
-			s.nextSeq = seq + 1
+		if err != nil {
+			f.Close()
+			return nil, err
 		}
+		s.count += frames
+		if kept >= s.opts.MaxSegmentBytes {
+			// Full: leave it sealed; the next append starts a fresh segment.
+			f.Close()
+			continue
+		}
+		// Keep it open for appending. Every surviving frame is treated as
+		// acknowledged (the recovery contract), so the whole kept prefix is
+		// replicable.
+		s.f = f
+		s.w = bufio.NewWriter(f)
+		s.activeBytes = kept
+		s.durableBytes = kept
+		s.nextSeq = seq + 1
 	}
 	return s, nil
 }
@@ -501,7 +516,7 @@ func (s *SegmentStore) readTail() ([]dataset.Point, error) {
 		_, err := readLogSegment(filepath.Join(s.dir, walName(seq)), seq, func(payload []byte) error {
 			var p dataset.Point
 			if err := json.Unmarshal(payload, &p); err != nil {
-				return fmt.Errorf("storage: %s: decoding point: %w", walName(seq), err)
+				return fmt.Errorf("decoding point: %w", err)
 			}
 			tail = append(tail, p)
 			return nil
@@ -591,7 +606,7 @@ func (s *SegmentStore) Info() (Info, error) {
 		SnapshotPoints: s.snapCount,
 		SnapshotFormat: s.snapVersion,
 		MmapServed:     s.mmapServed,
-		Recovered:      s.recovered,
+		Recovered:      s.recoveredBytes > 0,
 		RecoveredBytes: s.recoveredBytes,
 	}
 	if s.snapVersion == 2 {
@@ -626,229 +641,208 @@ func (s *SegmentStore) Info() (Info, error) {
 // Segment file IO
 //
 
-// readLogHeader validates a log segment header against its file name.
-func readLogHeader(r io.Reader, path string, seq uint64) error {
-	var hdr [logHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("storage: %s: short header: %w", path, err)
+// errShortFrame and errCorruptFrame are why scanFrames stops before the
+// end of its input: the bytes end inside a frame, or the frame is corrupt.
+// A log header that fails its check is errBadHeader.
+var (
+	errShortFrame   = errors.New("short frame")
+	errCorruptFrame = errors.New("corrupt frame")
+	errBadHeader    = errors.New("bad header")
+)
+
+// scanFrames is the one frame parser. It hands fn the payload (aliasing b)
+// of each whole frame of b in order and returns the length of those
+// frames. It stops with errShortFrame where the bytes end inside a frame,
+// with errCorruptFrame at a length of 0 or over maxFramePayload or a CRC
+// mismatch, or with fn's first error (that frame counts as scanned).
+func scanFrames(b []byte, fn func(payload []byte) error) (n int, err error) {
+	for n < len(b) {
+		frame := b[n:]
+		if len(frame) < frameHeaderSize {
+			return n, errShortFrame
+		}
+		size := binary.LittleEndian.Uint32(frame)
+		if size == 0 || size > maxFramePayload {
+			return n, fmt.Errorf("%w: implausible length %d", errCorruptFrame, size)
+		}
+		end := frameHeaderSize + int(size)
+		if len(frame) < end {
+			return n, errShortFrame
+		}
+		payload := frame[frameHeaderSize:end]
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[4:]) {
+			return n, fmt.Errorf("%w: payload CRC mismatch", errCorruptFrame)
+		}
+		n += end
+		if err := fn(payload); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// recoverLog is the torn-tail rule of both appendable logs. It reads f
+// whole, checks its hdrSize-byte header, hands fn each whole frame after
+// it, truncates f after the last one, and leaves f positioned there,
+// returning the bytes kept and cut. If the header check fails (a file
+// shorter than its header fails with errBadHeader), it returns that error
+// with cut set to the file size and nothing truncated: each log decides
+// what a bad header means.
+func recoverLog(f *os.File, hdrSize int, checkHeader func(hdr []byte) error, fn func(payload []byte)) (kept, cut int64, err error) {
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(data) < hdrSize {
+		return 0, int64(len(data)), errBadHeader
+	}
+	if err := checkHeader(data[:hdrSize]); err != nil {
+		return 0, int64(len(data)), err
+	}
+	n, _ := scanFrames(data[hdrSize:], func(payload []byte) error { fn(payload); return nil })
+	kept = int64(hdrSize + n)
+	if cut = int64(len(data)) - kept; cut > 0 {
+		if err := f.Truncate(kept); err != nil {
+			return 0, 0, err
+		}
+	}
+	if _, err := f.Seek(kept, io.SeekStart); err != nil {
+		return 0, 0, err
+	}
+	return kept, cut, nil
+}
+
+// checkLogHeader checks a log segment header against the segment's seq.
+func checkLogHeader(hdr []byte, seq uint64) error {
+	if len(hdr) < logHeaderSize {
+		return fmt.Errorf("%w: %d bytes", errBadHeader, len(hdr))
 	}
 	if string(hdr[:8]) != logMagic {
-		return fmt.Errorf("storage: %s: bad magic %q", path, hdr[:8])
+		return fmt.Errorf("%w: magic %q", errBadHeader, hdr[:8])
 	}
 	if got := binary.LittleEndian.Uint64(hdr[8:]); got != seq {
-		return fmt.Errorf("storage: %s: header seq %d does not match name", path, got)
+		return fmt.Errorf("%w: seq %d, want %d", errBadHeader, got, seq)
 	}
 	return nil
 }
 
-// readFrame reads one frame. io.EOF means a clean end; errTornFrame wraps
-// any torn or corrupt tail condition with the byte offset of the frame.
-type tornError struct {
-	off int64
-	why string
-}
-
-func (e *tornError) Error() string { return fmt.Sprintf("torn frame at byte %d: %s", e.off, e.why) }
-
-func readFrame(r *bufio.Reader, off int64) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err == io.EOF {
-		return nil, io.EOF
-	} else if err != nil {
-		return nil, &tornError{off, "short frame header"}
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return nil, &tornError{off, "short frame header"}
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > maxFramePayload {
-		return nil, &tornError{off, fmt.Sprintf("implausible frame length %d", n)}
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, &tornError{off, "short frame payload"}
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, &tornError{off, "payload CRC mismatch"}
-	}
-	return payload, nil
-}
-
 // readLogSegment strictly reads a sealed log segment, invoking fn per
-// frame payload (fn may be nil to only count). Any torn or corrupt frame
-// is an error: sealed segments are immutable and were fsynced whole.
+// frame payload, and returns the frame count. Anything but a clean end is
+// an error: sealed segments are immutable and were fsynced whole.
 func readLogSegment(path string, seq uint64, fn func(payload []byte) error) (int, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	if err := readLogHeader(br, path, seq); err != nil {
-		return 0, err
+	if err := checkLogHeader(data, seq); err != nil {
+		return 0, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	frames := 0
-	off := int64(logHeaderSize)
-	for {
-		payload, err := readFrame(br, off)
-		if err == io.EOF {
-			return frames, nil
-		}
-		if err != nil {
-			return frames, fmt.Errorf("storage: %s: %w", path, err)
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return frames, err
-			}
+	_, err = scanFrames(data[logHeaderSize:], func(payload []byte) error {
+		if err := fn(payload); err != nil {
+			return err
 		}
 		frames++
-		off += frameHeaderSize + int64(len(payload))
+		return nil
+	})
+	if err != nil {
+		return frames, fmt.Errorf("storage: %s: frame %d: %w", path, frames, err)
 	}
+	return frames, nil
 }
 
-// recoverLogTail scans the active (last) log segment and truncates a torn
-// tail at the last whole frame: the crash contract is that only
-// unacknowledged trailing writes can be lost. It returns the surviving
-// frame count, the surviving byte length (0 if the header itself was torn
-// and the file holds nothing), and how many bytes were cut.
-func recoverLogTail(path string, seq uint64) (frames int, kept, cut int64, err error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	size := fi.Size()
-	if size < logHeaderSize {
-		// Torn during creation: no frame was ever acknowledged.
-		return 0, 0, size, nil
-	}
+// readSnapshotPrefix reads as much of a snapshot segment as a header parse
+// needs (a v2 header and the largest section table) and the file's size.
+func readSnapshotPrefix(path string) ([]byte, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, err
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	if err := readLogHeader(br, path, seq); err != nil {
-		// The active segment's header write was never acknowledged either:
-		// a crash between file creation and the first fsync can persist the
-		// size without the data (garbage or zeros). Nothing in this file
-		// was ever durable, so it is torn, not fatal — unlike the same
-		// damage on a sealed segment.
-		f.Close()
-		return 0, 0, size, nil
-	}
-	good := int64(logHeaderSize)
-	for {
-		payload, rerr := readFrame(br, good)
-		if rerr == io.EOF {
-			f.Close()
-			return frames, good, 0, nil
-		}
-		var torn *tornError
-		if errors.As(rerr, &torn) {
-			f.Close()
-			if terr := os.Truncate(path, good); terr != nil {
-				return frames, good, 0, terr
-			}
-			return frames, good, size - good, nil
-		}
-		if rerr != nil {
-			f.Close()
-			return frames, good, 0, rerr
-		}
-		frames++
-		good += frameHeaderSize + int64(len(payload))
-	}
-}
-
-// readSnapshotHeader reads and validates a snapshot segment's header,
-// sniffing the format version from the magic ("HPASNAP1" frames vs
-// "HPASNAP2" columnar sections).
-func readSnapshotHeader(path string) (version int, foldThrough uint64, count int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, err
+		return nil, 0, err
 	}
 	defer f.Close()
-	var hdr [v2HeaderSize]byte
-	n, rerr := io.ReadFull(f, hdr[:])
-	if n < snapHeaderSize {
-		return 0, 0, 0, fmt.Errorf("storage: %s: short header: %w", path, rerr)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
 	}
-	switch string(hdr[:8]) {
-	case snapMagic:
-		cnt := binary.LittleEndian.Uint64(hdr[16:])
-		if cnt > 1<<31 {
-			return 0, 0, 0, fmt.Errorf("storage: %s: implausible point count %d", path, cnt)
+	prefix := make([]byte, v2HeaderSize+v2MaxSections*v2SecDescSize)
+	n, err := io.ReadFull(f, prefix)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, 0, err
+	}
+	return prefix[:n], fi.Size(), nil
+}
+
+// parseSnapshotHeader parses the header at the start of b, the snapshot
+// segment seq of size bytes, sniffing the format version from the magic.
+// The point count is never trusted: v2 checks it with the header CRC
+// (parseV2Table), and a v1 count must fit in size bytes, each frame taking
+// at least a frame header and a 4-byte append index.
+func parseSnapshotHeader(b []byte, size int64, path string, seq uint64) (version, count int, err error) {
+	var fold uint64
+	switch {
+	case len(b) >= 8 && string(b[:8]) == snapMagicV2:
+		version = 2
+		if _, fold, count, err = parseV2Table(b, path); err != nil {
+			return 0, 0, err
 		}
-		return 1, binary.LittleEndian.Uint64(hdr[8:]), int(cnt), nil
-	case snapMagicV2:
-		if n < v2HeaderSize {
-			return 0, 0, 0, fmt.Errorf("storage: %s: short v2 header: %w", path, rerr)
-		}
-		cnt := binary.LittleEndian.Uint64(hdr[16:])
-		if cnt > 1<<31 {
-			return 0, 0, 0, fmt.Errorf("storage: %s: implausible point count %d", path, cnt)
-		}
-		if marker := binary.LittleEndian.Uint32(hdr[24:]); marker != v2EndianMarker {
-			return 0, 0, 0, fmt.Errorf("storage: %s: bad endian marker %#x", path, marker)
-		}
-		if nsec := binary.LittleEndian.Uint32(hdr[28:]); nsec == 0 || nsec > v2MaxSections {
-			return 0, 0, 0, fmt.Errorf("storage: %s: implausible section count %d", path, nsec)
-		}
-		return 2, binary.LittleEndian.Uint64(hdr[8:]), int(cnt), nil
+	case len(b) < snapHeaderSize:
+		return 0, 0, fmt.Errorf("storage: %s: short header", path)
+	case string(b[:8]) != snapMagic:
+		return 0, 0, fmt.Errorf("storage: %s: bad magic %q", path, b[:8])
 	default:
-		return 0, 0, 0, fmt.Errorf("storage: %s: bad magic %q", path, hdr[:8])
+		version, fold = 1, binary.LittleEndian.Uint64(b[8:])
+		cnt := binary.LittleEndian.Uint64(b[16:])
+		if cnt > uint64(size-snapHeaderSize)/(frameHeaderSize+4) {
+			return 0, 0, fmt.Errorf("storage: %s: header claims %d points, more than its %d bytes hold", path, cnt, size)
+		}
+		count = int(cnt)
 	}
+	if fold != seq {
+		return 0, 0, fmt.Errorf("storage: %s: header seq %d does not match name", path, fold)
+	}
+	return version, count, nil
 }
 
 // readSnapshotSegment reads a snapshot segment of either format: points
 // come back in append order (scattered via the per-row append index). The
 // index set must be exactly 0..count-1.
 func readSnapshotSegment(path string, seq uint64) ([]dataset.Point, error) {
-	version, foldThrough, count, err := readSnapshotHeader(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	version, count, err := parseSnapshotHeader(data, int64(len(data)), path, seq)
 	if err != nil {
 		return nil, err
 	}
 	if version == 2 {
-		return readSnapshotSegmentV2(path, seq)
-	}
-	if foldThrough != seq {
-		return nil, fmt.Errorf("storage: %s: header seq %d does not match name", path, foldThrough)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	if _, err := br.Discard(snapHeaderSize); err != nil {
-		return nil, err
+		return readRowsV2(data, path)
 	}
 	points := make([]dataset.Point, count)
 	seen := make([]bool, count)
-	off := int64(snapHeaderSize)
-	for i := 0; i < count; i++ {
-		payload, err := readFrame(br, off)
-		if err != nil {
-			return nil, fmt.Errorf("storage: %s: frame %d: %w", path, i, err)
+	i := 0
+	_, err = scanFrames(data[snapHeaderSize:], func(payload []byte) error {
+		if i == count {
+			return errors.New("trailing data after the last point")
 		}
 		if len(payload) < 4 {
-			return nil, fmt.Errorf("storage: %s: frame %d: payload too short", path, i)
+			return errors.New("payload too short")
 		}
 		idx := binary.LittleEndian.Uint32(payload[:4])
 		if int(idx) >= count || seen[idx] {
-			return nil, fmt.Errorf("storage: %s: frame %d: bad append index %d", path, i, idx)
+			return fmt.Errorf("bad append index %d", idx)
 		}
 		seen[idx] = true
-		var p dataset.Point
-		if err := json.Unmarshal(payload[4:], &p); err != nil {
-			return nil, fmt.Errorf("storage: %s: frame %d: decoding point: %w", path, i, err)
+		if err := json.Unmarshal(payload[4:], &points[idx]); err != nil {
+			return fmt.Errorf("decoding point: %w", err)
 		}
-		points[idx] = p
-		off += frameHeaderSize + int64(len(payload))
+		i++
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: frame %d: %w", path, i, err)
 	}
-	if payload, err := readFrame(br, off); err != io.EOF || payload != nil {
-		return nil, fmt.Errorf("storage: %s: trailing data after %d frames", path, count)
+	if i < count {
+		return nil, fmt.Errorf("storage: %s: %d frames, header claims %d points", path, i, count)
 	}
 	return points, nil
 }

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
-	"os"
 	"unsafe"
 
 	"hpcadvisor/internal/dataset"
@@ -204,7 +202,7 @@ func putNames(apps, aliases, inputs []string) []byte {
 }
 
 //
-// Parser (shared by the row reader, the columnar loader, and Info)
+// Parser (shared by the open, the row reader, the columnar loader, and Info)
 //
 
 type v2Section struct {
@@ -226,11 +224,10 @@ type v2Parsed struct {
 // every section's bounds and alignment. Section payload CRCs are checked
 // by section() callers per their needs.
 func parseV2(data []byte, path string) (*v2Parsed, error) {
-	hdr, secs, fold, count, err := parseV2Table(data, path)
+	secs, fold, count, err := parseV2Table(data, path)
 	if err != nil {
 		return nil, err
 	}
-	_ = hdr
 	for _, s := range secs {
 		if s.off%v2Align != 0 || s.off > uint64(len(data)) || s.length > uint64(len(data))-s.off {
 			return nil, fmt.Errorf("storage: %s: section %d out of bounds", path, s.kind)
@@ -241,33 +238,33 @@ func parseV2(data []byte, path string) (*v2Parsed, error) {
 
 // parseV2Table parses and CRC-checks the fixed header and section table.
 // It needs only the first v2HeaderSize + nsec*v2SecDescSize bytes of data,
-// so Info can call it on a small prefix read.
-func parseV2Table(data []byte, path string) (hdr []byte, secs []v2Section, fold uint64, count int, err error) {
+// so the open and Info can call it on a small prefix read.
+func parseV2Table(data []byte, path string) (secs []v2Section, fold uint64, count int, err error) {
 	if len(data) < v2HeaderSize {
-		return nil, nil, 0, 0, fmt.Errorf("storage: %s: short v2 header", path)
+		return nil, 0, 0, fmt.Errorf("storage: %s: short v2 header", path)
 	}
 	if string(data[0:8]) != snapMagicV2 {
-		return nil, nil, 0, 0, fmt.Errorf("storage: %s: bad magic %q", path, data[0:8])
+		return nil, 0, 0, fmt.Errorf("storage: %s: bad magic %q", path, data[0:8])
 	}
 	if got := binary.LittleEndian.Uint32(data[24:]); got != v2EndianMarker {
-		return nil, nil, 0, 0, fmt.Errorf("storage: %s: bad endian marker %#x", path, got)
+		return nil, 0, 0, fmt.Errorf("storage: %s: bad endian marker %#x", path, got)
 	}
 	n := binary.LittleEndian.Uint64(data[16:])
 	if n > 1<<31 {
-		return nil, nil, 0, 0, fmt.Errorf("storage: %s: implausible point count %d", path, n)
+		return nil, 0, 0, fmt.Errorf("storage: %s: implausible point count %d", path, n)
 	}
 	nsec := binary.LittleEndian.Uint32(data[28:])
 	if nsec == 0 || nsec > v2MaxSections {
-		return nil, nil, 0, 0, fmt.Errorf("storage: %s: implausible section count %d", path, nsec)
+		return nil, 0, 0, fmt.Errorf("storage: %s: implausible section count %d", path, nsec)
 	}
 	tableEnd := v2HeaderSize + int(nsec)*v2SecDescSize
 	if len(data) < tableEnd {
-		return nil, nil, 0, 0, fmt.Errorf("storage: %s: short section table", path)
+		return nil, 0, 0, fmt.Errorf("storage: %s: short section table", path)
 	}
 	crc := crc32.Checksum(data[0:36], crcTable)
 	crc = crc32.Update(crc, crcTable, data[v2HeaderSize:tableEnd])
 	if crc != binary.LittleEndian.Uint32(data[36:]) {
-		return nil, nil, 0, 0, fmt.Errorf("storage: %s: header/table CRC mismatch", path)
+		return nil, 0, 0, fmt.Errorf("storage: %s: header/table CRC mismatch", path)
 	}
 	secs = make([]v2Section, nsec)
 	for i := range secs {
@@ -279,7 +276,7 @@ func parseV2Table(data []byte, path string) (hdr []byte, secs []v2Section, fold 
 			crc:    binary.LittleEndian.Uint32(data[d+24:]),
 		}
 	}
-	return data[:tableEnd], secs, binary.LittleEndian.Uint64(data[8:]), int(n), nil
+	return secs, binary.LittleEndian.Uint64(data[8:]), int(n), nil
 }
 
 // section returns a section's bytes, optionally CRC-verified.
@@ -384,22 +381,15 @@ func getStringList(c *byteCursor, maxItems uint32) ([]string, error) {
 // Row reader (the rebuild rung: same result as the v1 frame parse)
 //
 
-// readSnapshotSegmentV2 decodes a v2 segment's rows: CRC-verify the row
+// readRowsV2 decodes the rows of v2 segment bytes: CRC-verify the row
 // sections, decode every row, scatter by append index. Only the row
 // sections are required to be intact — a bit flip in a columnar section
 // fails the columnar load but never this one. Compact reads through here
 // too, so a damaged columnar section heals at the next compaction.
-func readSnapshotSegmentV2(path string, seq uint64) ([]dataset.Point, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+func readRowsV2(data []byte, path string) ([]dataset.Point, error) {
 	p, err := parseV2(data, path)
 	if err != nil {
 		return nil, err
-	}
-	if p.fold != seq {
-		return nil, fmt.Errorf("storage: %s: header seq %d does not match name", path, p.fold)
 	}
 	rows, err := p.section(secRows, true)
 	if err != nil {
@@ -583,17 +573,11 @@ type v2Footprint struct {
 // payloads, so Info stays cheap on large stores.
 func readSnapshotFootprintV2(path string) (v2Footprint, error) {
 	var fp v2Footprint
-	f, err := os.Open(path)
+	prefix, _, err := readSnapshotPrefix(path)
 	if err != nil {
 		return fp, err
 	}
-	defer f.Close()
-	prefix := make([]byte, v2HeaderSize+v2MaxSections*v2SecDescSize)
-	n, err := io.ReadAtLeast(f, prefix, v2HeaderSize)
-	if err != nil {
-		return fp, fmt.Errorf("storage: %s: short v2 header: %w", path, err)
-	}
-	_, secs, _, _, err := parseV2Table(prefix[:n], path)
+	secs, _, _, err := parseV2Table(prefix, path)
 	if err != nil {
 		return fp, err
 	}

@@ -259,7 +259,7 @@ func flipByteInSection(t *testing.T, path string, kind uint32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, secs, _, _, err := parseV2Table(data, path)
+	secs, _, _, err := parseV2Table(data, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func sectionKinds(t *testing.T, path string) map[uint32]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, secs, _, _, err := parseV2Table(data, path)
+	secs, _, _, err := parseV2Table(data, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +595,7 @@ func TestUndecodableRowIsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, secs, _, _, err := parseV2Table(data, path)
+	secs, _, _, err := parseV2Table(data, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,5 +651,48 @@ func TestUndecodableRowIsReported(t *testing.T) {
 	}
 	if _, err := os.Stat(dst); !os.IsNotExist(err) {
 		t.Fatalf("failed Convert left a destination behind (stat err %v)", err)
+	}
+}
+
+// TestOpenRejectsV1CountBeyondFile: a v1 header has no CRC, so its point
+// count is checked against what the file can hold before anything trusts
+// it (Info, the manifest, or an allocation in the row reader).
+func TestOpenRejectsV1CountBeyondFile(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data.seg")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, snapHeaderSize)
+	copy(hdr, snapMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], 1)
+	binary.LittleEndian.PutUint64(hdr[16:], 100_000)
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := OpenSegments(dir, nil); err == nil {
+		info, _ := s.Info()
+		s.Close()
+		t.Fatalf("opened a %d-byte v1 snapshot claiming %d points", len(hdr), info.Points)
+	}
+}
+
+// TestOpenRejectsV2CountOutsideCRC: the v2 point count is covered by the
+// header/table CRC, so a flipped count fails the open instead of being
+// reported by Info and the manifest.
+func TestOpenRejectsV2CountOutsideCRC(t *testing.T) {
+	dir, _ := compactedDir(t, 10)
+	path := snapshotPath(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(data[16:], 1000)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := OpenSegments(dir, nil); err == nil {
+		m, _ := s.Manifest()
+		s.Close()
+		t.Fatalf("opened a v2 snapshot whose count fails the header CRC (manifest count %d)", m.Snapshot.Count)
 	}
 }
