@@ -1041,12 +1041,13 @@ func BenchmarkColumnarSelect(b *testing.B) {
 
 // BenchmarkHotFrontServe measures advice cost right after a generation
 // roll — the case the hot fronts exist for. Every iteration appends one
-// point, invalidating the engine's per-generation memo and rebuilding the
-// snapshot, and then asks for the front of one single-field filter.
-// "precomputed" serves through Engine.Advice, which fills that filter's
-// hot slot (one per field and symbol, empty after every roll) from the
-// columns and copies only the survivors; "recompute" is a fresh Select
-// copy plus an on-demand Pareto sweep.
+// point, invalidating the engine's per-generation memo and rolling the
+// snapshot's delta, and then asks for the front of one single-field
+// filter. "precomputed" serves through Engine.Advice, which merges the
+// base's memoized front positions for that filter (one slot per field and
+// symbol, kept across rolls until the delta folds) with the new delta's
+// front and copies only the survivors; "recompute" is a fresh Select copy
+// plus an on-demand Pareto sweep.
 func BenchmarkHotFrontServe(b *testing.B) {
 	filters := []dataset.Filter{
 		{},

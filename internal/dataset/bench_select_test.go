@@ -55,7 +55,7 @@ func BenchmarkSnapshotFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := sn.delta.fold(sn.gen); got.Len() != n+nd {
+		if got := sn.fold(); got.Len() != n+nd {
 			b.Fatalf("folded %d points, want %d", got.Len(), n+nd)
 		}
 	}

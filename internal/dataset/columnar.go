@@ -7,18 +7,19 @@ import (
 	"sync"
 )
 
-// This file implements the columnar side of a Snapshot: the struct-of-arrays
-// form every snapshot serves from, and the one advice path built on it. The
-// row slice stays the source of truth (Select still returns []Point
-// copies); the columns exist so the per-candidate filter predicate is a
-// handful of integer compares over contiguous memory instead of
-// case-folding 20-field structs, and so the Pareto front of any filter is
-// a sort of candidate positions instead of copies of full points. Advice
-// and AdviceJSON serve every filter from that front, touching only the
-// surviving rows; the hot filters keep a per-snapshot memo of it.
+// This file implements the columnar side of a snapshot: the
+// struct-of-arrays form every run serves from, and the one advice path
+// built on it. The row slice stays the source of truth (Select still
+// returns []Point copies); the columns exist so the per-candidate filter
+// predicate is a handful of integer compares over contiguous memory instead
+// of case-folding 20-field structs, and so the Pareto front of any filter
+// is a sort of candidate positions instead of copies of full points.
+// Advice and AdviceJSON serve every filter from that front, touching only
+// the surviving rows; the hot filters keep a per-run memo of the front's
+// positions, and each request renders its rows in the order it asks for.
 //
-// Everything here is immutable once the snapshot is published, with one
-// carefully-scoped exception: each hotFront computes its front at most
+// Everything here is immutable once the run is published, with one
+// carefully-scoped exception: each hotFront computes its positions at most
 // once, on first use, under a sync.Once, which is safe for any number of
 // concurrent readers.
 
@@ -164,25 +165,35 @@ const (
 )
 
 // colFilter is a CanonicalFilter with its string constraints resolved to
-// this snapshot's symbol IDs, so matching a candidate does no string work
-// at all (tags excepted — they stay a residual map probe on the row).
+// one run's symbol IDs, so matching a candidate does no string work at all
+// (tags excepted — they stay a residual map probe on the row).
 type colFilter struct {
 	c      *CanonicalFilter
 	id     [numFields]uint32
 	has    [numFields]bool
-	absent bool // a constrained value is not in the symbol table: nothing matches
+	absent bool // a constrained value is not in the symbol table, or the run is nil: nothing matches
 }
 
-// resolve looks the filter's string constraints up in the snapshot's
-// symbol table. A constrained value absent from the table matches nothing
-// in any column, which absent records so callers skip the scan entirely.
-func (sn *Snapshot) resolve(c *CanonicalFilter) colFilter {
-	cf := colFilter{c: c}
+// resolve looks the filter's string constraints up in both halves' symbol
+// tables. A nil delta resolves as absent, so every query on it matches
+// nothing without touching it.
+func (sn *Snapshot) resolve(c *CanonicalFilter) (b, d colFilter) {
+	return sn.base.resolve(c), sn.delta.resolve(c)
+}
+
+// resolve looks the filter's string constraints up in the run's symbol
+// table. A constrained value absent from the table matches nothing in any
+// column, which absent records so callers skip the scan entirely.
+func (r *run) resolve(c *CanonicalFilter) colFilter {
+	cf := colFilter{c: c, absent: r == nil}
+	if r == nil {
+		return cf
+	}
 	for f, s := range [numFields]string{c.app, c.sku, c.input} {
 		if s == "" {
 			continue
 		}
-		id, ok := sn.syms[s]
+		id, ok := r.syms[s]
 		if !ok {
 			cf.absent = true
 			break
@@ -196,8 +207,8 @@ func (sn *Snapshot) resolve(c *CanonicalFilter) colFilter {
 // CanonicalFilter.Match exactly (the property and fuzz suites pin the two
 // together against SelectScan), touching only the columns until the tag
 // residual.
-func (sn *Snapshot) matchAt(cf *colFilter, i int) bool {
-	col := sn.col
+func (r *run) matchAt(cf *colFilter, i int) bool {
+	col := r.col
 	if !cf.c.includeFailed && col.failedBit(i) {
 		return false
 	}
@@ -217,9 +228,9 @@ func (sn *Snapshot) matchAt(cf *colFilter, i int) bool {
 		return false
 	}
 	if len(cf.c.tags) > 0 {
-		sn.ensureRow(i) // tags are a row residual; lazy rows must exist first
+		r.ensureRow(i) // tags are a row residual; lazy rows must exist first
 		for _, t := range cf.c.tags {
-			if sn.sorted[i].Tags[t.k] != t.v {
+			if r.sorted[i].Tags[t.k] != t.v {
 				return false
 			}
 		}
@@ -281,22 +292,21 @@ func sortByTimeCost(idx []int32, exec, cost []float64) {
 // order), minus failed rows, are stably sorted by (time, cost) and swept
 // once. The sweep replicates pareto.Front expression for expression —
 // including the NaN-tolerant minCost seed — so materializing the surviving
-// positions equals pareto.Front(sn.Select(f)) byte for byte without
-// copying the candidate points first. The returned positions are in
-// by-time order.
-func (sn *Snapshot) frontPositions(cf *colFilter) []int32 {
-	pos := sn.matchPositions(cf)
+// positions equals pareto.Front(Select(f)) byte for byte without copying
+// the candidate points first. The returned positions are in by-time order.
+func (r *run) frontPositions(cf *colFilter) []int32 {
+	pos := r.matchPositions(cf)
 	cand := pos[:0] // pareto.Front skips failed runs: drop them in place
 	for _, i := range pos {
-		if !sn.col.failedBit(int(i)) {
+		if !r.col.failedBit(int(i)) {
 			cand = append(cand, i)
 		}
 	}
 	if len(cand) == 0 {
 		return nil
 	}
-	cost := sn.col.Cost
-	sortByTimeCost(cand, sn.col.Exec, cost)
+	cost := r.col.Cost
+	sortByTimeCost(cand, r.col.Exec, cost)
 	front := cand[:0] // survivors are a subsequence of cand: reuse it
 	minCost := cost[cand[0]] + 1
 	for _, i := range cand {
@@ -308,62 +318,34 @@ func (sn *Snapshot) frontPositions(cf *colFilter) []int32 {
 	return front
 }
 
-// hotFront is the per-snapshot memo of the cold advice path for one hot
-// filter: the surviving positions in by-time order plus both presentation
-// orders as JSON array fragments the serving layer stitches into its
-// envelope without reflection. Everything inside is written once, under
-// once, on first use, and immutable afterwards.
+// hotFront memoizes the front positions of one hot filter on one run, in
+// by-time order. pos is written once, under once, on first use, and is
+// shared and read-only afterwards.
 type hotFront struct {
 	once sync.Once
-
-	pos                []int32 // surviving positions, by-time order
-	timeJSON, costJSON []byte
-	err                error // a survivor's row could not marshal
-}
-
-// json returns the memoized fragment in the requested order, computing the
-// front on first use. Every filter that maps to this slot selects the same
-// rows, so whichever one arrives first computes it.
-func (hf *hotFront) json(sn *Snapshot, cf *colFilter, byCost bool) ([]byte, error) {
-	hf.compute(sn, cf)
-	return hf.pick(byCost)
-}
-
-// pick returns the computed fragment in the requested order.
-func (hf *hotFront) pick(byCost bool) ([]byte, error) {
-	if byCost {
-		return hf.costJSON, hf.err
-	}
-	return hf.timeJSON, hf.err
-}
-
-func (hf *hotFront) compute(sn *Snapshot, cf *colFilter) {
-	hf.once.Do(func() {
-		hf.pos = sn.frontPositions(cf)
-		hf.timeJSON, hf.err = frontJSON(hf.pos, false, sn.rowJSON)
-		if hf.err == nil {
-			hf.costJSON, hf.err = frontJSON(hf.pos, true, sn.rowJSON)
-		}
-	})
+	pos  []int32
 }
 
 // hotSlot returns the memo slot of a hot filter and nil for any other. The
 // hot filters are the unfiltered view and every filter on exactly one of
-// app, SKU (full name or alias) and input, with no node bound, tag or
-// IncludeFailed: one slot per (field, symbol ID), so how many there are is
-// bounded by the symbol table, not by the request stream. Invalidation is
-// the snapshot lifecycle itself: a generation roll builds a new snapshot
-// with empty slots, and the old ones are garbage the moment the last
-// reader drops the old snapshot.
-func (sn *Snapshot) hotSlot(cf *colFilter) *hotFront {
+// app, SKU (full name or alias) and input whose value the field holds in
+// this run, with no node bound, tag or IncludeFailed: one slot per (field,
+// symbol ID), so how many there are is bounded by the symbol table, not by
+// the request stream. A snapshot's filter is hot when it is hot on either
+// half. A base's slots live as long as the base, across generation rolls;
+// a delta's are new at every roll.
+func (r *run) hotSlot(cf *colFilter) *hotFront {
 	c := cf.c
 	if cf.absent || c.includeFailed || c.minNodes > 0 || c.maxNodes > 0 || len(c.tags) > 0 {
 		return nil
 	}
-	hf, fields := &sn.hotAll, 0
+	hf, fields := &r.hotAll, 0
 	for f, has := range cf.has {
 		if has {
-			hf, fields = &sn.hot[f][cf.id[f]], fields+1
+			if len(r.post[f][cf.id[f]]) == 0 {
+				return nil // the symbol is another field's value
+			}
+			hf, fields = &r.hot[f][cf.id[f]], fields+1
 		}
 	}
 	if fields > 1 {
@@ -372,35 +354,35 @@ func (sn *Snapshot) hotSlot(cf *colFilter) *hotFront {
 	return hf
 }
 
-// frontOf returns the filter's front positions in by-time order: the hot
-// slot's memo, shared and read-only, when the filter is hot, else a fresh
-// front.
-func (sn *Snapshot) frontOf(cf *colFilter) []int32 {
-	if hf := sn.hotSlot(cf); hf != nil {
-		hf.compute(sn, cf)
+// front returns the filter's front positions in by-time order: the hot
+// slot's memo, shared and read-only, when the filter is hot here, else a
+// fresh front.
+func (r *run) front(cf *colFilter) []int32 {
+	if hf := r.hotSlot(cf); hf != nil {
+		hf.once.Do(func() { hf.pos = r.frontPositions(cf) })
 		return hf.pos
 	}
-	return sn.frontPositions(cf)
+	return r.frontPositions(cf)
 }
 
-// frontJSON renders front positions (by-time order) as a JSON array of
-// their rows: the same bytes json.Marshal produces for the points. On a
-// mapped snapshot each row's bytes are spliced from the row section, so no
-// row is decoded; on a heap snapshot only the survivors are marshalled. A
-// front's cost is strictly decreasing in time order, so the cost order is
-// the time order's exact reversal — no second sort, and no tie-break to
-// disagree on. A row that cannot marshal (e.g. a NaN metric) is an error.
-func frontJSON(pos []int32, byCost bool, rowJSON func(int32) ([]byte, error)) ([]byte, error) {
+// frontJSON renders front refs (by-time order) as a JSON array of their
+// rows: the same bytes json.Marshal produces for the points. A mapped
+// base's rows are spliced from the row section, so no row is decoded;
+// heap rows are marshalled, survivors only. A front's cost is strictly
+// decreasing in time order, so the cost order is the time order's exact
+// reversal — no second sort, and no tie-break to disagree on. A row that
+// cannot marshal (e.g. a NaN metric) is an error.
+func (sn *Snapshot) frontJSON(refs []int32, byCost bool) ([]byte, error) {
 	buf := []byte{'['}
-	for i := range pos {
+	for i := range refs {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		p := pos[i]
+		ref := refs[i]
 		if byCost {
-			p = pos[len(pos)-1-i]
+			ref = refs[len(refs)-1-i]
 		}
-		row, err := rowJSON(p)
+		row, err := sn.rowJSON(ref)
 		if err != nil {
 			return nil, err
 		}
@@ -409,71 +391,50 @@ func frontJSON(pos []int32, byCost bool, rowJSON func(int32) ([]byte, error)) ([
 	return append(buf, ']'), nil
 }
 
-// frontRows materializes front positions (by-time order) in the requested
-// order.
-func frontRows(pos []int32, byCost bool, row func(int32) *Point) []Point {
-	if len(pos) == 0 {
+// Advice returns the advice rows of any filter in the requested order:
+// the Pareto front of its matches, equal to pareto.Advice(sn.Select(f))
+// row for row. Only the surviving rows are materialized, so on a mapped
+// base only the chunks that hold them are decoded. The rows are a fresh
+// slice on every call; the query engine memoizes them per generation.
+func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
+	b, d := sn.resolve(c)
+	refs := sn.front(&b, &d)
+	if len(refs) == 0 {
 		return nil
 	}
-	rows := make([]Point, len(pos))
-	for i, p := range pos {
+	rows := make([]Point, len(refs))
+	for i, ref := range refs {
 		if byCost {
-			rows[len(rows)-1-i] = *row(p)
+			rows[len(rows)-1-i] = *sn.row(ref)
 		} else {
-			rows[i] = *row(p)
+			rows[i] = *sn.row(ref)
 		}
 	}
 	return rows
 }
 
-// Advice returns the advice rows of any filter in the requested order:
-// the Pareto front of its matches, equal to pareto.Advice(sn.Select(f))
-// row for row. A hot filter answers from its memoized front; any other
-// filter computes the same front from the columns without storing it. Only
-// the surviving rows are materialized, so on a mapped snapshot only the
-// chunks that hold them are decoded. The rows are a fresh slice on every
-// call; the query engine memoizes them per generation.
-func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
-	if d := sn.delta; d != nil {
-		return frontRows(d.frontRefs(c), byCost, d.row)
-	}
-	cf := sn.resolve(c)
-	return frontRows(sn.frontOf(&cf), byCost, sn.row)
-}
-
 // AdviceJSON returns the advice rows of any filter as a JSON array
 // fragment, byte-identical to json.Marshal of Advice's rows ("[]" when
-// none survive), plus the row count. A hot filter answers from its
-// memoized fragment, which is shared and must not be modified; any other
-// filter renders a fresh one from the same front. On a mapped snapshot the
-// fragment is spliced from the persisted row bytes, so no row is decoded.
-// A survivor that cannot marshal is an error.
+// none survive), plus the row count. The fragment is fresh on every call,
+// rendered in the requested order only; on a mapped base its rows are
+// spliced from the persisted row bytes, so no base row is decoded. A
+// survivor that cannot marshal is an error.
 func (sn *Snapshot) AdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, error) {
-	if sn.delta != nil {
-		return sn.delta.adviceJSON(c, byCost)
-	}
-	cf := sn.resolve(c)
-	if hf := sn.hotSlot(&cf); hf != nil {
-		b, err := hf.json(sn, &cf, byCost)
-		return b, len(hf.pos), err
-	}
-	pos := sn.frontPositions(&cf)
-	b, err := frontJSON(pos, byCost, sn.rowJSON)
-	return b, len(pos), err
+	b, d := sn.resolve(c)
+	refs := sn.front(&b, &d)
+	buf, err := sn.frontJSON(refs, byCost)
+	return buf, len(refs), err
 }
 
 // HotAdviceJSON is AdviceJSON restricted to hot filters: ok=false when the
-// filter is not hot or its rows cannot marshal. It reports whether a
-// request is answered from the memo without computing a front.
+// filter is not hot or its rows cannot marshal. A hot filter's front is
+// merged from the halves' memoized positions, so no candidate is matched
+// or sorted once each half has computed it.
 func (sn *Snapshot) HotAdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, bool) {
-	if sn.delta != nil {
-		return sn.delta.hotAdviceJSON(c, byCost)
-	}
-	cf := sn.resolve(c)
-	hf := sn.hotSlot(&cf)
-	if hf == nil {
+	b, d := sn.resolve(c)
+	if sn.base.hotSlot(&b) == nil && sn.delta.hotSlot(&d) == nil {
 		return nil, 0, false
 	}
-	b, err := hf.json(sn, &cf, byCost)
-	return b, len(hf.pos), err == nil
+	buf, n, err := sn.AdviceJSON(c, byCost)
+	return buf, n, err == nil
 }

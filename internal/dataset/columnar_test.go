@@ -173,7 +173,7 @@ func TestHotFrontMatchesNaiveOracle(t *testing.T) {
 		// Multi-field filters are never hot: the engine must fall back.
 		c := (Filter{AppName: "lammps", SKU: "hb120rs_v3"}).Canonical()
 		if _, _, ok := sn.HotAdviceJSON(&c, false); ok {
-			t.Error("two-field filter unexpectedly has a precomputed front")
+			t.Error("two-field filter is unexpectedly hot")
 		}
 	}
 }
@@ -247,8 +247,8 @@ func TestHotFrontLazyAfterAppend(t *testing.T) {
 // Every unfiltered or single-field filter is hot on both constructors —
 // each app, SKU alias, SKU full name and input, in any case — and answers
 // with the oracle's bytes; a filter with a second field, a node bound, a
-// tag, IncludeFailed or an unknown symbol is not hot. Both constructors
-// list the same names for the same points.
+// tag, IncludeFailed, an unknown symbol or another field's value is not
+// hot. Both constructors list the same names for the same points.
 func TestHotSlotCoverage(t *testing.T) {
 	s := randomStore(rand.New(rand.NewSource(17)), 600)
 	heap, mapped := s.Snapshot(), mappedSnapshot(t, s)
@@ -277,7 +277,8 @@ func TestHotSlotCoverage(t *testing.T) {
 		{IncludeFailed: true},
 		{AppName: "nosuchapp"},
 		{SKU: "nosuchsku"},
-		{InputDesc: "LAMMPS"}, // an app symbol, not an input
+		{InputDesc: "LAMMPS"}, // not a symbol: app symbols are lowercased
+		{InputDesc: "lammps"}, // an app symbol, not an input
 	}
 	for _, sn := range []*Snapshot{heap, mapped} {
 		for _, tc := range []struct {
@@ -290,14 +291,14 @@ func TestHotSlotCoverage(t *testing.T) {
 					want := adviceJSONOracle(t, naiveAdvice(s.SelectScan(f), byCost))
 					frag, _, ok := sn.HotAdviceJSON(&c, byCost)
 					if ok != tc.hot {
-						t.Fatalf("%+v mapped=%v: hot=%v, want %v", f, sn.lazy != nil, ok, tc.hot)
+						t.Fatalf("%+v mapped=%v: hot=%v, want %v", f, sn.base.lazy != nil, ok, tc.hot)
 					}
 					if !ok {
 						frag, _, _ = sn.AdviceJSON(&c, byCost)
 					}
 					if string(frag) != string(want) {
 						t.Fatalf("%+v mapped=%v byCost=%v: advice diverges from json.Marshal of the oracle\n got: %s\nwant: %s",
-							f, sn.lazy != nil, byCost, frag, want)
+							f, sn.base.lazy != nil, byCost, frag, want)
 					}
 				}
 			}
@@ -360,12 +361,12 @@ func mappedSnapshot(t testing.TB, s *Store) *Snapshot {
 	return sn
 }
 
-// decodedChunks reports, per lazy chunk of a mapped snapshot, whether any
+// decodedChunks reports, per lazy chunk of a mapped run, whether any
 // of its rows has been decoded (every test row has a ScenarioID).
-func decodedChunks(sn *Snapshot) []bool {
-	out := make([]bool, len(sn.lazy.chunks))
-	for i := range sn.sorted {
-		if sn.sorted[i].ScenarioID != "" {
+func decodedChunks(r *run) []bool {
+	out := make([]bool, len(r.lazy.chunks))
+	for i := range r.sorted {
+		if r.sorted[i].ScenarioID != "" {
 			out[i/lazyChunkRows] = true
 		}
 	}
@@ -392,11 +393,11 @@ func adviceJSONOracle(t testing.TB, rows []Point) []byte {
 func TestColdAdviceOnMappedSnapshotDecodesOnlySurvivors(t *testing.T) {
 	s := randomStore(rand.New(rand.NewSource(5)), 5000)
 	sn := mappedSnapshot(t, s)
-	if len(sn.lazy.chunks) < 3 {
-		t.Fatalf("%d chunks: too few for the decode check to mean anything", len(sn.lazy.chunks))
+	if len(sn.base.lazy.chunks) < 3 {
+		t.Fatalf("%d chunks: too few for the decode check to mean anything", len(sn.base.lazy.chunks))
 	}
 	posOf := map[string]int{}
-	for i, p := range s.Snapshot().sorted {
+	for i, p := range s.Snapshot().base.sorted {
 		posOf[p.ScenarioID] = i
 	}
 	filters := []Filter{
@@ -422,13 +423,13 @@ func TestColdAdviceOnMappedSnapshotDecodesOnlySurvivors(t *testing.T) {
 			}
 		}
 	}
-	for c, decoded := range decodedChunks(sn) {
+	for c, decoded := range decodedChunks(sn.base) {
 		if decoded {
 			t.Fatalf("cold AdviceJSON decoded rows of chunk %d", c)
 		}
 	}
 
-	wantDecoded := make([]bool, len(sn.lazy.chunks))
+	wantDecoded := make([]bool, len(sn.base.lazy.chunks))
 	partial := false
 	for _, f := range filters {
 		c := f.Canonical()
@@ -441,7 +442,7 @@ func TestColdAdviceOnMappedSnapshotDecodesOnlySurvivors(t *testing.T) {
 				wantDecoded[posOf[r.ScenarioID]/lazyChunkRows] = true
 			}
 		}
-		got := decodedChunks(sn)
+		got := decodedChunks(sn.base)
 		if !reflect.DeepEqual(got, wantDecoded) {
 			t.Fatalf("after %+v: decoded chunks %v, want only the survivors' %v", f, got, wantDecoded)
 		}
@@ -499,7 +500,7 @@ func FuzzColumnarSelect(f *testing.F) {
 				oracle := naiveAdvice(want, byCost)
 				if rows := sn.Advice(&c, byCost); !reflect.DeepEqual(rows, oracle) {
 					t.Fatalf("Advice diverges from the oracle for %+v byCost=%v mapped=%v (%d vs %d rows)",
-						fl, byCost, sn.lazy != nil, len(rows), len(oracle))
+						fl, byCost, sn.base.lazy != nil, len(rows), len(oracle))
 				}
 				got, n, err := sn.AdviceJSON(&c, byCost)
 				if err != nil {
@@ -507,7 +508,7 @@ func FuzzColumnarSelect(f *testing.F) {
 				}
 				if wantJSON := adviceJSONOracle(t, oracle); n != len(oracle) || string(got) != string(wantJSON) {
 					t.Fatalf("AdviceJSON diverges from json.Marshal of the oracle for %+v byCost=%v mapped=%v\n got: %s\nwant: %s",
-						fl, byCost, sn.lazy != nil, got, wantJSON)
+						fl, byCost, sn.base.lazy != nil, got, wantJSON)
 				}
 			}
 		}

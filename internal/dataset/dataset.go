@@ -75,8 +75,8 @@ type Sink interface {
 // never contend with concurrent appends.
 //
 // The read view is a base plus a delta (see delta.go). The base is an
-// immutable Snapshot: the mapped columnar snapshot NewMappedStore serves,
-// or one heap build. The delta is the points appended since, in append
+// immutable run: the mapped columnar snapshot NewMappedStore serves, or
+// one heap build. The delta is the points appended since, in append
 // order. A generation roll builds only the delta's snapshot, in
 // O(|delta|); past a fixed size rule the delta folds into a new heap base,
 // built off the lock by the reader that first sees the rule met.
@@ -87,7 +87,7 @@ type Sink interface {
 // surfaced by Flush, keeping the hot Add path signature-free.
 type Store struct {
 	mu      sync.RWMutex
-	base    *Snapshot // guarded-by: mu; immutable, covers the first base.Len() points
+	base    *run      // guarded-by: mu; immutable, covers the first base.len() points
 	delta   []Point   // guarded-by: mu; the points appended since, append order
 	log     deltaLog  // guarded-by: mu; the delta interned and ranked against base
 	folding bool      // guarded-by: mu; a reader is building the next base off the lock
@@ -99,7 +99,7 @@ type Store struct {
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{base: heapBase(nil, nil, 0)} }
+func NewStore() *Store { return &Store{base: heapRun(nil, nil)} }
 
 // Attach installs (or, with nil, removes) the write-through sink. Points
 // already in the store are not replayed: an attached backend is expected to
@@ -190,8 +190,9 @@ func (s *Store) Generation() uint64 {
 // Snapshot returns the read-optimized view of the current generation,
 // building it lazily on first use after a mutation. The returned snapshot
 // is immutable and shared: concurrent readers get the same pointer. With
-// nothing appended since the base it is the base itself; otherwise a roll
-// extends the previous delta by the new points without touching the base.
+// nothing appended since the base it serves the base alone; otherwise a
+// roll extends the previous delta by the new points without touching the
+// base.
 //
 // The reader whose roll first meets the fold rule then builds the next
 // base from that immutable snapshot off the lock, and retakes the lock
@@ -213,11 +214,11 @@ func (s *Store) Snapshot() *Snapshot {
 	}
 	s.snap = s.rollLocked()
 	snap := s.snap
-	fold := !s.folding && snap.delta != nil && foldDue(snap.delta.base.Len(), snap.delta.run.Len())
+	fold := !s.folding && foldDue(snap.base.len(), snap.delta.len())
 	s.folding = s.folding || fold
 	s.mu.Unlock()
 	if fold {
-		s.install(snap.delta.fold(snap.gen))
+		s.install(snap.fold())
 	}
 	return snap
 }
@@ -225,42 +226,42 @@ func (s *Store) Snapshot() *Snapshot {
 // rollLocked builds the snapshot of the current generation. Callers hold
 // s.mu.
 func (s *Store) rollLocked() *Snapshot {
-	if s.base.Len() == 0 && foldDue(0, len(s.delta)) {
-		s.setBaseLocked(foldPoints(s.delta, s.gen))
+	if s.base.len() == 0 && foldDue(0, len(s.delta)) {
+		s.setBaseLocked(foldPoints(s.delta))
 	}
 	if len(s.delta) == 0 {
-		return s.base
+		return &Snapshot{gen: s.gen, base: s.base}
 	}
 	s.log.extend(s.base, s.delta)
 	return s.log.snapshot(s.base, s.delta, s.gen)
 }
 
-// install swaps in a base folded off the lock.
-func (s *Store) install(base *Snapshot) {
+// install swaps in the base of a snapshot folded off the lock.
+func (s *Store) install(folded *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.folding = false
 	if s.rowErr == nil && s.base.lazy != nil {
 		s.rowErr = s.base.lazy.firstErr() // the fold decoded every row
 	}
-	s.setBaseLocked(base)
-	if s.snap.gen == base.gen {
-		s.snap = base
+	s.setBaseLocked(folded.base)
+	if s.snap.gen == folded.gen {
+		s.snap = folded
 	}
 }
 
 // setBaseLocked makes base, which extends the current base by a prefix of
 // the delta, the store's base, and drops that prefix from the delta.
 // Callers hold s.mu.
-func (s *Store) setBaseLocked(base *Snapshot) {
-	folded := base.Len() - s.base.Len()
+func (s *Store) setBaseLocked(base *run) {
+	folded := base.len() - s.base.len()
 	s.delta = append([]Point(nil), s.delta[folded:]...)
 	s.base, s.log = base, deltaLog{}
 }
 
 // view pins the append-order view: the base, whose rows come first, and
 // the delta after it.
-func (s *Store) view() (*Snapshot, []Point) {
+func (s *Store) view() (*run, []Point) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.base, s.delta[:len(s.delta):len(s.delta)]
@@ -270,13 +271,13 @@ func (s *Store) view() (*Snapshot, []Point) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.base.Len() + len(s.delta)
+	return s.base.len() + len(s.delta)
 }
 
 // All returns a copy of every point, in append order.
 func (s *Store) All() []Point {
 	base, tail := s.view()
-	out := make([]Point, 0, base.Len()+len(tail))
+	out := make([]Point, 0, base.len()+len(tail))
 	for _, k := range base.appendOrder() {
 		out = append(out, *base.row(k))
 	}

@@ -3,16 +3,15 @@ package dataset
 import (
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file implements the delta half of a store's read view. A Store
-// serves an immutable base Snapshot — the mapped columnar snapshot a load
-// hands it, or one heap build — plus the points appended since, the delta.
-// A generation roll builds only the delta's own small snapshot (its points
-// in canonical order with their own symbol table, columns and posting
-// lists) and never touches the base's rows, columns or posting lists, so
-// it costs O(|delta|). Queries run on both halves and merge:
+// serves an immutable base run — the mapped columnar snapshot a load hands
+// it, or one heap build — plus the points appended since, the delta. A
+// generation roll builds only the delta's own small run (its points in
+// canonical order with their own symbol table, columns and posting lists)
+// and never touches the base's rows, columns or posting lists, so it costs
+// O(|delta|). Queries run on both halves and merge:
 //
 //   - Canonical order. Each delta point carries its merge rank: the upper
 //     bound of the point in the base by pointLess (on equal keys the base
@@ -23,8 +22,8 @@ import (
 //     below every earlier one. A point a sweep of one half drops has an
 //     earlier point of that half at no higher cost, which stays earlier in
 //     the union, so front(B ∪ D) = front(front(B) ∪ front(D)) exactly.
-//     The base's memoized fronts therefore survive every roll, and a
-//     merged front costs O(|front(B)| + |front(D)|).
+//     The base's memoized front positions therefore survive every roll,
+//     and a merged front costs O(|front(B)| + |front(D)|).
 //
 // Past foldDue's rule the delta folds into a new heap base (Store.Snapshot).
 // This is the log-structured merge split (O'Neil et al., "The
@@ -50,25 +49,6 @@ const (
 // should fold.
 func foldDue(nb, nd int) bool {
 	return nd >= foldMinDelta && nd*foldRatio >= nb
-}
-
-// deltaView is what a base + delta snapshot holds besides its generation.
-// Everything but the merged hot memo is immutable.
-type deltaView struct {
-	base *Snapshot
-	run  *Snapshot // heap snapshot of the delta points in canonical order
-	rank []int32   // rank[k]: the base position run position k merges before
-	ord  []int32   // ord[k]: delta append index of run position k
-
-	hotMu sync.Mutex
-	slots map[hotKey]*hotFront // guarded-by: hotMu; merged fronts of the hot filters
-}
-
-// hotKey names a merged hot slot: a field and its canonical value, or
-// field numFields for the unfiltered view.
-type hotKey struct {
-	field int
-	value string
 }
 
 // deltaKey is what a roll keeps per delta point so the next roll does no
@@ -107,7 +87,7 @@ func (lg *deltaLog) intern(s string) uint32 {
 
 // extend interns and ranks pts[len(lg.keys):] against base and merges
 // them into the canonical order.
-func (lg *deltaLog) extend(base *Snapshot, pts []Point) {
+func (lg *deltaLog) extend(base *run, pts []Point) {
 	n0 := len(lg.keys)
 	fresh := make([]int32, 0, len(pts)-n0)
 	for j := n0; j < len(pts); j++ {
@@ -148,8 +128,8 @@ func (lg *deltaLog) extend(base *Snapshot, pts []Point) {
 
 // snapshot publishes the log as the base + delta snapshot at gen: the
 // delta's rows and columns gathered into canonical order and served by the
-// one snapshot constructor.
-func (lg *deltaLog) snapshot(base *Snapshot, pts []Point, gen uint64) *Snapshot {
+// one run constructor.
+func (lg *deltaLog) snapshot(base *run, pts []Point, gen uint64) *Snapshot {
 	n := len(lg.ord)
 	c := &Columnar{
 		Count:      n,
@@ -178,12 +158,7 @@ func (lg *deltaLog) snapshot(base *Snapshot, pts []Point, gen uint64) *Snapshot 
 			c.Failed[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}
-	return &Snapshot{gen: gen, delta: &deltaView{
-		base: base,
-		run:  newSnapshot(c, sorted, nil, uint64(n)),
-		rank: rank,
-		ord:  lg.ord,
-	}}
+	return &Snapshot{gen: gen, base: base, delta: newRun(c, sorted, nil), rank: rank, ord: lg.ord}
 }
 
 // insertName returns names with s added in sorted position: names itself
@@ -216,17 +191,17 @@ func unionNames(a, b []string) []string {
 	return append(out, b...)
 }
 
-// heapBase serves points already in canonical order, with their append
+// heapRun serves points already in canonical order, with their append
 // indexes, as a base.
-func heapBase(sorted []Point, appendIdx []uint32, gen uint64) *Snapshot {
+func heapRun(sorted []Point, appendIdx []uint32) *run {
 	c := columnsOf(sorted)
 	c.AppendIdx = appendIdx
-	return newSnapshot(c, sorted, nil, gen)
+	return newRun(c, sorted, nil)
 }
 
 // foldPoints builds a heap base over points in append order: the first
 // base of a store that has none.
-func foldPoints(pts []Point, gen uint64) *Snapshot {
+func foldPoints(pts []Point) *run {
 	idx := make([]uint32, len(pts))
 	for i := range idx {
 		idx[i] = uint32(i)
@@ -236,189 +211,98 @@ func foldPoints(pts []Point, gen uint64) *Snapshot {
 	for k, i := range idx {
 		sorted[k] = pts[i]
 	}
-	return heapBase(sorted, idx, gen)
+	return heapRun(sorted, idx)
 }
 
-// fold builds the heap base that replaces this base and delta. The two
-// runs merge by rank, so no row is compared; a mapped base decodes every
-// row here, once.
-func (d *deltaView) fold(gen uint64) *Snapshot {
-	b, r := d.base, d.run
+// fold builds the base-only snapshot, at the same generation, whose heap
+// base replaces this base and delta. The two runs merge by rank, so no row
+// is compared; a mapped base decodes every row here, once.
+func (sn *Snapshot) fold() *Snapshot {
+	b, d := sn.base, sn.delta
 	b.ensureAllRows()
-	nb, nr := b.Len(), r.Len()
-	sorted := make([]Point, 0, nb+nr)
-	idx := make([]uint32, 0, nb+nr)
+	nb, nd := b.len(), d.len()
+	sorted := make([]Point, 0, nb+nd)
+	idx := make([]uint32, 0, nb+nd)
 	i := 0
-	for k := 0; k <= nr; k++ {
+	for k := 0; k <= nd; k++ {
 		end := nb
-		if k < nr {
-			end = int(d.rank[k])
+		if k < nd {
+			end = int(sn.rank[k])
 		}
 		for ; i < end; i++ {
 			sorted = append(sorted, b.sorted[i])
 			idx = append(idx, b.col.AppendIdx[i])
 		}
-		if k < nr {
-			sorted = append(sorted, r.sorted[k])
-			idx = append(idx, uint32(nb)+uint32(d.ord[k]))
+		if k < nd {
+			sorted = append(sorted, d.sorted[k])
+			idx = append(idx, uint32(nb)+uint32(sn.ord[k]))
 		}
 	}
-	return heapBase(sorted, idx, gen)
+	return &Snapshot{gen: sn.gen, base: heapRun(sorted, idx)}
 }
 
-// A ref names a row of a base + delta snapshot: base position ref when
-// non-negative, run position ^ref otherwise.
+// A ref names a row of a snapshot: base position ref when non-negative,
+// delta position ^ref otherwise.
 
-func (d *deltaView) row(ref int32) *Point {
+func (sn *Snapshot) row(ref int32) *Point {
 	if ref >= 0 {
-		return d.base.row(ref)
+		return sn.base.row(ref)
 	}
-	return &d.run.sorted[^ref]
+	return &sn.delta.sorted[^ref]
 }
 
-func (d *deltaView) rowJSON(ref int32) ([]byte, error) {
+func (sn *Snapshot) rowJSON(ref int32) ([]byte, error) {
 	if ref >= 0 {
-		return d.base.rowJSON(ref)
+		return sn.base.rowJSON(ref)
 	}
-	return d.run.rowJSON(^ref)
+	return sn.delta.rowJSON(^ref)
 }
 
-// selectRows is Select over both halves: each half's matches, merged by
-// rank into canonical order.
-func (d *deltaView) selectRows(c *CanonicalFilter) []Point {
-	bcf, rcf := d.base.resolve(c), d.run.resolve(c)
-	bp, rp := d.base.matchPositions(&bcf), d.run.matchPositions(&rcf)
-	if len(bp)+len(rp) == 0 {
-		return nil
+func (sn *Snapshot) cost(ref int32) float64 {
+	if ref >= 0 {
+		return sn.base.col.Cost[ref]
 	}
-	out := make([]Point, 0, len(bp)+len(rp))
-	for _, k := range rp {
-		for ; len(bp) > 0 && bp[0] < d.rank[k]; bp = bp[1:] {
-			out = append(out, *d.base.row(bp[0]))
-		}
-		out = append(out, d.run.sorted[k])
-	}
-	for _, i := range bp {
-		out = append(out, *d.base.row(i))
-	}
-	return out
+	return sn.delta.col.Cost[^ref]
 }
 
-// precedes reports whether base position b comes before run position k in
-// the sweep order (exec, cost, canonical position).
-func (d *deltaView) precedes(b, k int32) bool {
-	bc, rc := d.base.col, d.run.col
-	if bc.Exec[b] != rc.Exec[k] {
-		return bc.Exec[b] < rc.Exec[k]
+// precedes reports whether base position b comes before delta position k
+// in the sweep order (exec, cost, canonical position).
+func (sn *Snapshot) precedes(b, k int32) bool {
+	bc, dc := sn.base.col, sn.delta.col
+	if bc.Exec[b] != dc.Exec[k] {
+		return bc.Exec[b] < dc.Exec[k]
 	}
-	if bc.Cost[b] != rc.Cost[k] {
-		return bc.Cost[b] < rc.Cost[k]
+	if bc.Cost[b] != dc.Cost[k] {
+		return bc.Cost[b] < dc.Cost[k]
 	}
-	return b < d.rank[k]
+	return b < sn.rank[k]
 }
 
-// front returns the merged front of the filter as refs in by-time order:
-// each half's front (from its memo when the filter is hot there), merged in
-// sweep order and swept again, exactly as frontPositions sweeps.
-func (d *deltaView) front(c *CanonicalFilter) []int32 {
-	bcf, rcf := d.base.resolve(c), d.run.resolve(c)
-	bf, rf := d.base.frontOf(&bcf), d.run.frontOf(&rcf)
-	if len(bf)+len(rf) == 0 {
-		return nil
+// front returns the filter's front as refs in by-time order: each half's
+// front (from its memo when the filter is hot there), merged in sweep
+// order and swept again, exactly as frontPositions sweeps. With no delta
+// front it is the base's front itself, which may be the shared memo: the
+// result is read-only.
+func (sn *Snapshot) front(b, d *colFilter) []int32 {
+	bf, df := sn.base.front(b), sn.delta.front(d)
+	if len(df) == 0 {
+		return bf
 	}
-	merged := make([]int32, 0, len(bf)+len(rf))
-	for len(bf) > 0 || len(rf) > 0 {
-		if len(rf) == 0 || (len(bf) > 0 && d.precedes(bf[0], rf[0])) {
+	merged := make([]int32, 0, len(bf)+len(df))
+	for len(bf) > 0 || len(df) > 0 {
+		if len(df) == 0 || (len(bf) > 0 && sn.precedes(bf[0], df[0])) {
 			merged, bf = append(merged, bf[0]), bf[1:]
 		} else {
-			merged, rf = append(merged, ^rf[0]), rf[1:]
+			merged, df = append(merged, ^df[0]), df[1:]
 		}
 	}
 	front := merged[:0]
-	minCost := d.cost(merged[0]) + 1
+	minCost := sn.cost(merged[0]) + 1
 	for _, ref := range merged {
-		if cost := d.cost(ref); cost < minCost {
+		if cost := sn.cost(ref); cost < minCost {
 			front = append(front, ref)
 			minCost = cost
 		}
 	}
 	return front
-}
-
-func (d *deltaView) cost(ref int32) float64 {
-	if ref >= 0 {
-		return d.base.col.Cost[ref]
-	}
-	return d.run.col.Cost[^ref]
-}
-
-// hot returns the merged memo of a hot filter, computed on first use, and
-// nil for any other filter: the same filters Snapshot.hotSlot memoizes,
-// with a value known to either half. Slots are made on first use.
-func (d *deltaView) hot(c *CanonicalFilter) *hotFront {
-	if c.includeFailed || c.minNodes > 0 || c.maxNodes > 0 || len(c.tags) > 0 {
-		return nil
-	}
-	key := hotKey{field: numFields}
-	for f, v := range [numFields]string{c.app, c.sku, c.input} {
-		if v == "" {
-			continue
-		}
-		if key.field != numFields {
-			return nil // a second field
-		}
-		key = hotKey{f, v}
-	}
-	if key.field != numFields {
-		_, inBase := d.base.syms[key.value]
-		_, inRun := d.run.syms[key.value]
-		if !inBase && !inRun {
-			return nil
-		}
-	}
-	d.hotMu.Lock()
-	hf := d.slots[key]
-	if hf == nil {
-		if d.slots == nil {
-			d.slots = make(map[hotKey]*hotFront)
-		}
-		hf = &hotFront{}
-		d.slots[key] = hf
-	}
-	d.hotMu.Unlock()
-	hf.once.Do(func() {
-		hf.pos = d.front(c)
-		hf.timeJSON, hf.err = frontJSON(hf.pos, false, d.rowJSON)
-		if hf.err == nil {
-			hf.costJSON, hf.err = frontJSON(hf.pos, true, d.rowJSON)
-		}
-	})
-	return hf
-}
-
-// frontRefs returns the filter's merged front, from the memo when it is hot.
-func (d *deltaView) frontRefs(c *CanonicalFilter) []int32 {
-	if hf := d.hot(c); hf != nil {
-		return hf.pos
-	}
-	return d.front(c)
-}
-
-func (d *deltaView) adviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, error) {
-	if hf := d.hot(c); hf != nil {
-		b, err := hf.pick(byCost)
-		return b, len(hf.pos), err
-	}
-	pos := d.front(c)
-	b, err := frontJSON(pos, byCost, d.rowJSON)
-	return b, len(pos), err
-}
-
-func (d *deltaView) hotAdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, bool) {
-	hf := d.hot(c)
-	if hf == nil {
-		return nil, 0, false
-	}
-	b, err := hf.pick(byCost)
-	return b, len(hf.pos), err == nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,7 +83,7 @@ func foldNow(s *Store) {
 	s.mu.Lock()
 	s.folding = true
 	s.mu.Unlock()
-	s.install(sn.delta.fold(sn.Generation()))
+	s.install(sn.fold())
 }
 
 // deltaPoints draws n appends that stress the merge against base: exact
@@ -138,6 +139,40 @@ func deltaFilters(rng *rand.Rand) []Filter {
 	return fs
 }
 
+// hotRef is the hotness rule computed from ref: the unfiltered view, or a
+// filter on exactly one of app, SKU (full name or alias) and input, with
+// no node bound, tag or IncludeFailed, whose value that field takes in
+// ref. App and SKU values compare lowercased.
+func hotRef(ref []Point, f Filter) bool {
+	if f.IncludeFailed || f.MinNodes > 0 || f.MaxNodes > 0 || len(f.Tags) > 0 {
+		return false
+	}
+	app, sku := strings.ToLower(f.AppName), strings.ToLower(f.SKU)
+	var occurs func(p *Point) bool
+	fields := 0
+	if app != "" {
+		fields++
+		occurs = func(p *Point) bool { return strings.ToLower(p.AppName) == app }
+	}
+	if sku != "" {
+		fields++
+		occurs = func(p *Point) bool { return strings.ToLower(p.SKU) == sku || strings.ToLower(p.SKUAlias) == sku }
+	}
+	if f.InputDesc != "" {
+		fields++
+		occurs = func(p *Point) bool { return p.InputDesc == f.InputDesc }
+	}
+	if fields != 1 {
+		return fields == 0
+	}
+	for i := range ref {
+		if occurs(&ref[i]) {
+			return true
+		}
+	}
+	return false
+}
+
 // checkAgainstRef holds every read of s's current snapshot to the oracles
 // over ref, the store's points in append order.
 func checkAgainstRef(t *testing.T, s *Store, ref []Point, filters []Filter) {
@@ -190,7 +225,11 @@ func checkAgainstRef(t *testing.T, s *Store, ref []Point, filters []Filter) {
 				t.Fatalf("gen %d %+v byCost=%v: AdviceJSON diverges from the oracle (%v)\n got: %s\nwant: %s",
 					len(ref), f, byCost, err, got, wantJSON)
 			}
-			if hot, n, ok := sn.HotAdviceJSON(&c, byCost); ok && (n != len(oracle) || string(hot) != string(wantJSON)) {
+			hot, n, ok := sn.HotAdviceJSON(&c, byCost)
+			if want := hotRef(ref, f); ok != want {
+				t.Fatalf("gen %d %+v byCost=%v: hot=%v, want %v", len(ref), f, byCost, ok, want)
+			}
+			if ok && (n != len(oracle) || string(hot) != string(wantJSON)) {
 				t.Fatalf("gen %d %+v byCost=%v: hot fragment diverges from the oracle", len(ref), f, byCost)
 			}
 		}
@@ -353,7 +392,7 @@ func TestDeltaFoldRacesAppendsAndQueries(t *testing.T) {
 	wg.Wait()
 	final := s.Snapshot()
 	s.mu.RLock()
-	folded := s.base != base
+	folded := s.base != base.base
 	s.mu.RUnlock()
 	if !folded {
 		t.Fatal("the delta crossed the fold rule but no fold was installed")
@@ -394,7 +433,7 @@ func TestAppendToMappedStoreDecodesNoBaseRow(t *testing.T) {
 		}
 		tc.load(s)
 		sn := s.Snapshot()
-		if sn.delta == nil || sn.delta.base != mapped {
+		if sn.delta == nil || sn.base != mapped {
 			t.Fatalf("%s: the snapshot is not a delta over the mapped base", tc.name)
 		}
 		ref := append(append([]Point(nil), base...), tc.added...)

@@ -1,14 +1,14 @@
 package dataset
 
-// This file implements snapshots served over persisted columnar state. A
+// This file implements runs served over persisted columnar state. A
 // storage backend that persisted a snapshot's columnar state (format v2
 // segments) hands it back as a Columnar — typed slices aliasing the
 // file's bytes, mapped or read — and NewMappedStore validates it and
-// serves it through the same constructor a heap build uses: no JSON
-// re-parse, no re-sort, no column rebuild. Row structs are materialized
-// lazily in fixed-size chunks the first time a query actually touches one,
-// so a cold process serves columnar filters, and hot fronts spliced from
-// the row bytes, without ever decoding most rows.
+// serves it as the base run through the same constructor a heap build
+// uses: no JSON re-parse, no re-sort, no column rebuild. Row structs are
+// materialized lazily in fixed-size chunks the first time a query actually
+// touches one, so a cold process serves columnar filters, and advice
+// spliced from the row bytes, without ever decoding most rows.
 //
 // Integrity model: the storage layer CRC-verifies every section before
 // handing it here, and NewMappedStore re-validates the structural
@@ -35,7 +35,7 @@ const lazyChunkRows = 1024
 // lazyChunk guards the one-time decode of one chunk of rows.
 type lazyChunk struct{ once sync.Once }
 
-// lazyRows defers row materialization for a mapped snapshot: sorted[i]
+// lazyRows defers row materialization for a mapped run: sorted[i]
 // starts as the zero Point and is decoded from the row bytes (col.Rows) on
 // first touch, chunk by chunk. Only the per-chunk sync.Once state and the
 // sticky decode error ever change.
@@ -56,80 +56,79 @@ func (lz *lazyRows) firstErr() error {
 	return err
 }
 
-// ensureRow materializes the chunk holding sorted[i]. A nil receiver path
-// (non-mapped snapshots) is a single branch, so the hooks on the query
-// paths cost nothing for heap-built snapshots.
-func (sn *Snapshot) ensureRow(i int) {
-	lz := sn.lazy
+// ensureRow materializes the chunk holding sorted[i]. On a heap run it is
+// a single branch, so the hooks on the query paths cost nothing there.
+func (r *run) ensureRow(i int) {
+	lz := r.lazy
 	if lz == nil {
 		return
 	}
 	c := i / lazyChunkRows
-	lz.chunks[c].once.Do(func() { sn.decodeChunk(c) })
+	lz.chunks[c].once.Do(func() { r.decodeChunk(c) })
 }
 
 // ensureAllRows materializes every row.
-func (sn *Snapshot) ensureAllRows() {
-	lz := sn.lazy
+func (r *run) ensureAllRows() {
+	lz := r.lazy
 	if lz == nil {
 		return
 	}
 	for c := range lz.chunks {
-		lz.chunks[c].once.Do(func() { sn.decodeChunk(c) })
+		lz.chunks[c].once.Do(func() { r.decodeChunk(c) })
 	}
 }
 
-// rowJSON returns the JSON encoding of sorted[i]. On a mapped snapshot
-// that is the persisted row, which the writer produced with the same
-// json.Marshal(&sorted[k]), so no row is decoded; on a heap snapshot it is
-// a fresh marshal.
-func (sn *Snapshot) rowJSON(i int32) ([]byte, error) {
-	if sn.lazy != nil {
-		return sn.col.Rows[sn.col.RowOffs[i]:sn.col.RowOffs[i+1]], nil
+// rowJSON returns the JSON encoding of sorted[i]. On a mapped run that is
+// the persisted row, which the writer produced with the same
+// json.Marshal(&sorted[k]), so no row is decoded; on a heap run it is a
+// fresh marshal.
+func (r *run) rowJSON(i int32) ([]byte, error) {
+	if r.lazy != nil {
+		return r.col.Rows[r.col.RowOffs[i]:r.col.RowOffs[i+1]], nil
 	}
-	return json.Marshal(&sn.sorted[i])
+	return json.Marshal(&r.sorted[i])
 }
 
 // row returns sorted[i], materialized.
-func (sn *Snapshot) row(i int32) *Point {
-	sn.ensureRow(int(i))
-	return &sn.sorted[i]
+func (r *run) row(i int32) *Point {
+	r.ensureRow(int(i))
+	return &r.sorted[i]
 }
 
 // rowKey decodes the fields pointLess reads from mapped row i's bytes,
 // leaving its chunk untouched. A row that fails to decode keys as the zero
 // Point its chunk would serve.
-func (sn *Snapshot) rowKey(i int) Point {
+func (r *run) rowKey(i int) Point {
 	var k struct {
 		SKUAlias  string `json:"sku_alias"`
 		InputDesc string `json:"input_desc"`
 		NNodes    int    `json:"nnodes"`
 	}
-	if err := json.Unmarshal(sn.col.Rows[sn.col.RowOffs[i]:sn.col.RowOffs[i+1]], &k); err != nil {
+	if err := json.Unmarshal(r.col.Rows[r.col.RowOffs[i]:r.col.RowOffs[i+1]], &k); err != nil {
 		return Point{}
 	}
 	return Point{SKUAlias: k.SKUAlias, InputDesc: k.InputDesc, NNodes: k.NNodes}
 }
 
-func (sn *Snapshot) decodeChunk(c int) {
-	lz, rows, offs := sn.lazy, sn.col.Rows, sn.col.RowOffs
+func (r *run) decodeChunk(c int) {
+	lz, rows, offs := r.lazy, r.col.Rows, r.col.RowOffs
 	lo := c * lazyChunkRows
 	hi := lo + lazyChunkRows
-	if hi > len(sn.sorted) {
-		hi = len(sn.sorted)
+	if hi > len(r.sorted) {
+		hi = len(r.sorted)
 	}
 	for i := lo; i < hi; i++ {
-		if err := json.Unmarshal(rows[offs[i]:offs[i+1]], &sn.sorted[i]); err != nil {
+		if err := json.Unmarshal(rows[offs[i]:offs[i+1]], &r.sorted[i]); err != nil {
 			// CRC verified these bytes, so this can only be a writer bug;
 			// record it (sticky) and leave the row zero rather than serve a
 			// partially decoded struct.
-			sn.sorted[i] = Point{}
+			r.sorted[i] = Point{}
 			lz.recordErr(fmt.Errorf("dataset: mapped row %d: %w", i, err))
 		}
 	}
 }
 
-// NewMappedStore builds a store whose base snapshot is constructed
+// NewMappedStore builds a store whose base run is constructed
 // directly over persisted columnar state — the zero-copy cold-start path.
 // The returned store serves Snapshot queries immediately without decoding
 // rows. Appends become the delta over that base: a roll never decodes or
@@ -144,7 +143,7 @@ func NewMappedStore(c *Columnar) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{base: sn, gen: sn.gen, snap: sn}, nil
+	return &Store{base: sn.base, gen: sn.gen, snap: sn}, nil
 }
 
 func newMappedSnapshot(c *Columnar) (*Snapshot, error) {
@@ -181,13 +180,13 @@ func newMappedSnapshot(c *Columnar) (*Snapshot, error) {
 	}
 
 	lazy := &lazyRows{chunks: make([]lazyChunk, (n+lazyChunkRows-1)/lazyChunkRows)}
-	sn := newSnapshot(c, make([]Point, n), lazy, uint64(n))
-	if len(sn.syms) != len(c.Syms) {
+	r := newRun(c, make([]Point, n), lazy)
+	if len(r.syms) != len(c.Syms) {
 		for id, s := range c.Syms {
-			if sn.syms[s] != uint32(id) { // a later duplicate took the entry
+			if r.syms[s] != uint32(id) { // a later duplicate took the entry
 				return nil, fmt.Errorf("dataset: mapped columnar: duplicate symbol %q", s)
 			}
 		}
 	}
-	return sn, nil
+	return &Snapshot{gen: uint64(n), base: r}, nil
 }

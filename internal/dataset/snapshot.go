@@ -136,23 +136,32 @@ func (c *CanonicalFilter) Key() string {
 }
 
 // Snapshot is an immutable, read-optimized view of a store at one
-// generation: the points in canonical sorted order plus inverted indexes.
-// A store's snapshot is its base — the mapped columnar snapshot a load
-// serves, or one heap build — while nothing has been appended since, and a
-// base + delta snapshot otherwise, which serves the base and the appended
-// points as one canonical order without copying or re-indexing the base.
-// Snapshots are never modified after construction, so any number of
-// goroutines may query one concurrently, and queries never block appends.
+// generation: a base run plus, when points were appended since the base,
+// a delta run, served as one canonical order (see delta.go) without
+// copying or re-indexing the base. The base is the mapped columnar
+// snapshot a load serves, or one heap build. Snapshots are never modified
+// after construction, so any number of goroutines may query one
+// concurrently, and queries never block appends.
 type Snapshot struct {
-	gen uint64
+	gen   uint64
+	base  *run
+	delta *run    // nil when nothing was appended since the base
+	rank  []int32 // rank[k]: the base position delta position k merges before
+	ord   []int32 // ord[k]: delta append index of delta position k
+}
 
+// run is one immutable, indexed half of a snapshot: its points in
+// canonical sorted order plus inverted indexes. A nil *run is the empty
+// delta of a base-only snapshot; resolve makes every query on it match
+// nothing.
+type run struct {
 	sorted []Point
 
 	// col is the struct-of-arrays form of sorted (see columnar.go):
 	// interned symbol IDs and typed columns, so matchPositions compares
 	// uint32s over contiguous memory instead of case-folding strings per
-	// candidate. On a mapped snapshot its slices alias the file's bytes,
-	// and col.Ref pins them for the snapshot's lifetime.
+	// candidate. On a mapped run its slices alias the file's bytes, and
+	// col.Ref pins them for the run's lifetime.
 	col *Columnar
 
 	// syms inverts col.Syms: interned string -> symbol ID.
@@ -163,14 +172,14 @@ type Snapshot struct {
 	// order. A position is listed under both its SKU and its alias symbol.
 	post [numFields][][]int32
 
-	// hotAll and hot[field][id] memoize the advice of the unfiltered view
-	// and of each single-field filter; each slot computes at most once, on
-	// first use (see hotSlot).
+	// hotAll and hot[field][id] memoize the front positions of the
+	// unfiltered view and of each single-field filter; each slot computes
+	// at most once, on first use (see hotSlot).
 	hotAll hotFront
 	hot    [numFields][]hotFront
 
-	// lazy, when non-nil, defers row materialization (mmap-backed
-	// snapshots): sorted[i] starts zero and is decoded from the row bytes
+	// lazy, when non-nil, defers row materialization (mapped runs):
+	// sorted[i] starts zero and is decoded from the row bytes
 	// chunk-by-chunk on first touch (see lazy.go). Every read of sorted[i]
 	// must go through ensureRow(i) first.
 	lazy *lazyRows
@@ -180,30 +189,25 @@ type Snapshot struct {
 	// reads.
 	inOrderOnce sync.Once
 	inOrder     []int32
-
-	// delta, when non-nil, makes this a base + delta snapshot (see
-	// delta.go): every field above is zero, and the exported methods serve
-	// delta.base and delta.run merged. A snapshot with no delta is its base.
-	delta *deltaView
 }
 
-// newSnapshot is the one snapshot constructor, for heap and mapped
-// snapshots alike: it serves sorted over c's columns, inverting the symbol
-// table and building one posting list per (field, symbol ID). On a mapped
-// snapshot lazy is non-nil and sorted starts zero.
-func newSnapshot(c *Columnar, sorted []Point, lazy *lazyRows, gen uint64) *Snapshot {
+// newRun is the one run constructor, for heap and mapped runs alike: it
+// serves sorted over c's columns, inverting the symbol table and building
+// one posting list per (field, symbol ID). On a mapped run lazy is non-nil
+// and sorted starts zero.
+func newRun(c *Columnar, sorted []Point, lazy *lazyRows) *run {
 	nsym := len(c.Syms)
-	sn := &Snapshot{gen: gen, sorted: sorted, col: c, lazy: lazy, syms: make(map[string]uint32, nsym)}
+	r := &run{sorted: sorted, col: c, lazy: lazy, syms: make(map[string]uint32, nsym)}
 	for id, s := range c.Syms {
-		sn.syms[s] = uint32(id)
+		r.syms[s] = uint32(id)
 	}
-	sn.post[fieldApp] = postingLists(nsym, c.App)
-	sn.post[fieldSKU] = postingLists(nsym, c.SKU, c.Alias)
-	sn.post[fieldInput] = postingLists(nsym, c.Input)
-	for f := range sn.hot {
-		sn.hot[f] = make([]hotFront, nsym)
+	r.post[fieldApp] = postingLists(nsym, c.App)
+	r.post[fieldSKU] = postingLists(nsym, c.SKU, c.Alias)
+	r.post[fieldInput] = postingLists(nsym, c.Input)
+	for f := range r.hot {
+		r.hot[f] = make([]hotFront, nsym)
 	}
-	return sn
+	return r
 }
 
 // postingLists inverts one or two id columns into per-symbol posting
@@ -242,41 +246,38 @@ func postingLists(nsym int, cols ...[]uint32) [][]int32 {
 func (sn *Snapshot) Generation() uint64 { return sn.gen }
 
 // Len returns the number of points in the snapshot.
-func (sn *Snapshot) Len() int {
-	if d := sn.delta; d != nil {
-		return d.base.Len() + d.run.Len()
+func (sn *Snapshot) Len() int { return sn.base.len() + sn.delta.len() }
+
+func (r *run) len() int {
+	if r == nil {
+		return 0
 	}
-	return len(sn.sorted)
+	return len(r.sorted)
 }
 
 // Apps lists distinct application names present, sorted.
 func (sn *Snapshot) Apps() []string {
-	if d := sn.delta; d != nil {
-		return unionNames(d.base.col.Apps, d.run.col.Apps)
-	}
-	out := make([]string, len(sn.col.Apps))
-	copy(out, sn.col.Apps)
-	return out
+	return sn.names(func(c *Columnar) []string { return c.Apps })
 }
 
 // SKUAliases lists distinct SKU aliases present, sorted.
 func (sn *Snapshot) SKUAliases() []string {
-	if d := sn.delta; d != nil {
-		return unionNames(d.base.col.SKUAliases, d.run.col.SKUAliases)
-	}
-	out := make([]string, len(sn.col.SKUAliases))
-	copy(out, sn.col.SKUAliases)
-	return out
+	return sn.names(func(c *Columnar) []string { return c.SKUAliases })
 }
 
 // Inputs lists distinct input descriptions present, sorted.
 func (sn *Snapshot) Inputs() []string {
-	if d := sn.delta; d != nil {
-		return unionNames(d.base.col.Inputs, d.run.col.Inputs)
+	return sn.names(func(c *Columnar) []string { return c.Inputs })
+}
+
+// names merges one sorted distinct-name list of both halves into a fresh
+// slice.
+func (sn *Snapshot) names(list func(*Columnar) []string) []string {
+	var d []string
+	if sn.delta != nil {
+		d = list(sn.delta.col)
 	}
-	out := make([]string, len(sn.col.Inputs))
-	copy(out, sn.col.Inputs)
-	return out
+	return unionNames(list(sn.base.col), d)
 }
 
 // matchPositions returns the positions of the points passing the filter,
@@ -285,7 +286,7 @@ func (sn *Snapshot) Inputs() []string {
 // constrains none of them, evaluating the whole predicate per candidate
 // on the columns. The result is always a fresh slice, so callers may
 // filter it in place.
-func (sn *Snapshot) matchPositions(cf *colFilter) []int32 {
+func (r *run) matchPositions(cf *colFilter) []int32 {
 	if cf.absent {
 		return nil
 	}
@@ -295,14 +296,14 @@ func (sn *Snapshot) matchPositions(cf *colFilter) []int32 {
 		if !has {
 			continue
 		}
-		if l := sn.post[f][cf.id[f]]; !indexed || len(l) < len(list) {
+		if l := r.post[f][cf.id[f]]; !indexed || len(l) < len(list) {
 			list, indexed = l, true
 		}
 	}
 	if !indexed {
-		out := make([]int32, 0, len(sn.sorted))
-		for i := range sn.sorted {
-			if sn.matchAt(cf, i) {
+		out := make([]int32, 0, len(r.sorted))
+		for i := range r.sorted {
+			if r.matchAt(cf, i) {
 				out = append(out, int32(i))
 			}
 		}
@@ -310,7 +311,7 @@ func (sn *Snapshot) matchPositions(cf *colFilter) []int32 {
 	}
 	out := make([]int32, 0, len(list))
 	for _, i := range list {
-		if sn.matchAt(cf, int(i)) {
+		if r.matchAt(cf, int(i)) {
 			out = append(out, i)
 		}
 	}
@@ -318,22 +319,25 @@ func (sn *Snapshot) matchPositions(cf *colFilter) []int32 {
 }
 
 // Select returns points passing the filter in canonical (SKU alias, input,
-// nodes) order. The candidate walk runs first, so the rows are copied once,
-// into a slice of their final size.
+// nodes) order: each half's matches, merged by rank. The candidate walks
+// run first, so the rows are copied once, into a slice of their final
+// size.
 func (sn *Snapshot) Select(f Filter) []Point {
 	c := f.Canonical()
-	if sn.delta != nil {
-		return sn.delta.selectRows(&c)
-	}
-	cf := sn.resolve(&c)
-	pos := sn.matchPositions(&cf)
-	if len(pos) == 0 {
+	b, d := sn.resolve(&c)
+	bp, dp := sn.base.matchPositions(&b), sn.delta.matchPositions(&d)
+	if len(bp)+len(dp) == 0 {
 		return nil // nil, not an empty non-nil slice, like the scan baseline
 	}
-	out := make([]Point, len(pos))
-	for k, i := range pos {
-		sn.ensureRow(int(i))
-		out[k] = sn.sorted[i]
+	out := make([]Point, 0, len(bp)+len(dp))
+	for _, k := range dp {
+		for ; len(bp) > 0 && bp[0] < sn.rank[k]; bp = bp[1:] {
+			out = append(out, *sn.base.row(bp[0]))
+		}
+		out = append(out, sn.delta.sorted[k])
+	}
+	for _, i := range bp {
+		out = append(out, *sn.base.row(i))
 	}
 	return out
 }
@@ -361,26 +365,26 @@ func (sn *Snapshot) GroupSeries(f Filter) map[SeriesKey][]Point {
 }
 
 // upperBound returns the first position whose row sorts after p: the
-// merge rank of a point appended after every row of this snapshot. On a
-// mapped snapshot each probe decodes the sort key from the row's bytes;
-// no chunk is materialized.
-func (sn *Snapshot) upperBound(p *Point) int32 {
-	return int32(sort.Search(len(sn.sorted), func(i int) bool {
-		if sn.lazy == nil {
-			return pointLess(p, &sn.sorted[i])
+// merge rank of a point appended after every row of this run. On a mapped
+// run each probe decodes the sort key from the row's bytes; no chunk is
+// materialized.
+func (r *run) upperBound(p *Point) int32 {
+	return int32(sort.Search(len(r.sorted), func(i int) bool {
+		if r.lazy == nil {
+			return pointLess(p, &r.sorted[i])
 		}
-		k := sn.rowKey(i)
+		k := r.rowKey(i)
 		return pointLess(p, &k)
 	}))
 }
 
 // appendOrder returns the positions in append order.
-func (sn *Snapshot) appendOrder() []int32 {
-	sn.inOrderOnce.Do(func() {
-		sn.inOrder = make([]int32, len(sn.col.AppendIdx))
-		for k, idx := range sn.col.AppendIdx {
-			sn.inOrder[idx] = int32(k)
+func (r *run) appendOrder() []int32 {
+	r.inOrderOnce.Do(func() {
+		r.inOrder = make([]int32, len(r.col.AppendIdx))
+		for k, idx := range r.col.AppendIdx {
+			r.inOrder[idx] = int32(k)
 		}
 	})
-	return sn.inOrder
+	return r.inOrder
 }

@@ -91,8 +91,8 @@ func TestAdviceTableByteIdenticalToScanPath(t *testing.T) {
 	}
 }
 
-// hotFilters enumerates every filter the snapshot may have precomputed a
-// front for: unfiltered plus each single app/alias/input.
+// hotFilters enumerates every filter whose front positions the snapshot
+// memoizes: unfiltered plus each single app/alias/input.
 func hotFilters(sn *dataset.Snapshot) []dataset.Filter {
 	filters := []dataset.Filter{{}}
 	for _, app := range sn.Apps() {
@@ -109,7 +109,7 @@ func hotFilters(sn *dataset.Snapshot) []dataset.Filter {
 	return filters
 }
 
-// The precomputed hot fronts serve through Engine.Advice; every row set
+// The memoized hot fronts serve through Engine.Advice; every row set
 // must equal pareto.Advice over the scan baseline — same points, same
 // order — for the hot filters and the cold multi-field ones alike, on a
 // real collected sweep.
@@ -136,7 +136,7 @@ func TestHotFrontAdviceByteIdenticalToScanPath(t *testing.T) {
 			}
 		}
 	}
-	// Generation roll: appends must invalidate the precomputed fronts too.
+	// Generation roll: an append must reach the merged hot front too.
 	adv.Store.Add(dataset.Point{ScenarioID: "hot-roll", AppName: "lammps", SKU: "Standard_HC44rs",
 		SKUAlias: "hc44rs", NNodes: 3, ExecTimeSec: 0.001, CostUSD: 0.0001})
 	f := dataset.Filter{AppName: "lammps"}

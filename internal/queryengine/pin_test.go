@@ -26,7 +26,7 @@ func scanAt(store *dataset.Store, f dataset.Filter) ([]dataset.Point, []byte, st
 // live generation was served first.
 func TestQueriesHonourStaleSnapshot(t *testing.T) {
 	for _, f := range []dataset.Filter{
-		{AppName: "lammps"},                            // hot: served from the precomputed front
+		{AppName: "lammps"},                            // hot: served from the memoized front
 		{AppName: "lammps", MinNodes: 2, MaxNodes: 16}, // cold: select + front
 	} {
 		adv := collectedAdvisor(t)
