@@ -65,6 +65,25 @@ func TestFitSelectsAmdahlOnAmdahlData(t *testing.T) {
 	if got := g.Predict(32); math.Abs(got-want) > want*0.05 {
 		t.Errorf("Predict(32) = %v, want ~%v", got, want)
 	}
+
+	// Extrapolating one doubling past an unordered series with a failed
+	// point in it: the failed point does not drag the curve, and the
+	// caller's slice keeps its order.
+	pts := amdahlSweep(t, []int{8, 1, 4, 2, 16})
+	pts[4].Failed, pts[4].ExecTimeSec = true, 0
+	fits = Fit(pts, testConfig())
+	if len(fits) != 1 {
+		t.Fatalf("fits = %d, want 1", len(fits))
+	}
+	want = 1000 * (0.05 + 0.95/16)
+	if got := fits[0].Predict(16); math.Abs(got-want) > want*0.05 {
+		t.Errorf("Predict(16) from 1-8 nodes = %v, want ~%v", got, want)
+	}
+	for i, n := range []int{8, 1, 4, 2, 16} {
+		if pts[i].NNodes != n {
+			t.Fatalf("Fit reordered its input: position %d has %d nodes, want %d", i, pts[i].NNodes, n)
+		}
+	}
 }
 
 func TestFitSelectsPowerLawOnPowerLawData(t *testing.T) {

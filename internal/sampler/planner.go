@@ -6,6 +6,7 @@ import (
 
 	"hpcadvisor/internal/dataset"
 	"hpcadvisor/internal/pareto"
+	"hpcadvisor/internal/predictor"
 	"hpcadvisor/internal/pricing"
 	"hpcadvisor/internal/scenario"
 )
@@ -27,24 +28,54 @@ type Ranked struct {
 // on investment, i.e. scenarios that would help provide more information
 // for generating the Pareto front."
 //
-// For candidates whose (SKU, input) already has enough measurements, an
-// Amdahl extrapolation predicts the new point; the score is the hypervolume
-// the prediction would add to the current front, divided by its predicted
-// collection cost. Unexplored combinations score by an exploration bonus
-// that prefers cheap probes (small node counts, cheap SKUs). The top k
+// For candidates whose (application, input, SKU) group has a fit that
+// passes the predictor's default gates, the fitted model predicts the new
+// point; the score is the hypervolume the prediction would add to the
+// front of its own (application, input), divided by its predicted
+// collection cost. Every other candidate is an exploration, scored by a
+// bonus that prefers cheap probes (small node counts, cheap SKUs). All
+// candidates are judged on one pinned snapshot of the store. The top k
 // candidates are returned, highest score first.
 func PlanNext(store *dataset.Store, candidates []*scenario.Task, prices *pricing.PriceBook, region string, k int) []Ranked {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	measured := store.Select(dataset.Filter{})
+	sn := store.Snapshot()
+	byApp := make(map[string][]dataset.Point)
+	// One front per (application, input): its measured points, their fits,
+	// and the predictions made in it, which its hypervolume reference box
+	// must cover (a prediction may be faster but costlier than anything
+	// measured).
+	type front struct {
+		app            string
+		input          map[string]string
+		measured       []dataset.Point
+		fits           []predictor.GroupFit
+		predicted      []dataset.Point
+		refT, refC, hv float64
+	}
+	var fronts []*front
+	frontOf := func(t *scenario.Task) *front {
+		for _, f := range fronts {
+			if f.app == t.AppName && sameInput(f.input, t.AppInput) {
+				return f
+			}
+		}
+		pts, ok := byApp[t.AppName]
+		if !ok {
+			pts = sn.Select(dataset.Filter{AppName: t.AppName})
+			byApp[t.AppName] = pts
+		}
+		f := &front{app: t.AppName, input: t.AppInput, measured: withInput(pts, t.AppInput)}
+		f.fits = predictor.Fit(f.measured, predictor.Config{})
+		fronts = append(fronts, f)
+		return f
+	}
 
-	// First pass: extrapolate every predictable candidate so the shared
-	// hypervolume reference point covers predictions that extend beyond the
-	// measured box (e.g. faster but costlier than anything measured).
 	type prediction struct {
 		task  *scenario.Task
 		point dataset.Point
+		front *front
 	}
 	var predictions []prediction
 	var explorations []*scenario.Task
@@ -56,44 +87,29 @@ func PlanNext(store *dataset.Store, candidates []*scenario.Task, prices *pricing
 		if err != nil {
 			continue
 		}
-		var mine []dataset.Point
-		for _, p := range relevant(t, store) {
-			if p.SKU == t.SKU {
-				mine = append(mine, p)
-			}
-		}
-		if len(mine) < 2 {
+		f := frontOf(t)
+		fit, ok := groupFit(t, f.fits)
+		if !ok || fit.Predict(t.NNodes) <= 0 {
 			explorations = append(explorations, t)
 			continue
 		}
-		predTime, err := Predict(mine, t.NNodes)
-		if err != nil || predTime <= 0 {
-			explorations = append(explorations, t)
-			continue
+		p := dataset.Point{ScenarioID: t.ID, ExecTimeSec: fit.Predict(t.NNodes)}
+		p.CostUSD = pricing.CostAt(hourly, t.NNodes, p.ExecTimeSec)
+		f.predicted = append(f.predicted, p)
+		predictions = append(predictions, prediction{task: t, point: p, front: f})
+	}
+	for _, f := range fronts {
+		f.refT, f.refC = referencePoint(append(f.predicted, f.measured...))
+		if f.refT == 0 {
+			f.refT, f.refC = 1, 1
 		}
-		predictions = append(predictions, prediction{
-			task: t,
-			point: dataset.Point{
-				ScenarioID:  t.ID,
-				ExecTimeSec: predTime,
-				CostUSD:     pricing.CostAt(hourly, t.NNodes, predTime),
-			},
-		})
+		f.hv = pareto.Hypervolume(f.measured, f.refT, f.refC)
 	}
-
-	all := measured
-	for _, p := range predictions {
-		all = append(all, p.point)
-	}
-	refT, refC := referencePoint(all)
-	if refT == 0 {
-		refT, refC = 1, 1
-	}
-	baseHV := pareto.Hypervolume(measured, refT, refC)
 
 	var ranked []Ranked
 	for _, p := range predictions {
-		gain := pareto.Hypervolume(append(measured, p.point), refT, refC) - baseHV
+		f := p.front
+		gain := pareto.Hypervolume(append(f.measured[:len(f.measured):len(f.measured)], p.point), f.refT, f.refC) - f.hv
 		if gain < 0 {
 			gain = 0
 		}
@@ -113,7 +129,7 @@ func PlanNext(store *dataset.Store, candidates []*scenario.Task, prices *pricing
 		if err != nil {
 			continue
 		}
-		// Exploration: no usable history for this (SKU, input). Prefer
+		// Exploration: no gated fit for this (SKU, input) yet. Prefer
 		// cheap probes; the bonus shrinks with expected spend so small node
 		// counts on cheap SKUs run first.
 		probeCost := pricing.CostAt(hourly, t.NNodes, 600) // assume a 10-minute probe

@@ -135,3 +135,48 @@ func TestPlanNextIgnoresFailedPoints(t *testing.T) {
 		}
 	}
 }
+
+func TestPlanNextScoresAgainstOwnFront(t *testing.T) {
+	// Each candidate is scored against the front and reference box of its
+	// own (application, input): another application's points in the same
+	// store, or the same application's under another input, here much
+	// faster sweeps, must not move any score.
+	lammps := dataset.NewStore()
+	shared := dataset.NewStore()
+	for _, n := range []int{1, 2, 4} {
+		lammps.Add(amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", n, 1000, 0.05))
+		shared.Add(amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", n, 1000, 0.05))
+		other := amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", n, 100, 0.05)
+		other.ScenarioID = "openfoam-" + other.ScenarioID
+		other.AppName = "openfoam"
+		other.AppInput = map[string]string{"mesh": "40 16 16"}
+		other.InputDesc = "cells=10240"
+		shared.Add(other)
+		small := amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", n, 100, 0.05)
+		small.ScenarioID = "small-" + small.ScenarioID
+		small.AppInput = map[string]string{"BOXFACTOR": "8"}
+		small.InputDesc = "atoms=16M"
+		shared.Add(small)
+	}
+	candidates := func() []*scenario.Task {
+		return []*scenario.Task{
+			pendingTask("Standard_HB120rs_v3", "hb120rs_v3", 3),
+			pendingTask("Standard_HB120rs_v3", "hb120rs_v3", 8),
+		}
+	}
+	want := PlanNext(lammps, candidates(), pricing.Default(), "southcentralus", 2)
+	got := PlanNext(shared, candidates(), pricing.Default(), "southcentralus", 2)
+	if len(want) != 2 || len(got) != 2 {
+		t.Fatalf("ranked sizes: alone %d, shared %d", len(want), len(got))
+	}
+	if want[0].Task.NNodes != 8 || want[0].Score <= 0 {
+		t.Fatalf("alone: first pick %d nodes scoring %.4g, want the front-extending 8 with a positive score",
+			want[0].Task.NNodes, want[0].Score)
+	}
+	for i := range want {
+		if want[i].Task.NNodes != got[i].Task.NNodes || want[i].Score != got[i].Score {
+			t.Errorf("rank %d moved by other points: alone %d nodes %.4g, shared %d nodes %.4g",
+				i, want[i].Task.NNodes, want[i].Score, got[i].Task.NNodes, got[i].Score)
+		}
+	}
+}

@@ -5,17 +5,20 @@
 //   - AggressiveDiscard: once there is evidence, at a given threshold, that
 //     a VM type will not reach the Pareto front, all its remaining scenarios
 //     are skipped.
-//   - PerfFactor: a regression (Amdahl strong-scaling fit) over the
-//     scenarios already executed predicts the runtime of candidate
-//     scenarios; candidates whose predicted position cannot reach the front
-//     are skipped ("fixed performance factor" in the paper).
+//   - PerfFactor: the predictor's scaling model (internal/predictor: Amdahl
+//     or a power law, whichever fits better), fitted over the scenarios
+//     already executed, predicts the runtime of candidate scenarios;
+//     candidates whose predicted position cannot reach the front are
+//     skipped ("fixed performance factor" in the paper).
 //   - BottleneckAware: infrastructure metrics from executed scenarios
 //     (network-bound classification) prune larger node counts that can only
 //     add cost.
 //
 // These were "under development" in the paper; this package is a complete
 // implementation evaluated by the sampler ablation benches against the full
-// sweep.
+// sweep. PerfFactor and the return-on-investment planner (PlanNext) predict
+// through the same fits that serve "advice -predict", so the curve that
+// decides what runs is the curve the advice shows.
 package sampler
 
 import (
@@ -26,9 +29,26 @@ import (
 	"hpcadvisor/internal/dataset"
 	"hpcadvisor/internal/monitor"
 	"hpcadvisor/internal/pareto"
+	"hpcadvisor/internal/predictor"
 	"hpcadvisor/internal/pricing"
-	"hpcadvisor/internal/regression"
 	"hpcadvisor/internal/scenario"
+)
+
+// Fixed thresholds of the strategies.
+const (
+	// discardMinPoints is AggressiveDiscard's evidence threshold: a SKU is
+	// discarded only after this many executed scenarios.
+	discardMinPoints = 2
+	// perfFactorMinR2 is PerfFactor's skip gate. It is stricter than the
+	// predictor's advice gate (predictor.DefaultMinR2) because a skipped
+	// scenario is never revisited.
+	perfFactorMinR2 = 0.95
+	// perfFactorHeadroom shrinks a predicted point before the dominance
+	// test, so near-front candidates still run.
+	perfFactorHeadroom = 0.10
+	// bottleneckMinGain is the speedup per node doubling below which
+	// BottleneckAware considers further scaling pointless.
+	bottleneckMinGain = 1.15
 )
 
 // Full is the no-op planner: every scenario runs (the paper's default
@@ -39,16 +59,19 @@ type Full struct{}
 func (Full) Decide(t *scenario.Task, store *dataset.Store) (bool, string) { return true, "" }
 
 // relevant selects completed points comparable to the task: same
-// application, same input parameters. Failed points are excluded explicitly
-// (not just by the Select default): they carry ExecTimeSec = 0, and a single
-// one would make a VM type look infinitely fast to every planner fit.
+// application, same input parameters.
 func relevant(t *scenario.Task, store *dataset.Store) []dataset.Point {
+	return withInput(store.Select(dataset.Filter{AppName: t.AppName}), t.AppInput)
+}
+
+// withInput keeps the points of pts run with the given input. Failed points
+// are excluded explicitly (not just by the Select default): they carry
+// ExecTimeSec = 0, and a single one would make a VM type look infinitely
+// fast to every planner.
+func withInput(pts []dataset.Point, input map[string]string) []dataset.Point {
 	var out []dataset.Point
-	for _, p := range store.Select(dataset.Filter{AppName: t.AppName}) {
-		if p.Failed {
-			continue
-		}
-		if sameInput(p.AppInput, t.AppInput) {
+	for _, p := range pts {
+		if !p.Failed && sameInput(p.AppInput, input) {
 			out = append(out, p)
 		}
 	}
@@ -67,12 +90,21 @@ func sameInput(a, b map[string]string) bool {
 	return true
 }
 
+// groupFit finds the task's group among predictor fits: the task's SKU and
+// its exact input. A pending task has no InputDesc, so the input is matched
+// on the fitted group's AppInput.
+func groupFit(t *scenario.Task, fits []predictor.GroupFit) (predictor.GroupFit, bool) {
+	for _, g := range fits {
+		if g.SKU == t.SKU && sameInput(g.AppInput, t.AppInput) {
+			return g, true
+		}
+	}
+	return predictor.GroupFit{}, false
+}
+
 // AggressiveDiscard skips every remaining scenario of a VM type once the
 // type's executed scenarios are all dominated by other types with margin.
 type AggressiveDiscard struct {
-	// MinPoints is the evidence threshold: the SKU must have at least this
-	// many executed scenarios before it can be discarded (default 2).
-	MinPoints int
 	// Margin is the dominance margin: a point counts as hopeless only if
 	// some other-SKU front point beats it by (1+Margin) in both time and
 	// cost (default 0.10).
@@ -81,10 +113,6 @@ type AggressiveDiscard struct {
 
 // Decide implements collector.Planner.
 func (d AggressiveDiscard) Decide(t *scenario.Task, store *dataset.Store) (bool, string) {
-	minPts := d.MinPoints
-	if minPts <= 0 {
-		minPts = 2
-	}
 	margin := d.Margin
 	if margin <= 0 {
 		margin = 0.10
@@ -98,7 +126,7 @@ func (d AggressiveDiscard) Decide(t *scenario.Task, store *dataset.Store) (bool,
 			others = append(others, p)
 		}
 	}
-	if len(mine) < minPts || len(others) == 0 {
+	if len(mine) < discardMinPoints || len(others) == 0 {
 		return true, ""
 	}
 	front := pareto.Front(others)
@@ -120,54 +148,25 @@ func dominatedWithMargin(p dataset.Point, front []dataset.Point, margin float64)
 	return false
 }
 
-// PerfFactor predicts candidate runtimes from an Amdahl fit over the
-// scenarios already executed for the same (SKU, input) and skips candidates
-// whose predicted (time, cost) cannot reach the Pareto front.
+// PerfFactor predicts candidate runtimes from the predictor's fit of the
+// candidate's (application, input, SKU) group and skips candidates whose
+// predicted (time, cost) cannot reach the Pareto front. The fit must rest on
+// at least predictor.DefaultMinPoints distinct node counts and pass the
+// stricter perfFactorMinR2 gate; otherwise the scenario runs.
 type PerfFactor struct {
 	// Prices and Region compute the predicted cost of candidates.
 	Prices *pricing.PriceBook
 	Region string
-	// MinPoints is how many measured node counts are needed before
-	// extrapolating (default 3).
-	MinPoints int
-	// MinR2 is the fit quality gate; poor fits fall back to running the
-	// scenario (default 0.95).
-	MinR2 float64
-	// Headroom widens the predicted point before the dominance test so
-	// near-front candidates still run (default 0.10).
-	Headroom float64
 }
 
 // Decide implements collector.Planner.
 func (pf PerfFactor) Decide(t *scenario.Task, store *dataset.Store) (bool, string) {
-	minPts := pf.MinPoints
-	if minPts <= 0 {
-		minPts = 3
-	}
-	minR2 := pf.MinR2
-	if minR2 == 0 {
-		minR2 = 0.95
-	}
-	headroom := pf.Headroom
-	if headroom <= 0 {
-		headroom = 0.10
-	}
 	if pf.Prices == nil || pf.Region == "" {
 		return true, ""
 	}
-
 	pts := relevant(t, store)
-	var mine []dataset.Point
-	for _, p := range pts {
-		if p.SKU == t.SKU {
-			mine = append(mine, p)
-		}
-	}
-	if len(mine) < minPts {
-		return true, ""
-	}
-	fit, r2, err := fitSKU(mine)
-	if err != nil || r2 < minR2 {
+	fit, ok := groupFit(t, predictor.Fit(pts, predictor.Config{MinR2: perfFactorMinR2}))
+	if !ok {
 		return true, ""
 	}
 	predTime := fit.Predict(t.NNodes)
@@ -181,73 +180,24 @@ func (pf PerfFactor) Decide(t *scenario.Task, store *dataset.Store) (bool, strin
 	// Would the predicted point, shrunk by the headroom, still be dominated
 	// by what we already measured? Then running it cannot improve the
 	// front.
-	candidate := dataset.Point{ExecTimeSec: predTime / (1 + headroom), CostUSD: predCost / (1 + headroom)}
+	candidate := dataset.Point{ExecTimeSec: predTime / (1 + perfFactorHeadroom), CostUSD: predCost / (1 + perfFactorHeadroom)}
 	for _, q := range pareto.Front(pts) {
 		if pareto.Dominates(q, candidate) {
 			return false, fmt.Sprintf(
-				"sampler: predicted %.0fs/$%.4f (Amdahl fit R²=%.3f) is off-front even with %.0f%% headroom",
-				predTime, predCost, r2, headroom*100)
+				"sampler: predicted %.0fs/$%.4f (%s fit R²=%.3f) is off-front even with %.0f%% headroom",
+				predTime, predCost, fit.Model, fit.R2, perfFactorHeadroom*100)
 		}
 	}
 	return true, ""
 }
 
-// fitSKU fits the Amdahl model over one SKU's measured points and reports
-// the fit plus its R². Failed points are dropped (their zero exec time would
-// poison the fit), and the caller's slice is never reordered — the fit works
-// on its own copy.
-func fitSKU(pts []dataset.Point) (regression.Amdahl, float64, error) {
-	ok := make([]dataset.Point, 0, len(pts))
-	for _, p := range pts {
-		if p.Failed {
-			continue
-		}
-		ok = append(ok, p)
-	}
-	sort.Slice(ok, func(i, j int) bool { return ok[i].NNodes < ok[j].NNodes })
-	nodes := make([]int, len(ok))
-	times := make([]float64, len(ok))
-	for i, p := range ok {
-		nodes[i] = p.NNodes
-		times[i] = p.ExecTimeSec
-	}
-	fit, err := regression.FitAmdahl(nodes, times)
-	if err != nil {
-		return regression.Amdahl{}, 0, err
-	}
-	pred := make([]float64, len(ok))
-	for i := range nodes {
-		pred[i] = fit.Predict(nodes[i])
-	}
-	return fit, regression.RSquared(times, pred), nil
-}
-
-// Predict exposes the perf-factor extrapolation for reporting: the fitted
-// curve for a SKU's points, or an error when data is insufficient. The input
-// slice is not modified; failed points in it are ignored.
-func Predict(pts []dataset.Point, nodes int) (float64, error) {
-	fit, _, err := fitSKU(pts)
-	if err != nil {
-		return 0, err
-	}
-	return fit.Predict(nodes), nil
-}
-
 // BottleneckAware skips node counts above the point where the
 // infrastructure monitor shows the workload has become network bound and
 // scaling gains have collapsed.
-type BottleneckAware struct {
-	// MinGain is the speedup factor per node-doubling below which further
-	// scaling is considered pointless (default 1.15).
-	MinGain float64
-}
+type BottleneckAware struct{}
 
 // Decide implements collector.Planner.
-func (ba BottleneckAware) Decide(t *scenario.Task, store *dataset.Store) (bool, string) {
-	minGain := ba.MinGain
-	if minGain <= 0 {
-		minGain = 1.15
-	}
+func (BottleneckAware) Decide(t *scenario.Task, store *dataset.Store) (bool, string) {
 	var mine []dataset.Point
 	for _, p := range relevant(t, store) {
 		if p.SKU == t.SKU {
@@ -273,10 +223,10 @@ func (ba BottleneckAware) Decide(t *scenario.Task, store *dataset.Store) (bool, 
 	}
 	gain := prev.ExecTimeSec / last.ExecTimeSec
 	perDoubling := math.Pow(gain, math.Log(2)/math.Log(nodeRatio))
-	if perDoubling < minGain {
+	if perDoubling < bottleneckMinGain {
 		return false, fmt.Sprintf(
 			"sampler: network bound at %d nodes with %.2fx gain per doubling (< %.2fx); skipping %d nodes",
-			last.NNodes, perDoubling, minGain, t.NNodes)
+			last.NNodes, perDoubling, bottleneckMinGain, t.NNodes)
 	}
 	return true, ""
 }

@@ -54,7 +54,7 @@ func TestAggressiveDiscardNeedsEvidence(t *testing.T) {
 	if run, _ := d.Decide(taskFor("Standard_HC44rs", "hc44rs", 4), store); !run {
 		t.Error("no evidence should run")
 	}
-	// One dominated point is below the default MinPoints=2 threshold.
+	// One dominated point is below the discardMinPoints=2 threshold.
 	store.Add(amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", 1, 900, 0.02))
 	store.Add(amdahlPoint("Standard_HC44rs", "hc44rs", 1, 4000, 0.02))
 	if run, _ := d.Decide(taskFor("Standard_HC44rs", "hc44rs", 2), store); !run {
@@ -121,7 +121,7 @@ func TestPerfFactorSkipsPredictedOffFront(t *testing.T) {
 	if run {
 		t.Fatal("predicted off-front scenario should be skipped")
 	}
-	if !strings.Contains(reason, "Amdahl") {
+	if !strings.Contains(reason, "amdahl fit") {
 		t.Errorf("reason = %q", reason)
 	}
 	// The fast SKU's own extension still runs (it extends the front).
@@ -163,25 +163,7 @@ func TestPerfFactorNeedsConfigAndData(t *testing.T) {
 	store.Add(amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", 1, 1000, 0.05))
 	store.Add(amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", 2, 1000, 0.05))
 	if run, _ := pf.Decide(taskFor("Standard_HB120rs_v3", "hb120rs_v3", 8), store); !run {
-		t.Error("below MinPoints must run")
-	}
-}
-
-func TestPredictHelper(t *testing.T) {
-	var pts []dataset.Point
-	for _, n := range []int{1, 2, 4, 8} {
-		pts = append(pts, amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", n, 1000, 0.05))
-	}
-	got, err := Predict(pts, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1000 * (0.05 + 0.95/16.0)
-	if got < want*0.95 || got > want*1.05 {
-		t.Errorf("Predict(16) = %.1f, want ~%.1f", got, want)
-	}
-	if _, err := Predict(pts[:1], 16); err == nil {
-		t.Error("one point should not extrapolate")
+		t.Error("below predictor.DefaultMinPoints node counts must run")
 	}
 }
 
@@ -297,57 +279,6 @@ func failedPoint(sku, alias string, n int) dataset.Point {
 	p.Failed = true
 	p.Error = "simulated failure"
 	return p
-}
-
-func TestPredictIgnoresFailedPoints(t *testing.T) {
-	// A failed scenario carries ExecTimeSec = 0; fitting on it would drag
-	// the Amdahl curve toward "infinitely fast" and poison every prediction.
-	var pts []dataset.Point
-	for _, n := range []int{1, 2, 4, 8} {
-		pts = append(pts, amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", n, 1000, 0.05))
-	}
-	pts = append(pts, failedPoint("Standard_HB120rs_v3", "hb120rs_v3", 16))
-	got, err := Predict(pts, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1000 * (0.05 + 0.95/16.0)
-	if got < want*0.95 || got > want*1.05 {
-		t.Errorf("Predict(16) with failed point = %.1f, want ~%.1f", got, want)
-	}
-	// Failed points alone are not evidence.
-	if _, err := Predict([]dataset.Point{
-		failedPoint("Standard_HB120rs_v3", "hb120rs_v3", 1),
-		failedPoint("Standard_HB120rs_v3", "hb120rs_v3", 2),
-	}, 4); err == nil {
-		t.Error("failed-only input should not extrapolate")
-	}
-}
-
-func TestPredictDoesNotMutateInput(t *testing.T) {
-	// The exported extrapolation must not sort the caller's slice in place.
-	order := []int{8, 1, 4, 2}
-	var pts []dataset.Point
-	for _, n := range order {
-		pts = append(pts, amdahlPoint("Standard_HB120rs_v3", "hb120rs_v3", n, 1000, 0.05))
-	}
-	if _, err := Predict(pts, 16); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range order {
-		if pts[i].NNodes != n {
-			t.Fatalf("input reordered: position %d = %d nodes, want %d (full: %v)",
-				i, pts[i].NNodes, n, nodesOf(pts))
-		}
-	}
-}
-
-func nodesOf(pts []dataset.Point) []int {
-	out := make([]int, len(pts))
-	for i, p := range pts {
-		out[i] = p.NNodes
-	}
-	return out
 }
 
 func TestPerfFactorIgnoresFailedEvidence(t *testing.T) {
