@@ -1,11 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // This file implements the columnar side of a snapshot: the
 // struct-of-arrays form every run serves from, and the one advice path
@@ -24,11 +19,12 @@ import (
 // concurrent readers.
 
 // Columnar is the flat, storage-ready form of a snapshot's read-optimized
-// state. Every snapshot serves from one: a heap build interns its sorted
-// points into a fresh Columnar (columnsOf), the segment compactor
-// serializes the one BuildColumnar returns, and the storage load path
-// fills one from file sections for NewMappedStore. Slices handed to
-// NewMappedStore may alias mapped read-only memory and must never be
+// state. Every run serves from one. A base's is a whole image, rows
+// included: the storage load path fills one from file sections for
+// NewMappedStore, and a fold or a compaction builds one by merging a base
+// and a delta (Snapshot.merge; Store.Image hands it to the segment
+// writer). A delta run's carries no rows or append indexes. Slices handed
+// to NewMappedStore may alias mapped read-only memory and must never be
 // written through; string fields are always heap strings.
 //
 // String fields are interned through one shared symbol table: two cells
@@ -41,14 +37,13 @@ type Columnar struct {
 
 	// Rows holds the concatenated JSON encodings of the points in canonical
 	// sorted order; RowOffs[k]..RowOffs[k+1] bounds row k (so RowOffs has
-	// Count+1 entries and starts at 0). BuildColumnar leaves these nil —
-	// the segment writer marshals rows itself; NewMappedStore requires them.
+	// Count+1 entries and starts at 0). Nil on a delta run.
 	Rows    []byte
 	RowOffs []uint64
 
 	// AppendIdx maps sorted position -> append-order index, a permutation
 	// of 0..Count-1 (the same per-row index the v1 frame format carries).
-	// Nil from BuildColumnar, required by NewMappedStore.
+	// Nil on a delta run.
 	AppendIdx []uint32
 
 	// Syms is the dense symbol table: Syms[id] is the interned string the
@@ -77,83 +72,6 @@ type Columnar struct {
 
 func (c *Columnar) failedBit(i int) bool {
 	return c.Failed[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// BuildColumnar builds the columnar state of a snapshot over points that
-// are already in canonical order: the segment compactor's input. The slice
-// is used as is, with no copy and no re-sort. Every posting list assumes
-// that order, so unsorted points are an error. Rows, RowOffs, and
-// AppendIdx are left for the caller — the points do not know their append
-// order, the writer does.
-func BuildColumnar(sorted []Point) (*Columnar, error) {
-	for i := 1; i < len(sorted); i++ {
-		if pointLess(&sorted[i], &sorted[i-1]) {
-			return nil, fmt.Errorf("dataset: BuildColumnar: point %d sorts before point %d", i, i-1)
-		}
-	}
-	return columnsOf(sorted), nil
-}
-
-// columnsOf interns sorted points into a Columnar: the symbol and typed
-// columns plus the distinct-name lists. Symbols are interned per row in
-// the order app, SKU, alias, input, which fixes their IDs and so the bytes
-// the compactor writes for the same points.
-func columnsOf(sorted []Point) *Columnar {
-	n := len(sorted)
-	c := &Columnar{
-		Count:  n,
-		App:    make([]uint32, n),
-		SKU:    make([]uint32, n),
-		Alias:  make([]uint32, n),
-		Input:  make([]uint32, n),
-		Nodes:  make([]int32, n),
-		Exec:   make([]float64, n),
-		Cost:   make([]float64, n),
-		Failed: make([]uint64, (n+63)/64),
-	}
-	ids := make(map[string]uint32)
-	intern := func(s string) uint32 {
-		id, ok := ids[s]
-		if !ok {
-			id = uint32(len(c.Syms))
-			ids[s] = id
-			c.Syms = append(c.Syms, s)
-		}
-		return id
-	}
-	appSeen := make(map[string]bool)
-	for i := range sorted {
-		p := &sorted[i]
-		c.App[i] = intern(strings.ToLower(p.AppName))
-		c.SKU[i] = intern(strings.ToLower(p.SKU))
-		c.Alias[i] = intern(strings.ToLower(p.SKUAlias))
-		c.Input[i] = intern(p.InputDesc)
-		c.Nodes[i] = int32(p.NNodes)
-		c.Exec[i] = p.ExecTimeSec
-		c.Cost[i] = p.CostUSD
-		if p.Failed {
-			c.Failed[i>>6] |= 1 << (uint(i) & 63)
-		}
-		if !appSeen[p.AppName] {
-			appSeen[p.AppName] = true
-			c.Apps = append(c.Apps, p.AppName)
-		}
-		// The sorted order is (alias, input, nodes), so distinct aliases
-		// arrive in runs; inputs recur across aliases and dedup below.
-		if len(c.SKUAliases) == 0 || c.SKUAliases[len(c.SKUAliases)-1] != p.SKUAlias {
-			c.SKUAliases = append(c.SKUAliases, p.SKUAlias)
-		}
-	}
-	inputSeen := make([]bool, len(c.Syms))
-	for _, id := range c.Input {
-		if !inputSeen[id] {
-			inputSeen[id] = true
-			c.Inputs = append(c.Inputs, c.Syms[id])
-		}
-	}
-	sort.Strings(c.Apps)
-	sort.Strings(c.Inputs)
-	return c
 }
 
 // The indexed fields: each has a posting list and a hot slot per symbol ID.
@@ -366,9 +284,9 @@ func (r *run) front(cf *colFilter) []int32 {
 }
 
 // frontJSON renders front refs (by-time order) as a JSON array of their
-// rows: the same bytes json.Marshal produces for the points. A mapped
-// base's rows are spliced from the row section, so no row is decoded;
-// heap rows are marshalled, survivors only. A front's cost is strictly
+// rows: the same bytes json.Marshal produces for the points. Base rows
+// are spliced from the image's row bytes, so no row is decoded; delta
+// rows are marshalled, survivors only. A front's cost is strictly
 // decreasing in time order, so the cost order is the time order's exact
 // reversal — no second sort, and no tie-break to disagree on. A row that
 // cannot marshal (e.g. a NaN metric) is an error.
@@ -416,8 +334,8 @@ func (sn *Snapshot) Advice(c *CanonicalFilter, byCost bool) []Point {
 // AdviceJSON returns the advice rows of any filter as a JSON array
 // fragment, byte-identical to json.Marshal of Advice's rows ("[]" when
 // none survive), plus the row count. The fragment is fresh on every call,
-// rendered in the requested order only; on a mapped base its rows are
-// spliced from the persisted row bytes, so no base row is decoded. A
+// rendered in the requested order only; base rows are spliced from the
+// image's row bytes, so no base row is decoded. A
 // survivor that cannot marshal is an error.
 func (sn *Snapshot) AdviceJSON(c *CanonicalFilter, byCost bool) ([]byte, int, error) {
 	b, d := sn.resolve(c)

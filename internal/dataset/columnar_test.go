@@ -338,23 +338,11 @@ func TestSortByTimeCostStable(t *testing.T) {
 	}
 }
 
-// BuildColumnar trusts its input order for every posting list and persisted
-// position, so points out of canonical order must be refused, not indexed.
-func TestBuildColumnarRejectsUnsorted(t *testing.T) {
-	pts := []Point{
-		samplePoint("Standard_HC44rs", "hc44rs", 1, 5, 0.1),
-		samplePoint("Standard_HB120rs_v3", "hb120rs_v3", 1, 4, 0.2),
-	}
-	if _, err := BuildColumnar(pts); err == nil {
-		t.Fatal("BuildColumnar accepted points out of canonical order")
-	}
-}
-
 // mappedSnapshot builds the snapshot a v2 segment load serves for the
 // store's points (see mappedColumnar). Every row starts undecoded.
 func mappedSnapshot(t testing.TB, s *Store) *Snapshot {
 	t.Helper()
-	sn, err := newMappedSnapshot(mappedColumnar(t, s.All()))
+	sn, err := newMappedSnapshot(mappedColumnar(t, s.All()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

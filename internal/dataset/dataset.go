@@ -75,10 +75,10 @@ type Sink interface {
 // never contend with concurrent appends.
 //
 // The read view is a base plus a delta (see delta.go). The base is an
-// immutable run: the mapped columnar snapshot NewMappedStore serves, or
-// one heap build. The delta is the points appended since, in append
-// order. A generation roll builds only the delta's snapshot, in
-// O(|delta|); past a fixed size rule the delta folds into a new heap base,
+// immutable columnar image: the mapped snapshot NewMappedStore serves, or
+// one a fold built in memory. The delta is the points appended since, in
+// append order. A generation roll builds only the delta's snapshot, in
+// O(|delta|); past a fixed size rule the delta folds into a new base,
 // built off the lock by the reader that first sees the rule met.
 //
 // A Store may have a Sink attached (Attach): every Add/AddAll then writes
@@ -91,15 +91,20 @@ type Store struct {
 	delta   []Point   // guarded-by: mu; the points appended since, append order
 	log     deltaLog  // guarded-by: mu; the delta interned and ranked against base
 	folding bool      // guarded-by: mu; a reader is building the next base off the lock
+	foldErr error     // guarded-by: mu; why the delta cannot fold (it holds a row no image can), sticky
 	gen     uint64    // guarded-by: mu
 	snap    *Snapshot // guarded-by: mu; cached, valid iff snap.gen == gen
 	sink    Sink      // guarded-by: mu
 	sinkErr error     // guarded-by: mu; first write-through failure, surfaced by Flush
-	rowErr  error     // guarded-by: mu; first row of a folded mapped base that failed to decode
+	rowErr  error     // guarded-by: mu; first row of a replaced base that failed to decode
 }
 
+// emptyImage is the base every new store starts from: the image of no
+// points, served like any other and shared, since a run is immutable.
+var emptyImage, _ = newMappedSnapshot(&Columnar{RowOffs: []uint64{0}}, nil, nil)
+
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{base: heapRun(nil, nil)} }
+func NewStore() *Store { return &Store{base: emptyImage.base} }
 
 // Attach installs (or, with nil, removes) the write-through sink. Points
 // already in the store are not replayed: an attached backend is expected to
@@ -167,7 +172,7 @@ func (s *Store) AddAll(pts []Point) {
 func (s *Store) Err() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.rowErr == nil && s.base.lazy != nil {
+	if s.rowErr == nil {
 		return s.base.lazy.firstErr()
 	}
 	return s.rowErr
@@ -198,7 +203,9 @@ func (s *Store) Generation() uint64 {
 // base from that immutable snapshot off the lock, and retakes the lock
 // only to install it; Add and other readers do not wait for it. A store
 // with no base yet builds its first one synchronously instead, as soon as
-// the rule is met: there is nothing to serve while it is built.
+// the rule is met: there is nothing to serve while it is built. A delta
+// that holds a point no image can hold (a NaN metric) never folds: the
+// store keeps serving base plus delta, and no later roll retries.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.RLock()
 	if snap := s.snap; snap != nil && snap.gen == s.gen {
@@ -214,11 +221,19 @@ func (s *Store) Snapshot() *Snapshot {
 	}
 	s.snap = s.rollLocked()
 	snap := s.snap
-	fold := !s.folding && foldDue(snap.base.len(), snap.delta.len())
+	fold := !s.folding && s.foldErr == nil && foldDue(snap.base.len(), snap.delta.len())
+	if fold && snap.base.len() == 0 {
+		s.installLocked(snap.fold())
+		snap, fold = s.snap, false
+	}
 	s.folding = s.folding || fold
 	s.mu.Unlock()
 	if fold {
-		s.install(snap.fold())
+		folded, err := snap.fold()
+		s.mu.Lock()
+		s.folding = false
+		s.installLocked(folded, err)
+		s.mu.Unlock()
 	}
 	return snap
 }
@@ -226,9 +241,6 @@ func (s *Store) Snapshot() *Snapshot {
 // rollLocked builds the snapshot of the current generation. Callers hold
 // s.mu.
 func (s *Store) rollLocked() *Snapshot {
-	if s.base.len() == 0 && foldDue(0, len(s.delta)) {
-		s.setBaseLocked(foldPoints(s.delta))
-	}
 	if len(s.delta) == 0 {
 		return &Snapshot{gen: s.gen, base: s.base}
 	}
@@ -236,18 +248,37 @@ func (s *Store) rollLocked() *Snapshot {
 	return s.log.snapshot(s.base, s.delta, s.gen)
 }
 
-// install swaps in the base of a snapshot folded off the lock.
-func (s *Store) install(folded *Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.folding = false
-	if s.rowErr == nil && s.base.lazy != nil {
-		s.rowErr = s.base.lazy.firstErr() // the fold decoded every row
+// installLocked swaps in the base of a folded snapshot, or records why
+// the fold failed. Callers hold s.mu.
+func (s *Store) installLocked(folded *Snapshot, err error) {
+	if err != nil {
+		s.foldErr = err
+		return
+	}
+	if s.rowErr == nil {
+		s.rowErr = s.base.lazy.firstErr() // the replaced base's decode failures
 	}
 	s.setBaseLocked(folded.base)
 	if s.snap.gen == folded.gen {
 		s.snap = folded
 	}
+}
+
+// Image returns the store's points as one columnar image in canonical
+// order: the rows, row index, append indexes, symbol table, columns and
+// name lists a v2 snapshot segment persists. It is the base's own image
+// when nothing was appended since the base (a fold that the rule calls for
+// here runs first), else the merge of base and delta. A point that cannot
+// marshal is an error. The image is read-only and may alias the base's
+// mapped memory.
+func (s *Store) Image() (*Columnar, error) {
+	s.Snapshot() // meets the fold rule, if due, so the merge below never repeats a fold
+	sn := s.Snapshot()
+	if sn.delta == nil {
+		return sn.base.col, nil
+	}
+	c, _, _, err := sn.merge(false)
+	return c, err
 }
 
 // setBaseLocked makes base, which extends the current base by a prefix of

@@ -1,17 +1,20 @@
 package dataset
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 )
 
-// This file implements the delta half of a store's read view. A Store
-// serves an immutable base run — the mapped columnar snapshot a load hands
-// it, or one heap build — plus the points appended since, the delta. A
-// generation roll builds only the delta's own small run (its points in
-// canonical order with their own symbol table, columns and posting lists)
-// and never touches the base's rows, columns or posting lists, so it costs
-// O(|delta|). Queries run on both halves and merge:
+// This file implements the delta half of a store's read view, and the one
+// merge that folds it into the base. A Store serves an immutable base run
+// — a columnar image, mapped from a v2 segment or built by a fold — plus
+// the points appended since, the delta. A generation roll builds only the
+// delta's own small run (its points in canonical order with their own
+// symbol table, columns and posting lists) and never touches the base's
+// rows, columns or posting lists, so it costs O(|delta|). Queries run on
+// both halves and merge:
 //
 //   - Canonical order. Each delta point carries its merge rank: the upper
 //     bound of the point in the base by pointLess (on equal keys the base
@@ -25,7 +28,8 @@ import (
 //     The base's memoized front positions therefore survive every roll,
 //     and a merged front costs O(|front(B)| + |front(D)|).
 //
-// Past foldDue's rule the delta folds into a new heap base (Store.Snapshot).
+// Past foldDue's rule the delta folds into a new base (Store.Snapshot): the
+// image merge builds, which is also what a compaction writes (Store.Image).
 // This is the log-structured merge split (O'Neil et al., "The
 // Log-Structured Merge-Tree", Acta Informatica 1996).
 
@@ -131,21 +135,9 @@ func (lg *deltaLog) extend(base *run, pts []Point) {
 // one run constructor.
 func (lg *deltaLog) snapshot(base *run, pts []Point, gen uint64) *Snapshot {
 	n := len(lg.ord)
-	c := &Columnar{
-		Count:      n,
-		Syms:       lg.syms[:len(lg.syms):len(lg.syms)],
-		App:        make([]uint32, n),
-		SKU:        make([]uint32, n),
-		Alias:      make([]uint32, n),
-		Input:      make([]uint32, n),
-		Nodes:      make([]int32, n),
-		Exec:       make([]float64, n),
-		Cost:       make([]float64, n),
-		Failed:     make([]uint64, (n+63)/64),
-		Apps:       lg.apps,
-		SKUAliases: lg.aliases,
-		Inputs:     lg.inputs,
-	}
+	c := newColumns(n)
+	c.Syms = lg.syms[:len(lg.syms):len(lg.syms)]
+	c.Apps, c.SKUAliases, c.Inputs = lg.apps, lg.aliases, lg.inputs
 	sorted := make([]Point, n)
 	rank := make([]int32, n)
 	for k, j := range lg.ord {
@@ -191,38 +183,90 @@ func unionNames(a, b []string) []string {
 	return append(out, b...)
 }
 
-// heapRun serves points already in canonical order, with their append
-// indexes, as a base.
-func heapRun(sorted []Point, appendIdx []uint32) *run {
-	c := columnsOf(sorted)
-	c.AppendIdx = appendIdx
-	return newRun(c, sorted, nil)
+// newColumns allocates the symbol and typed columns of n rows.
+func newColumns(n int) *Columnar {
+	return &Columnar{
+		Count:  n,
+		App:    make([]uint32, n),
+		SKU:    make([]uint32, n),
+		Alias:  make([]uint32, n),
+		Input:  make([]uint32, n),
+		Nodes:  make([]int32, n),
+		Exec:   make([]float64, n),
+		Cost:   make([]float64, n),
+		Failed: make([]uint64, (n+63)/64),
+	}
 }
 
-// foldPoints builds a heap base over points in append order: the first
-// base of a store that has none.
-func foldPoints(pts []Point) *run {
-	idx := make([]uint32, len(pts))
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return pointLess(&pts[idx[a]], &pts[idx[b]]) })
-	sorted := make([]Point, len(pts))
-	for k, i := range idx {
-		sorted[k] = pts[i]
-	}
-	return heapRun(sorted, idx)
-}
-
-// fold builds the base-only snapshot, at the same generation, whose heap
-// base replaces this base and delta. The two runs merge by rank, so no row
-// is compared; a mapped base decodes every row here, once.
-func (sn *Snapshot) fold() *Snapshot {
+// merge builds the columnar image of the snapshot's points: the one image
+// a fold serves and a compaction writes. The two runs are already in
+// canonical order and interleave by the roll's ranks, so no row is
+// compared. Base rows are spliced as bytes with their column cells and
+// append indexes, and each delta row is marshalled once. Symbol IDs are
+// re-interned in first-use order (app, SKU, alias, input per row) and the
+// name lists are unioned, so the image holds exactly the bytes a v2 file
+// written from scratch over the same points holds. With rows set it also
+// returns the rows it holds as structs (every delta row, and each base row
+// already materialized) at their merged positions, flagged in have. A
+// delta point that cannot marshal, such as one with a NaN metric, is an
+// error: no image can hold it.
+func (sn *Snapshot) merge(rows bool) (c *Columnar, sorted []Point, have []uint64, err error) {
 	b, d := sn.base, sn.delta
-	b.ensureAllRows()
 	nb, nd := b.len(), d.len()
-	sorted := make([]Point, 0, nb+nd)
-	idx := make([]uint32, 0, nb+nd)
+	enc := make([][]byte, nd)
+	size := len(b.col.Rows)
+	for k := range enc {
+		if enc[k], err = json.Marshal(&d.sorted[k]); err != nil {
+			return nil, nil, nil, fmt.Errorf("dataset: point %s cannot be stored in a snapshot image: %w", d.sorted[k].ScenarioID, err)
+		}
+		size += len(enc[k])
+	}
+	c = newColumns(nb + nd)
+	c.Rows, c.RowOffs, c.AppendIdx = make([]byte, 0, size), make([]uint64, 1, nb+nd+1), make([]uint32, nb+nd)
+	c.Apps = unionNames(b.col.Apps, d.col.Apps)
+	c.SKUAliases = unionNames(b.col.SKUAliases, d.col.SKUAliases)
+	c.Inputs = unionNames(b.col.Inputs, d.col.Inputs)
+	if rows {
+		sorted, have = d.sorted, make([]uint64, len(c.Failed))
+		if nb > 0 { // with no base row the merged order is the delta's own
+			sorted = make([]Point, nb+nd)
+		}
+	}
+	// Each run's symbol IDs map to the image's on first use: to[id] is the
+	// image's ID plus one, 0 until then.
+	ids := make(map[string]uint32)
+	bto, dto := make([]uint32, len(b.col.Syms)), make([]uint32, len(d.col.Syms))
+	p := 0
+	put := func(r *run, to []uint32, i int, row []byte, appendIdx uint32) {
+		col := r.col
+		id := func(sym uint32) uint32 {
+			if to[sym] == 0 {
+				s := col.Syms[sym]
+				v, ok := ids[s]
+				if !ok {
+					v = uint32(len(c.Syms))
+					ids[s] = v
+					c.Syms = append(c.Syms, s)
+				}
+				to[sym] = v + 1
+			}
+			return to[sym] - 1
+		}
+		c.App[p], c.SKU[p], c.Alias[p], c.Input[p] = id(col.App[i]), id(col.SKU[i]), id(col.Alias[i]), id(col.Input[i])
+		c.Nodes[p], c.Exec[p], c.Cost[p], c.AppendIdx[p] = col.Nodes[i], col.Exec[i], col.Cost[i], appendIdx
+		if col.failedBit(i) {
+			c.Failed[p>>6] |= 1 << (uint(p) & 63)
+		}
+		c.Rows = append(c.Rows, row...)
+		c.RowOffs = append(c.RowOffs, uint64(len(c.Rows)))
+		if rows && (r == d || b.lazy.known(i)) {
+			if nb > 0 {
+				sorted[p] = r.sorted[i]
+			}
+			have[p>>6] |= 1 << (uint(p) & 63)
+		}
+		p++
+	}
 	i := 0
 	for k := 0; k <= nd; k++ {
 		end := nb
@@ -230,15 +274,28 @@ func (sn *Snapshot) fold() *Snapshot {
 			end = int(sn.rank[k])
 		}
 		for ; i < end; i++ {
-			sorted = append(sorted, b.sorted[i])
-			idx = append(idx, b.col.AppendIdx[i])
+			put(b, bto, i, b.col.Rows[b.col.RowOffs[i]:b.col.RowOffs[i+1]], b.col.AppendIdx[i])
 		}
 		if k < nd {
-			sorted = append(sorted, d.sorted[k])
-			idx = append(idx, uint32(nb)+uint32(sn.ord[k]))
+			put(d, dto, k, enc[k], uint32(nb)+uint32(sn.ord[k]))
 		}
 	}
-	return &Snapshot{gen: sn.gen, base: heapRun(sorted, idx)}
+	return c, sorted, have, nil
+}
+
+// fold builds the base-only snapshot, at the same generation, whose base
+// is the image of this base and delta, served by the mapped constructor.
+// No base row is decoded, and rows held as structs stay materialized.
+func (sn *Snapshot) fold() (*Snapshot, error) {
+	c, sorted, have, err := sn.merge(true)
+	if err != nil {
+		return nil, err
+	}
+	folded, err := newMappedSnapshot(c, sorted, have)
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{gen: sn.gen, base: folded.base}, nil
 }
 
 // A ref names a row of a snapshot: base position ref when non-negative,

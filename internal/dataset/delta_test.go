@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,32 +45,15 @@ func namesRef(ref []Point, field func(*Point) string) []string {
 }
 
 // mappedColumnar lays pts (append order) out the way a v2 segment persists
-// them: canonical order with each row's append index, BuildColumnar's
-// columns, and each row marshalled as the segment writer stores it.
+// them: the image a compaction writes. A run served over it shares only
+// read-only slices with the store that built it.
 func mappedColumnar(t testing.TB, pts []Point) *Columnar {
 	t.Helper()
-	idx := make([]uint32, len(pts))
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return pointLess(&pts[idx[a]], &pts[idx[b]]) })
-	sorted := make([]Point, len(pts))
-	for k, i := range idx {
-		sorted[k] = pts[i]
-	}
-	c, err := BuildColumnar(sorted)
+	s := NewStore()
+	s.AddAll(pts)
+	c, err := s.Image()
 	if err != nil {
 		t.Fatal(err)
-	}
-	c.RowOffs = make([]uint64, 1, len(sorted)+1)
-	c.AppendIdx = idx
-	for k := range sorted {
-		b, err := json.Marshal(&sorted[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Rows = append(c.Rows, b...)
-		c.RowOffs = append(c.RowOffs, uint64(len(c.Rows)))
 	}
 	return c
 }
@@ -80,10 +65,10 @@ func foldNow(s *Store) {
 	if sn.delta == nil {
 		return
 	}
+	folded, err := sn.fold()
 	s.mu.Lock()
-	s.folding = true
+	s.installLocked(folded, err)
 	s.mu.Unlock()
-	s.install(sn.fold())
 }
 
 // deltaPoints draws n appends that stress the merge against base: exact
@@ -451,5 +436,163 @@ func TestAppendToMappedStoreDecodesNoBaseRow(t *testing.T) {
 				t.Fatalf("%s: Snapshot plus hot advice decoded base chunk %d", tc.name, c)
 			}
 		}
+	}
+}
+
+// A fold over a mapped base decodes no base row: the merge splices the
+// base's row bytes and column cells, and the new base holds as structs
+// only the delta's rows, which it had already. Hot advice after the fold
+// still equals the oracle, spliced from the new image's row bytes, and
+// still decodes nothing.
+func TestFoldOverMappedBaseDecodesNoBaseRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base := randomStore(rng, 5000).All()
+	tail := deltaPoints(rng, base, foldMinDelta) // past the rule: 5000/foldRatio < foldMinDelta
+	s, err := NewMappedStore(mappedColumnar(t, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	mapped := s.base
+	s.mu.RUnlock()
+	s.AddAll(tail)
+	s.Snapshot() // meets the fold rule; the fold runs in this call
+	s.mu.RLock()
+	folded := s.base
+	s.mu.RUnlock()
+	if folded == mapped || folded.len() != len(base)+len(tail) {
+		t.Fatal("the delta met the fold rule but no fold was installed")
+	}
+	for c, decoded := range decodedChunks(mapped) {
+		if decoded {
+			t.Fatalf("the fold decoded chunk %d of the mapped base", c)
+		}
+	}
+	fromTail := map[string]bool{}
+	for _, p := range tail {
+		fromTail[p.ScenarioID] = true
+	}
+	// undecoded reports the first row the new base holds as a struct
+	// without having built it from the delta, or -1.
+	undecoded := func() int {
+		held := 0
+		for i := range folded.sorted {
+			id := folded.sorted[i].ScenarioID
+			if folded.lazy.had(i) {
+				held++
+				if !fromTail[id] {
+					return i
+				}
+			} else if id != "" {
+				return i
+			}
+		}
+		if held != len(tail) {
+			t.Fatalf("the new base holds %d rows as structs, want the delta's %d", held, len(tail))
+		}
+		return -1
+	}
+	if i := undecoded(); i >= 0 {
+		t.Fatalf("after the fold, base row %d of the new base is decoded", i)
+	}
+	sn := s.Snapshot()
+	if sn.delta != nil || sn.base != folded {
+		t.Fatal("the snapshot after the fold is not the folded base")
+	}
+	ref := append(append([]Point(nil), base...), tail...)
+	for _, f := range []Filter{{}, {AppName: "lammps"}, {SKU: "hc44rs"}, {SKU: "np10s"}, {InputDesc: "fresh=1"}} {
+		c := f.Canonical()
+		for _, byCost := range []bool{false, true} {
+			got, _, ok := sn.HotAdviceJSON(&c, byCost)
+			if want := adviceJSONOracle(t, naiveAdvice(scanRef(ref, f), byCost)); !ok || string(got) != string(want) {
+				t.Fatalf("%+v byCost=%v: hot advice after the fold diverges from the oracle (hot=%v)", f, byCost, ok)
+			}
+		}
+	}
+	if i := undecoded(); i >= 0 {
+		t.Fatalf("hot advice after the fold decoded row %d", i)
+	}
+}
+
+// A point whose row cannot marshal (a NaN metric) cannot join an image, so
+// a store whose delta holds one keeps serving base plus delta past the
+// fold rule. Every query still matches the scan oracle; advice whose front
+// holds the point is an error while other filters serve; and no later roll
+// retries the fold.
+func TestUnmarshalablePointStaysInTheDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ref := randomStore(rng, 2000).All()
+	s := NewStore()
+	s.AddAll(ref)
+	s.Snapshot() // the first base
+	bad := ref[0]
+	// Last in the delta's canonical order, so a merge marshals every other
+	// delta row before it fails; first on every front it matches.
+	bad.ScenarioID, bad.SKU, bad.SKUAlias = "nan-metric", "Standard_ZZ1", "zz1"
+	bad.Failed, bad.ExecTimeSec, bad.CostUSD = false, 1e-3, 1e-3
+	bad.Utilization.CPUUtil = math.NaN()
+	s.Add(bad)
+	ref = append(ref, bad)
+	for _, p := range deltaPoints(rng, ref[:2000], foldMinDelta) {
+		s.Add(p)
+		ref = append(ref, p)
+	}
+	s.mu.RLock()
+	base := s.base
+	s.mu.RUnlock()
+	sn := s.Snapshot() // meets the fold rule; the fold fails
+	s.mu.RLock()
+	foldErr := s.foldErr
+	s.mu.RUnlock()
+	if foldErr == nil || sn.delta == nil {
+		t.Fatalf("fold error %v, delta %v: the fold of an unmarshalable point must fail and keep the delta", foldErr, sn.delta != nil)
+	}
+
+	// fmt renders NaN as itself, so rows compare by their printed form.
+	same := func(a, b []Point) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+	filters := append(deltaFilters(rng), Filter{SKU: "zz1"}, Filter{AppName: bad.AppName}, Filter{AppName: "wrf"})
+	served, failed := 0, 0
+	for _, f := range filters {
+		want := scanRef(ref, f)
+		if got := sn.Select(f); !same(got, want) {
+			t.Fatalf("%+v: Select diverges from the scan (%d vs %d pts)", f, len(got), len(want))
+		}
+		c := f.Canonical()
+		for _, byCost := range []bool{false, true} {
+			oracle := naiveAdvice(want, byCost)
+			if rows := sn.Advice(&c, byCost); !same(rows, oracle) {
+				t.Fatalf("%+v byCost=%v: Advice diverges from the oracle", f, byCost)
+			}
+			got, _, err := sn.AdviceJSON(&c, byCost)
+			if slices.Contains(ids(oracle), bad.ScenarioID) {
+				if err == nil {
+					t.Fatalf("%+v byCost=%v: advice holding the NaN point encoded without an error", f, byCost)
+				}
+				failed++
+				continue
+			}
+			if err != nil || string(got) != string(adviceJSONOracle(t, oracle)) {
+				t.Fatalf("%+v byCost=%v: AdviceJSON diverges from the oracle (%v)", f, byCost, err)
+			}
+			served++
+		}
+	}
+	if served == 0 || failed == 0 {
+		t.Fatalf("%d fronts served and %d failed: the check needs both", served, failed)
+	}
+
+	// A retried merge would marshal every delta row before reaching the
+	// NaN point; a roll allocates a few dozen slices.
+	late := ref[len(ref)-1]
+	if allocs := testing.AllocsPerRun(5, func() {
+		s.Add(late)
+		s.Snapshot()
+	}); allocs >= foldMinDelta/2 {
+		t.Fatalf("a roll past a failed fold allocates %.0f times: it retried the fold", allocs)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.base != base || s.foldErr != foldErr {
+		t.Fatal("a later roll replaced the base or the fold error")
 	}
 }

@@ -1,24 +1,27 @@
 package dataset
 
-// This file implements runs served over persisted columnar state. A
-// storage backend that persisted a snapshot's columnar state (format v2
-// segments) hands it back as a Columnar — typed slices aliasing the
-// file's bytes, mapped or read — and NewMappedStore validates it and
-// serves it as the base run through the same constructor a heap build
-// uses: no JSON re-parse, no re-sort, no column rebuild. Row structs are
-// materialized lazily in fixed-size chunks the first time a query actually
-// touches one, so a cold process serves columnar filters, and advice
-// spliced from the row bytes, without ever decoding most rows.
+// This file implements the base run: a columnar image served as it is.
+// Every base is one — the first and the empty one a new store starts
+// from included. A load hands over the image a v2 segment persists, mapped
+// or read; a fold builds one in memory by the same merge a compaction
+// writes (see merge in delta.go). newMappedSnapshot validates the image
+// and serves it through the one run constructor: no JSON re-parse, no
+// re-sort, no column rebuild. Row structs are materialized lazily in
+// fixed-size chunks the first time a query actually touches one, so a
+// cold process serves columnar filters, and advice spliced from the row
+// bytes, without ever decoding most rows. An image a fold built keeps the
+// rows it already held as structs, and those never decode.
 //
 // Integrity model: the storage layer CRC-verifies every section before
-// handing it here, and NewMappedStore re-validates the structural
+// handing it here, and newMappedSnapshot re-validates the structural
 // invariants (lengths, the append-index permutation, symbol and position
 // bounds). What is deliberately not re-checked is the canonical sort order
 // of the rows — that would force the full decode this path exists to skip.
-// The CRC pins the bytes to what the compactor wrote, and the compactor's
-// BuildColumnar refuses rows that are not sorted. A row that still fails
-// to decode is served as a zero Point and recorded; Store.Err and
-// Store.Marshal report it.
+// The CRC pins the bytes to what the compactor wrote, and the compactor
+// writes the merge's image: two runs already in canonical order,
+// interleaved by rank, so the order holds by construction. A row that
+// still fails to decode is served as a zero Point and recorded; Store.Err
+// and Store.Marshal report it.
 
 import (
 	"encoding/json"
@@ -32,15 +35,21 @@ import (
 // full scans amortize the sync.Once per 1024 rows instead of per row.
 const lazyChunkRows = 1024
 
-// lazyChunk guards the one-time decode of one chunk of rows.
-type lazyChunk struct{ once sync.Once }
+// lazyChunk guards the one-time decode of one chunk of rows; done is set
+// once the decode has finished.
+type lazyChunk struct {
+	once sync.Once
+	done atomic.Bool
+}
 
-// lazyRows defers row materialization for a mapped run: sorted[i]
-// starts as the zero Point and is decoded from the row bytes (col.Rows) on
-// first touch, chunk by chunk. Only the per-chunk sync.Once state and the
-// sticky decode error ever change.
+// lazyRows defers row materialization for a base run: sorted[i] starts as
+// the zero Point and is decoded from the row bytes (col.Rows) on first
+// touch, chunk by chunk, unless have marks it as materialized when the
+// run was built. Only the per-chunk state and the sticky decode error ever
+// change.
 type lazyRows struct {
 	chunks []lazyChunk
+	have   []uint64 // bitmap of rows the builder materialized; nil for a loaded image
 
 	errOnce sync.Once
 	err     atomic.Value // first decode failure; rows of a failed chunk stay zero
@@ -56,32 +65,35 @@ func (lz *lazyRows) firstErr() error {
 	return err
 }
 
-// ensureRow materializes the chunk holding sorted[i]. On a heap run it is
-// a single branch, so the hooks on the query paths cost nothing there.
+func (lz *lazyRows) had(i int) bool {
+	return lz.have != nil && lz.have[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// known reports whether sorted[i] is materialized, without decoding it.
+func (lz *lazyRows) known(i int) bool {
+	return lz.had(i) || lz.chunks[i/lazyChunkRows].done.Load()
+}
+
+// ensureRow materializes sorted[i]. On a delta run, whose rows are all
+// structs, it is a single branch, so the hooks on the query paths cost
+// nothing there.
 func (r *run) ensureRow(i int) {
 	lz := r.lazy
-	if lz == nil {
+	if lz == nil || lz.had(i) {
 		return
 	}
-	c := i / lazyChunkRows
-	lz.chunks[c].once.Do(func() { r.decodeChunk(c) })
-}
-
-// ensureAllRows materializes every row.
-func (r *run) ensureAllRows() {
-	lz := r.lazy
-	if lz == nil {
-		return
-	}
-	for c := range lz.chunks {
-		lz.chunks[c].once.Do(func() { r.decodeChunk(c) })
+	c := &lz.chunks[i/lazyChunkRows]
+	if !c.done.Load() {
+		c.once.Do(func() {
+			r.decodeChunk(i / lazyChunkRows)
+			c.done.Store(true)
+		})
 	}
 }
 
-// rowJSON returns the JSON encoding of sorted[i]. On a mapped run that is
-// the persisted row, which the writer produced with the same
-// json.Marshal(&sorted[k]), so no row is decoded; on a heap run it is a
-// fresh marshal.
+// rowJSON returns the JSON encoding of sorted[i]. On a base that is the
+// image's row, which the merge produced with the same json.Marshal, so no
+// row is decoded; on a delta it is a fresh marshal.
 func (r *run) rowJSON(i int32) ([]byte, error) {
 	if r.lazy != nil {
 		return r.col.Rows[r.col.RowOffs[i]:r.col.RowOffs[i+1]], nil
@@ -95,7 +107,7 @@ func (r *run) row(i int32) *Point {
 	return &r.sorted[i]
 }
 
-// rowKey decodes the fields pointLess reads from mapped row i's bytes,
+// rowKey decodes the fields pointLess reads from base row i's bytes,
 // leaving its chunk untouched. A row that fails to decode keys as the zero
 // Point its chunk would serve.
 func (r *run) rowKey(i int) Point {
@@ -110,6 +122,7 @@ func (r *run) rowKey(i int) Point {
 	return Point{SKUAlias: k.SKUAlias, InputDesc: k.InputDesc, NNodes: k.NNodes}
 }
 
+// decodeChunk decodes the rows of chunk c the builder did not materialize.
 func (r *run) decodeChunk(c int) {
 	lz, rows, offs := r.lazy, r.col.Rows, r.col.RowOffs
 	lo := c * lazyChunkRows
@@ -118,6 +131,9 @@ func (r *run) decodeChunk(c int) {
 		hi = len(r.sorted)
 	}
 	for i := lo; i < hi; i++ {
+		if lz.had(i) {
+			continue
+		}
 		if err := json.Unmarshal(rows[offs[i]:offs[i+1]], &r.sorted[i]); err != nil {
 			// CRC verified these bytes, so this can only be a writer bug;
 			// record it (sticky) and leave the row zero rather than serve a
@@ -131,22 +147,25 @@ func (r *run) decodeChunk(c int) {
 // NewMappedStore builds a store whose base run is constructed
 // directly over persisted columnar state — the zero-copy cold-start path.
 // The returned store serves Snapshot queries immediately without decoding
-// rows. Appends become the delta over that base: a roll never decodes or
-// copies a base row, and only a fold (see delta.go) decodes them all,
-// once. Validation failures return an error so callers can rebuild from
-// the rows instead.
+// rows. Appends become the delta over that base: neither a roll nor a fold
+// (see delta.go) decodes or copies a base row struct. Validation failures
+// return an error so callers can rebuild from the rows instead.
 //
 // The store's generation is the log position, c.Count: the same
 // generation a store that appended the same points reports.
 func NewMappedStore(c *Columnar) (*Store, error) {
-	sn, err := newMappedSnapshot(c)
+	sn, err := newMappedSnapshot(c, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Store{base: sn.base, gen: sn.gen, snap: sn}, nil
 }
 
-func newMappedSnapshot(c *Columnar) (*Snapshot, error) {
+// newMappedSnapshot validates the image c and serves it as a base-only
+// snapshot. sorted, when non-nil, holds the rows a merge already had as
+// structs at their positions, flagged in have; every other row decodes
+// from c.Rows on first touch.
+func newMappedSnapshot(c *Columnar, sorted []Point, have []uint64) (*Snapshot, error) {
 	n := c.Count
 	if n < 0 {
 		return nil, fmt.Errorf("dataset: mapped columnar: negative count %d", n)
@@ -179,8 +198,11 @@ func newMappedSnapshot(c *Columnar) (*Snapshot, error) {
 		}
 	}
 
-	lazy := &lazyRows{chunks: make([]lazyChunk, (n+lazyChunkRows-1)/lazyChunkRows)}
-	r := newRun(c, make([]Point, n), lazy)
+	if sorted == nil {
+		sorted = make([]Point, n)
+	}
+	lazy := &lazyRows{chunks: make([]lazyChunk, (n+lazyChunkRows-1)/lazyChunkRows), have: have}
+	r := newRun(c, sorted, lazy)
 	if len(r.syms) != len(c.Syms) {
 		for id, s := range c.Syms {
 			if r.syms[s] != uint32(id) { // a later duplicate took the entry

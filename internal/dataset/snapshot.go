@@ -18,11 +18,6 @@ import (
 // (SelectScan) and the indexed path agree exactly; the property test in
 // snapshot_test.go holds them to it.
 
-// PointLess reports the canonical (SKU alias, input, nodes) order. Storage
-// backends sort compacted snapshot segments with it so a seeded store's
-// first Snapshot build reuses the on-disk order verbatim.
-func PointLess(a, b *Point) bool { return pointLess(a, b) }
-
 // pointLess is the canonical (SKU alias, input, nodes) order shared by the
 // sorted snapshot and the scan baseline. Equal keys compare as "not less" so
 // stable sorts and merges preserve append order.
@@ -138,8 +133,8 @@ func (c *CanonicalFilter) Key() string {
 // Snapshot is an immutable, read-optimized view of a store at one
 // generation: a base run plus, when points were appended since the base,
 // a delta run, served as one canonical order (see delta.go) without
-// copying or re-indexing the base. The base is the mapped columnar
-// snapshot a load serves, or one heap build. Snapshots are never modified
+// copying or re-indexing the base. The base is a columnar image, mapped
+// from a v2 segment or built by a fold. Snapshots are never modified
 // after construction, so any number of goroutines may query one
 // concurrently, and queries never block appends.
 type Snapshot struct {
@@ -178,10 +173,11 @@ type run struct {
 	hotAll hotFront
 	hot    [numFields][]hotFront
 
-	// lazy, when non-nil, defers row materialization (mapped runs):
-	// sorted[i] starts zero and is decoded from the row bytes
-	// chunk-by-chunk on first touch (see lazy.go). Every read of sorted[i]
-	// must go through ensureRow(i) first.
+	// lazy, non-nil on a base and nil on a delta, defers row
+	// materialization: sorted[i] starts zero unless the builder held it,
+	// and is decoded from the row bytes chunk-by-chunk on first touch (see
+	// lazy.go). Every read of a base's sorted[i] must go through
+	// ensureRow(i) first.
 	lazy *lazyRows
 
 	// inOrder lists the positions in append order (the inverse of
@@ -191,10 +187,9 @@ type run struct {
 	inOrder     []int32
 }
 
-// newRun is the one run constructor, for heap and mapped runs alike: it
+// newRun is the one run constructor, for bases and deltas alike: it
 // serves sorted over c's columns, inverting the symbol table and building
-// one posting list per (field, symbol ID). On a mapped run lazy is non-nil
-// and sorted starts zero.
+// one posting list per (field, symbol ID). On a base lazy is non-nil.
 func newRun(c *Columnar, sorted []Point, lazy *lazyRows) *run {
 	nsym := len(c.Syms)
 	r := &run{sorted: sorted, col: c, lazy: lazy, syms: make(map[string]uint32, nsym)}
@@ -365,12 +360,12 @@ func (sn *Snapshot) GroupSeries(f Filter) map[SeriesKey][]Point {
 }
 
 // upperBound returns the first position whose row sorts after p: the
-// merge rank of a point appended after every row of this run. On a mapped
-// run each probe decodes the sort key from the row's bytes; no chunk is
-// materialized.
+// merge rank of a point appended after every row of this base. A probe of
+// a materialized row compares its struct; any other probe decodes the sort
+// key from the row's bytes, and no chunk is materialized.
 func (r *run) upperBound(p *Point) int32 {
 	return int32(sort.Search(len(r.sorted), func(i int) bool {
-		if r.lazy == nil {
+		if r.lazy.known(i) {
 			return pointLess(p, &r.sorted[i])
 		}
 		k := r.rowKey(i)

@@ -27,7 +27,7 @@ func benchSnapshotDir(b *testing.B, pts []dataset.Point, order []int, v2 bool) s
 	path := filepath.Join(dir, snapName(1))
 	var err error
 	if v2 {
-		err = writeSnapshotSegmentV2(path, 1, pts, order)
+		err = writeSnapshotSegmentV2(path, 1, imageOf(b, pts))
 	} else {
 		err = writeSnapshotSegmentV1(path, 1, pts, order)
 	}

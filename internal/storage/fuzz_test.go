@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"hpcadvisor/internal/dataset"
@@ -192,19 +191,8 @@ func FuzzJournalDecode(f *testing.F) {
 // through seq.
 func v2SnapshotBytes(tb testing.TB, n int, seq uint64) []byte {
 	tb.Helper()
-	pts := make([]dataset.Point, n)
-	for i := range pts {
-		pts[i] = point(i)
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return dataset.PointLess(&pts[order[a]], &pts[order[b]])
-	})
 	path := filepath.Join(tb.TempDir(), "snap.seg")
-	if err := writeSnapshotSegmentV2(path, seq, pts, order); err != nil {
+	if err := writeSnapshotSegmentV2(path, seq, imageOf(tb, points(n))); err != nil {
 		tb.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -244,15 +232,8 @@ func FuzzSnapshotOpen(f *testing.F) {
 	f.Add([]byte{})
 	// A v1 snapshot of the same fold exercises the version dispatch.
 	v1path := filepath.Join(f.TempDir(), "v1.seg")
-	pts := make([]dataset.Point, 5)
-	order := make([]int, 5)
-	for i := range pts {
-		pts[i], order[i] = point(i), i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return dataset.PointLess(&pts[order[a]], &pts[order[b]])
-	})
-	if err := writeSnapshotSegmentV1(v1path, 1, pts, order); err != nil {
+	pts := points(5)
+	if err := writeSnapshotSegmentV1(v1path, 1, pts, canonicalOrder(pts)); err != nil {
 		f.Fatal(err)
 	}
 	v1, err := os.ReadFile(v1path)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -16,7 +15,6 @@ import (
 	"sync"
 
 	"hpcadvisor/internal/dataset"
-	"hpcadvisor/internal/fsatomic"
 )
 
 // On-disk layout of a segment store directory:
@@ -38,7 +36,8 @@ import (
 //
 //	header  8B magic "HPASNAP1" | u64le folded-through seq | u64le count
 //	frames  same framing; payload = u32le append index | point JSON,
-//	        frames ordered by dataset.PointLess (stable by append index)
+//	        frames in canonical (SKU alias, input, nodes) order, stable
+//	        by append index
 //
 // Snapshot segment file, format v2 ("HPASNAP2", what Compact writes): the
 // columnar section layout documented in snapshotv2.go. Readers serve
@@ -455,84 +454,67 @@ func (s *SegmentStore) Close() error {
 //     becomes the store's delta over that base, so it decodes and copies
 //     no snapshot row. Any CRC, bounds or validation failure drops to 2.
 //  2. Anything else (a v1 snapshot, or a v2 file rung 1 rejects) decodes
-//     the rows in append order and builds an ordinary heap store, the way
-//     live collection does. Damaged rows are a Load error.
+//     the rows in append order and builds an ordinary store, the way live
+//     collection does. Damaged rows are a Load error.
 //
 // Either way the WAL tail is appended on top, so both rungs return stores
 // with identical contents and generations. Load writes no files.
 func (s *SegmentStore) Load() (*dataset.Store, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st, mapped, err := s.loadLocked()
+	s.mmapServed = err == nil && mapped && mmapSupported
+	return st, err
+}
+
+// loadLocked runs Load's rungs and reports whether rung 1 served the
+// snapshot. Callers hold s.mu.
+func (s *SegmentStore) loadLocked() (st *dataset.Store, mapped bool, err error) {
 	if s.f != nil {
 		if err := s.w.Flush(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	s.mmapServed = false
 	if s.snapVersion == 2 {
-		if st, err := loadMappedSnapshot(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq); err == nil {
-			tail, err := s.readTail()
-			if err != nil {
-				return nil, err
+		// On failure fall through: the row decode surfaces its own (more
+		// precise) error if the rows themselves are damaged.
+		st, err = loadMappedSnapshot(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq)
+		mapped = err == nil
+	}
+	if !mapped {
+		var points []dataset.Point
+		if s.snapSeq > 0 {
+			if points, err = readSnapshotSegment(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq); err != nil {
+				return nil, false, err
 			}
-			st.AddAll(tail)
-			s.mmapServed = mmapSupported
-			return st, nil
 		}
-		// Fall through: the row decode surfaces its own (more precise)
-		// error if the rows themselves are damaged.
+		st = dataset.NewStore()
+		st.AddAll(points)
 	}
-	points, err := s.readAll()
-	if err != nil {
-		return nil, err
-	}
-	st := dataset.NewStore()
-	st.AddAll(points)
-	return st, nil
-}
-
-// readAll decodes the whole store in append order: the snapshot's points,
-// then the WAL tail. Callers hold s.mu with the write buffer drained.
-func (s *SegmentStore) readAll() ([]dataset.Point, error) {
-	var points []dataset.Point
-	if s.snapSeq > 0 {
-		var err error
-		if points, err = readSnapshotSegment(filepath.Join(s.dir, snapName(s.snapSeq)), s.snapSeq); err != nil {
-			return nil, err
-		}
-	}
-	tail, err := s.readTail()
-	if err != nil {
-		return nil, err
-	}
-	return append(points, tail...), nil
-}
-
-// readTail decodes every live log segment's points in append order.
-// Callers hold s.mu with the write buffer drained.
-func (s *SegmentStore) readTail() ([]dataset.Point, error) {
-	var tail []dataset.Point
 	for _, seq := range s.walSeqs {
 		_, err := readLogSegment(filepath.Join(s.dir, walName(seq)), seq, func(payload []byte) error {
 			var p dataset.Point
 			if err := json.Unmarshal(payload, &p); err != nil {
 				return fmt.Errorf("decoding point: %w", err)
 			}
-			tail = append(tail, p)
+			st.Add(p)
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	return tail, nil
+	return st, mapped, nil
 }
 
 // Compact folds the snapshot and every log segment into a new sorted
-// snapshot segment, written atomically, then deletes the folded files. The
-// log is empty afterwards; the next append opens a fresh write-ahead
-// segment. Compaction only changes the on-disk layout — already-loaded
-// stores and their snapshots are untouched.
+// snapshot segment, written atomically, then deletes the folded files. It
+// loads the store through Load's rungs and writes the store's image: the
+// WAL tail merges into the old snapshot's rows by rank, so no row already
+// in the snapshot is decoded, re-sorted or re-marshalled. The log is empty
+// afterwards; the next append opens a fresh write-ahead segment.
+// Compaction only changes the on-disk layout — already-loaded stores and
+// their snapshots are untouched.
 func (s *SegmentStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -545,12 +527,8 @@ func (s *SegmentStore) Compact() error {
 	if err := s.seal(); err != nil {
 		return err
 	}
-	points, err := s.readAll()
-	if err != nil {
-		return err
-	}
 	foldThrough := s.walSeqs[len(s.walSeqs)-1]
-	if len(points) == s.snapCount {
+	if s.count == s.snapCount {
 		// Only empty log segments: delete them, keep the snapshot as is.
 		for _, seq := range s.walSeqs {
 			os.Remove(filepath.Join(s.dir, walName(seq)))
@@ -560,19 +538,15 @@ func (s *SegmentStore) Compact() error {
 		s.notifyChange()
 		return nil
 	}
-
-	// Canonical sort order over append indexes, stable so ties keep append
-	// order — exactly the order dataset.Snapshot would build, so the
-	// columnar sections serve a reopened store without a re-sort.
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
+	st, _, err := s.loadLocked()
+	if err != nil {
+		return err
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return dataset.PointLess(&points[order[a]], &points[order[b]])
-	})
-
-	if err := writeSnapshotSegmentV2(filepath.Join(s.dir, snapName(foldThrough)), foldThrough, points, order); err != nil {
+	img, err := st.Image()
+	if err != nil {
+		return err
+	}
+	if err := writeSnapshotSegmentV2(filepath.Join(s.dir, snapName(foldThrough)), foldThrough, img); err != nil {
 		return err
 	}
 
@@ -587,7 +561,7 @@ func (s *SegmentStore) Compact() error {
 	}
 	s.snapSeq = foldThrough
 	s.snapVersion = 2
-	s.snapCount = len(points)
+	s.snapCount = img.Count
 	s.walSeqs = nil
 	s.nextSeq = foldThrough + 1
 	s.notifyChange()
@@ -845,31 +819,4 @@ func readSnapshotSegment(path string, seq uint64) ([]dataset.Point, error) {
 		return nil, fmt.Errorf("storage: %s: %d frames, header claims %d points", path, i, count)
 	}
 	return points, nil
-}
-
-// writeSnapshotSegmentV1 stages and atomically publishes a v1 (frame
-// format) snapshot segment holding points (append order) rendered in the
-// given sorted order. Compact writes v2 now; this writer is retained for
-// the forward-compat tests and the v1-vs-v2 cold-open benchmark, and as
-// documentation of what old state dirs hold.
-func writeSnapshotSegmentV1(path string, foldThrough uint64, points []dataset.Point, order []int) error {
-	var buf bytes.Buffer
-	var hdr [snapHeaderSize]byte
-	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], foldThrough)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(points)))
-	buf.Write(hdr[:])
-	for _, idx := range order {
-		enc, err := json.Marshal(points[idx])
-		if err != nil {
-			return err
-		}
-		payload := make([]byte, 4+len(enc))
-		binary.LittleEndian.PutUint32(payload[:4], uint32(idx))
-		copy(payload[4:], enc)
-		if _, err := appendFrame(&buf, payload); err != nil {
-			return err
-		}
-	}
-	return fsatomic.WriteFile(path, buf.Bytes(), 0o644)
 }

@@ -76,51 +76,26 @@ func alignUp(n int) int { return (n + v2Align - 1) &^ (v2Align - 1) }
 //
 
 // writeSnapshotSegmentV2 stages and atomically publishes a v2 snapshot
-// segment holding points (append order) rendered in the given sorted
-// order, plus the columnar state a snapshot over them builds.
-func writeSnapshotSegmentV2(path string, foldThrough uint64, points []dataset.Point, order []int) error {
-	n := len(points)
-	sorted := make([]dataset.Point, n)
-	appendIdx := make([]uint32, n)
-	for k, idx := range order {
-		sorted[k] = points[idx]
-		appendIdx[k] = uint32(idx)
-	}
-	var rows []byte
-	offs := make([]uint64, n+1)
-	for k := range sorted {
-		enc, err := json.Marshal(&sorted[k])
-		if err != nil {
-			return err
-		}
-		rows = append(rows, enc...)
-		offs[k+1] = uint64(len(rows))
-	}
-	// The columnar sections come from the snapshot build every heap store
-	// runs, over the already-sorted rows, so what lands on disk is
-	// bit-for-bit what a heap store over the same points serves.
-	col, err := dataset.BuildColumnar(sorted)
-	if err != nil {
-		return err
-	}
-
+// segment holding the image c (see dataset.Store.Image): its rows in
+// canonical order with their append indexes, and its columnar state.
+func writeSnapshotSegmentV2(path string, foldThrough uint64, c *dataset.Columnar) error {
 	secs := []struct {
 		kind uint32
 		data []byte
 	}{
-		{secRows, rows},
-		{secRowIndex, putU64s(offs)},
-		{secAppendIdx, putU32s(appendIdx)},
-		{secSymtab, putStringList(col.Syms)},
-		{secColApp, putU32s(col.App)},
-		{secColSKU, putU32s(col.SKU)},
-		{secColAlias, putU32s(col.Alias)},
-		{secColInput, putU32s(col.Input)},
-		{secColNodes, putI32s(col.Nodes)},
-		{secColExec, putF64s(col.Exec)},
-		{secColCost, putF64s(col.Cost)},
-		{secColFailed, putU64s(col.Failed)},
-		{secNames, putNames(col.Apps, col.SKUAliases, col.Inputs)},
+		{secRows, c.Rows},
+		{secRowIndex, putU64s(c.RowOffs)},
+		{secAppendIdx, putU32s(c.AppendIdx)},
+		{secSymtab, putStringList(c.Syms)},
+		{secColApp, putU32s(c.App)},
+		{secColSKU, putU32s(c.SKU)},
+		{secColAlias, putU32s(c.Alias)},
+		{secColInput, putU32s(c.Input)},
+		{secColNodes, putI32s(c.Nodes)},
+		{secColExec, putF64s(c.Exec)},
+		{secColCost, putF64s(c.Cost)},
+		{secColFailed, putU64s(c.Failed)},
+		{secNames, putNames(c.Apps, c.SKUAliases, c.Inputs)},
 	}
 
 	tableEnd := v2HeaderSize + len(secs)*v2SecDescSize
@@ -133,7 +108,7 @@ func writeSnapshotSegmentV2(path string, foldThrough uint64, points []dataset.Po
 	buf := make([]byte, off)
 	copy(buf[0:8], snapMagicV2)
 	binary.LittleEndian.PutUint64(buf[8:], foldThrough)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(n))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(c.Count))
 	binary.LittleEndian.PutUint32(buf[24:], v2EndianMarker)
 	binary.LittleEndian.PutUint32(buf[28:], uint32(len(secs)))
 	for i, s := range secs {
@@ -384,8 +359,9 @@ func getStringList(c *byteCursor, maxItems uint32) ([]string, error) {
 // readRowsV2 decodes the rows of v2 segment bytes: CRC-verify the row
 // sections, decode every row, scatter by append index. Only the row
 // sections are required to be intact — a bit flip in a columnar section
-// fails the columnar load but never this one. Compact reads through here
-// too, so a damaged columnar section heals at the next compaction.
+// fails the columnar load but never this one. Compact loads through the
+// same rungs as Load, so a damaged columnar section heals at the next
+// compaction.
 func readRowsV2(data []byte, path string) ([]dataset.Point, error) {
 	p, err := parseV2(data, path)
 	if err != nil {

@@ -20,19 +20,67 @@ import (
 	"testing"
 
 	"hpcadvisor/internal/dataset"
+	"hpcadvisor/internal/fsatomic"
 	"hpcadvisor/internal/pareto"
 )
 
-// canonicalOrder computes the sort order Compact persists.
+// canonicalOrder computes the sort order Compact persists: (SKU alias,
+// input, nodes), ties in append order.
 func canonicalOrder(pts []dataset.Point) []int {
 	order := make([]int, len(pts))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return dataset.PointLess(&pts[order[a]], &pts[order[b]])
+		p, q := &pts[order[a]], &pts[order[b]]
+		if p.SKUAlias != q.SKUAlias {
+			return p.SKUAlias < q.SKUAlias
+		}
+		if p.InputDesc != q.InputDesc {
+			return p.InputDesc < q.InputDesc
+		}
+		return p.NNodes < q.NNodes
 	})
 	return order
+}
+
+// imageOf builds the image Compact writes for pts (append order).
+func imageOf(tb testing.TB, pts []dataset.Point) *dataset.Columnar {
+	tb.Helper()
+	st := dataset.NewStore()
+	st.AddAll(pts)
+	c, err := st.Image()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// writeSnapshotSegmentV1 stages and atomically publishes a v1 (frame
+// format) snapshot segment holding points (append order) rendered in the
+// given sorted order: what state dirs compacted before v2 hold. Compact
+// writes v2; the forward-compat tests and the v1-vs-v2 cold-open benchmark
+// write v1 files with this.
+func writeSnapshotSegmentV1(path string, foldThrough uint64, points []dataset.Point, order []int) error {
+	var buf bytes.Buffer
+	var hdr [snapHeaderSize]byte
+	copy(hdr[:8], snapMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], foldThrough)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(points)))
+	buf.Write(hdr[:])
+	for _, idx := range order {
+		enc, err := json.Marshal(points[idx])
+		if err != nil {
+			return err
+		}
+		payload := make([]byte, 4+len(enc))
+		binary.LittleEndian.PutUint32(payload[:4], uint32(idx))
+		copy(payload[4:], enc)
+		if _, err := appendFrame(&buf, payload); err != nil {
+			return err
+		}
+	}
+	return fsatomic.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // compactedDir builds a segment dir holding n points folded into a v2
