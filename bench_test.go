@@ -229,10 +229,11 @@ appinputs:
 
 func BenchmarkFigure2ExecTimeVsNodes(b *testing.B) {
 	store, _ := paperSweeps(b)
+	pts := store.Select(dataset.Filter{AppName: "lammps"})
 	b.ResetTimer()
 	var p plot.Plot
 	for i := 0; i < b.N; i++ {
-		p = plot.ExecTimeVsNodes(store, dataset.Filter{AppName: "lammps"})
+		p = plot.ExecTimeVsNodes(pts)
 		if len(p.Series) != 3 {
 			b.Fatalf("series = %d", len(p.Series))
 		}
@@ -244,9 +245,10 @@ func BenchmarkFigure2ExecTimeVsNodes(b *testing.B) {
 
 func BenchmarkFigure3ExecTimeVsCost(b *testing.B) {
 	store, _ := paperSweeps(b)
+	pts := store.Select(dataset.Filter{AppName: "lammps"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := plot.ExecTimeVsCost(store, dataset.Filter{AppName: "lammps"})
+		p := plot.ExecTimeVsCost(pts)
 		if len(p.Series) != 3 {
 			b.Fatalf("series = %d", len(p.Series))
 		}
@@ -255,10 +257,11 @@ func BenchmarkFigure3ExecTimeVsCost(b *testing.B) {
 
 func BenchmarkFigure4Speedup(b *testing.B) {
 	store, _ := paperSweeps(b)
+	pts := store.Select(dataset.Filter{AppName: "lammps"})
 	b.ResetTimer()
 	var maxSpeedup float64
 	for i := 0; i < b.N; i++ {
-		p := plot.Speedup(store, dataset.Filter{AppName: "lammps"})
+		p := plot.Speedup(pts)
 		maxSpeedup = 0
 		for _, s := range p.Series {
 			for _, pt := range s.Points {
@@ -274,10 +277,11 @@ func BenchmarkFigure4Speedup(b *testing.B) {
 
 func BenchmarkFigure5Efficiency(b *testing.B) {
 	store, _ := paperSweeps(b)
+	pts := store.Select(dataset.Filter{AppName: "lammps"})
 	b.ResetTimer()
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		p := plot.Efficiency(store, dataset.Filter{AppName: "lammps"})
+		p := plot.Efficiency(pts)
 		peak = 0
 		for _, s := range p.Series {
 			for _, pt := range s.Points {

@@ -78,17 +78,17 @@ func run(outDir string) error {
 		return err
 	}
 
-	// Figures 2-5 + 6 (LAMMPS dataset).
-	f := dataset.Filter{AppName: "lammps"}
+	// Figures 2-5 + 6 (LAMMPS dataset), all from one selection.
+	sel := lammps.Select(dataset.Filter{AppName: "lammps"})
 	figures := []struct {
 		name string
 		p    plot.Plot
 	}{
-		{"figure2_exectime_vs_nodes", plot.ExecTimeVsNodes(lammps, f)},
-		{"figure3_exectime_vs_cost", plot.ExecTimeVsCost(lammps, f)},
-		{"figure4_speedup", plot.Speedup(lammps, f)},
-		{"figure5_efficiency", plot.Efficiency(lammps, f)},
-		{"figure6_pareto", plot.ParetoScatter(lammps, f)},
+		{"figure2_exectime_vs_nodes", plot.ExecTimeVsNodes(sel)},
+		{"figure3_exectime_vs_cost", plot.ExecTimeVsCost(sel)},
+		{"figure4_speedup", plot.Speedup(sel)},
+		{"figure5_efficiency", plot.Efficiency(sel)},
+		{"figure6_pareto", plot.ParetoScatter(sel)},
 	}
 	for _, fig := range figures {
 		svgPath := filepath.Join(outDir, fig.name+".svg")
@@ -104,18 +104,16 @@ func run(outDir string) error {
 
 	// Figure 2 series (the paper's plot data).
 	fmt.Println("--- Figure 2: Execution Time vs Number of Nodes (lammps, atoms=864M) ---")
-	fmt.Print(seriesText(plot.ExecTimeVsNodes(lammps, f)))
+	fmt.Print(seriesText(figures[0].p))
 	fmt.Println()
 
 	// Figure 4/5 shape anchors.
-	sp := plot.Speedup(lammps, f)
-	ef := plot.Efficiency(lammps, f)
-	fmt.Printf("Figure 4 max speedup:    measured %.1f   (paper: ~26 at 16 nodes)\n", maxY(sp))
-	fmt.Printf("Figure 5 peak efficiency: measured %.2f  (paper: super-linear, up to ~1.7)\n\n", maxY(ef))
+	fmt.Printf("Figure 4 max speedup:    measured %.1f   (paper: ~26 at 16 nodes)\n", maxY(figures[2].p))
+	fmt.Printf("Figure 5 peak efficiency: measured %.2f  (paper: super-linear, up to ~1.7)\n\n", maxY(figures[3].p))
 
 	// Listing 4 — LAMMPS advice.
 	fmt.Println("--- Listing 4: LAMMPS advice (paper values in parentheses) ---")
-	lrows := pareto.Advice(lammps.Select(f), pareto.ByTime)
+	lrows := pareto.Advice(sel, pareto.ByTime)
 	fmt.Print(pareto.FormatAdviceTable(lrows))
 	paperL4 := []struct {
 		t, c  float64

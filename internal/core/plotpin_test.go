@@ -30,7 +30,7 @@ func TestWritePlotsSVGPinsOneSnapshot(t *testing.T) {
 		{
 			name:  "measured",
 			write: func(a *Advisor, dir string) ([]string, error) { return a.WritePlotsSVG(dir, f) },
-			set:   func(_ *Advisor, sn *dataset.Snapshot) plot.Set { return plot.BuildSet(sn, f) },
+			set:   func(_ *Advisor, sn *dataset.Snapshot) plot.Set { return plot.BuildSet(sn.Select(f)) },
 		},
 		{
 			name: "predicted",
@@ -38,7 +38,8 @@ func TestWritePlotsSVGPinsOneSnapshot(t *testing.T) {
 				return a.WritePredictedPlotsSVG(dir, f, a.PredictorConfig("southcentralus", nil))
 			},
 			set: func(a *Advisor, sn *dataset.Snapshot) plot.Set {
-				return predictor.Overlay(plot.BuildSet(sn, f), sn.Select(f), a.PredictorConfig("southcentralus", nil))
+				pts := sn.Select(f)
+				return predictor.Overlay(plot.BuildSet(pts), pts, a.PredictorConfig("southcentralus", nil))
 			},
 		},
 	}

@@ -115,15 +115,6 @@ func TestColumnarSelectCorners(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("corner %d (%+v): columnar Select diverges from scan (%d vs %d pts)", i, f, len(got), len(want))
 		}
-		groups := s.Snapshot().GroupSeries(f)
-		naive := map[SeriesKey][]Point{}
-		for _, p := range want {
-			k := SeriesKey{SKUAlias: p.SKUAlias, InputDesc: p.InputDesc}
-			naive[k] = append(naive[k], p)
-		}
-		if !reflect.DeepEqual(groups, naive) {
-			t.Errorf("corner %d (%+v): GroupSeries diverges from naive grouping", i, f)
-		}
 	}
 }
 
@@ -446,7 +437,7 @@ func TestColdAdviceOnMappedSnapshotDecodesOnlySurvivors(t *testing.T) {
 }
 
 // FuzzColumnarSelect drives arbitrary filters at randomized stores and
-// requires the columnar Select and GroupSeries to match the scan baseline
+// requires the columnar Select to match the scan baseline
 // exactly, and the columnar advice of every filter — rows in both orders
 // and their JSON, on a heap and a mapped snapshot — to match the
 // independent dominance oracle over the scan.
@@ -472,15 +463,6 @@ func FuzzColumnarSelect(f *testing.F) {
 		got, want := s.Select(fl), s.SelectScan(fl)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("columnar Select diverges from scan for %+v (%d vs %d pts)", fl, len(got), len(want))
-		}
-		groups := s.Snapshot().GroupSeries(fl)
-		naive := map[SeriesKey][]Point{}
-		for _, p := range want {
-			k := SeriesKey{SKUAlias: p.SKUAlias, InputDesc: p.InputDesc}
-			naive[k] = append(naive[k], p)
-		}
-		if !reflect.DeepEqual(groups, naive) {
-			t.Fatalf("GroupSeries diverges from naive grouping for %+v", fl)
 		}
 		c := fl.Canonical()
 		for _, sn := range []*Snapshot{s.Snapshot(), mappedSnapshot(t, s)} {

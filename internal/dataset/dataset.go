@@ -368,28 +368,6 @@ func (s *Store) SelectScan(f Filter) []Point {
 	return out
 }
 
-// SeriesKey identifies one plotted line: a SKU at one application input.
-type SeriesKey struct {
-	SKUAlias  string
-	InputDesc string
-}
-
-// String renders the key as a plot legend label.
-func (k SeriesKey) String() string {
-	if k.InputDesc == "" {
-		return k.SKUAlias
-	}
-	return k.SKUAlias + " (" + k.InputDesc + ")"
-}
-
-// GroupSeries groups filtered points into plot series, each sorted by node
-// count — the structure behind the paper's Figures 2-5, one curve per VM
-// type per input. Select already yields (SKU, input, nodes) order, so the
-// groups need no re-sort.
-func (s *Store) GroupSeries(f Filter) map[SeriesKey][]Point {
-	return s.Snapshot().GroupSeries(f)
-}
-
 // Apps lists distinct application names present, sorted.
 func (s *Store) Apps() []string {
 	return s.Snapshot().Apps()

@@ -106,28 +106,6 @@ func TestSelectOrdering(t *testing.T) {
 	}
 }
 
-func TestGroupSeries(t *testing.T) {
-	s := populated()
-	series := s.GroupSeries(Filter{AppName: "lammps"})
-	if len(series) != 3 {
-		t.Fatalf("series = %d, want 3 (one per SKU)", len(series))
-	}
-	v3 := series[SeriesKey{SKUAlias: "hb120rs_v3", InputDesc: "atoms=864M"}]
-	if len(v3) != 2 {
-		t.Fatalf("v3 series = %d points", len(v3))
-	}
-	if v3[0].NNodes != 8 || v3[1].NNodes != 16 {
-		t.Errorf("series not sorted by nodes: %d, %d", v3[0].NNodes, v3[1].NNodes)
-	}
-	key := SeriesKey{SKUAlias: "hb120rs_v3", InputDesc: "atoms=864M"}
-	if key.String() != "hb120rs_v3 (atoms=864M)" {
-		t.Errorf("key = %q", key.String())
-	}
-	if (SeriesKey{SKUAlias: "x"}).String() != "x" {
-		t.Error("input-less key should be alias only")
-	}
-}
-
 func TestAppsEnumeration(t *testing.T) {
 	s := populated()
 	apps := s.Apps()

@@ -189,14 +189,6 @@ func checkAgainstRef(t *testing.T, s *Store, ref []Point, filters []Filter) {
 		if got := s.SelectScan(f); !reflect.DeepEqual(got, want) {
 			t.Fatalf("gen %d %+v: SelectScan diverges from the reference scan", len(ref), f)
 		}
-		naive := map[SeriesKey][]Point{}
-		for _, p := range want {
-			k := SeriesKey{SKUAlias: p.SKUAlias, InputDesc: p.InputDesc}
-			naive[k] = append(naive[k], p)
-		}
-		if got := sn.GroupSeries(f); !reflect.DeepEqual(got, naive) {
-			t.Fatalf("gen %d %+v: GroupSeries diverges from naive grouping", len(ref), f)
-		}
 		c := f.Canonical()
 		for _, byCost := range []bool{false, true} {
 			oracle := naiveAdvice(want, byCost)

@@ -337,28 +337,6 @@ func (sn *Snapshot) Select(f Filter) []Point {
 	return out
 }
 
-// GroupSeries groups filtered points into plot series. Select already
-// returns (SKU alias, input, nodes) order, so each (alias, input) group is
-// one contiguous run of the selection: the groups are subslices of a
-// single allocation, not per-point map appends. Callers treat the series
-// as read-only (the engine's memoized maps already impose that), so the
-// shared backing array is safe; the three-index subslice makes a stray
-// append reallocate instead of clobbering the next group.
-func (sn *Snapshot) GroupSeries(f Filter) map[SeriesKey][]Point {
-	sel := sn.Select(f)
-	out := make(map[SeriesKey][]Point)
-	for start := 0; start < len(sel); {
-		end := start + 1
-		for end < len(sel) && sel[end].SKUAlias == sel[start].SKUAlias && sel[end].InputDesc == sel[start].InputDesc {
-			end++
-		}
-		k := SeriesKey{SKUAlias: sel[start].SKUAlias, InputDesc: sel[start].InputDesc}
-		out[k] = sel[start:end:end]
-		start = end
-	}
-	return out
-}
-
 // upperBound returns the first position whose row sorts after p: the
 // merge rank of a point appended after every row of this base. A probe of
 // a materialized row compares its struct; any other probe decodes the sort

@@ -180,7 +180,7 @@ func TestConcurrentAppendsVsSnapshotQueries(t *testing.T) {
 				if len(pts) != sn.Len() {
 					panic("snapshot internally inconsistent")
 				}
-				_ = sn.GroupSeries(Filter{SKU: "hb120rs_v3"})
+				_ = sn.Select(Filter{SKU: "hb120rs_v3"})
 				_ = sn.Apps()
 			}
 		}()

@@ -1,8 +1,14 @@
 // Package plot generates the four plot types HPCAdvisor produces
 // (Section III-D): execution time vs number of nodes (Fig. 2), execution
 // time vs cost (Fig. 3), speedup (Fig. 4), and efficiency (Fig. 5) — plus
-// the Pareto-front scatter of Fig. 6. Plots are computed from the dataset
-// and rendered as SVG files or ASCII charts (stdlib only).
+// the Pareto-front scatter of Fig. 6. Plots are rendered as SVG files or
+// ASCII charts (stdlib only).
+//
+// Every builder is a plain function of one selection: the rows
+// dataset.Snapshot.Select returns, in its canonical (SKU alias, input,
+// nodes) order. The builders take no filter and read no store; a caller
+// selects once and passes the same rows to each, so a set built from one
+// Select is consistent at that snapshot's generation.
 package plot
 
 import (
@@ -13,15 +19,6 @@ import (
 	"hpcadvisor/internal/dataset"
 	"hpcadvisor/internal/pareto"
 )
-
-// Source is any queryable view of the dataset: the live *dataset.Store or
-// an immutable *dataset.Snapshot. Plot builders only read through this
-// surface, so the query engine can pin all plots of one set to a single
-// snapshot generation.
-type Source interface {
-	Select(dataset.Filter) []dataset.Point
-	GroupSeries(dataset.Filter) map[dataset.SeriesKey][]dataset.Point
-}
 
 // XY is one plotted point.
 type XY struct {
@@ -55,13 +52,13 @@ type Plot struct {
 
 // ExecTimeVsNodes builds the paper's Figure 2: execution time as a function
 // of node count, one series per VM type.
-func ExecTimeVsNodes(src Source, f dataset.Filter) Plot {
+func ExecTimeVsNodes(pts []dataset.Point) Plot {
 	p := Plot{
 		Title:  "Exectime",
 		XLabel: "Number of VMs",
 		YLabel: "Execution time (seconds)",
 	}
-	buildSeries(&p, src, f, func(pt dataset.Point) XY {
+	buildSeries(&p, pts, func(pt dataset.Point) XY {
 		return XY{X: float64(pt.NNodes), Y: pt.ExecTimeSec}
 	})
 	return p
@@ -69,13 +66,13 @@ func ExecTimeVsNodes(src Source, f dataset.Filter) Plot {
 
 // ExecTimeVsCost builds the paper's Figure 3: cost against execution time,
 // one series per VM type (scatter style, as each point is one scenario).
-func ExecTimeVsCost(src Source, f dataset.Filter) Plot {
+func ExecTimeVsCost(pts []dataset.Point) Plot {
 	p := Plot{
 		Title:  "Cost",
 		XLabel: "Execution time (seconds)",
 		YLabel: "Cost (USD)",
 	}
-	buildSeries(&p, src, f, func(pt dataset.Point) XY {
+	buildSeries(&p, pts, func(pt dataset.Point) XY {
 		return XY{X: pt.ExecTimeSec, Y: pt.CostUSD}
 	})
 	for i := range p.Series {
@@ -87,13 +84,13 @@ func ExecTimeVsCost(src Source, f dataset.Filter) Plot {
 
 // Speedup builds the paper's Figure 4: s(n) = T(base)/T(n) per series,
 // where base is the smallest measured node count (1 in the paper's sweeps).
-func Speedup(src Source, f dataset.Filter) Plot {
+func Speedup(pts []dataset.Point) Plot {
 	p := Plot{
 		Title:  "Speedup",
 		XLabel: "Number of VMs",
 		YLabel: "Speedup",
 	}
-	buildRelativeSeries(&p, src, f, func(base dataset.Point, pt dataset.Point) XY {
+	buildRelativeSeries(&p, pts, func(base dataset.Point, pt dataset.Point) XY {
 		return XY{X: float64(pt.NNodes), Y: base.ExecTimeSec / pt.ExecTimeSec * float64(base.NNodes)}
 	})
 	return p
@@ -101,13 +98,13 @@ func Speedup(src Source, f dataset.Filter) Plot {
 
 // Efficiency builds the paper's Figure 5: e(n) = speedup(n)/n. Values above
 // 1 are super-linear.
-func Efficiency(src Source, f dataset.Filter) Plot {
+func Efficiency(pts []dataset.Point) Plot {
 	p := Plot{
 		Title:  "Efficiency",
 		XLabel: "Number of VMs",
 		YLabel: "Efficiency",
 	}
-	buildRelativeSeries(&p, src, f, func(base dataset.Point, pt dataset.Point) XY {
+	buildRelativeSeries(&p, pts, func(base dataset.Point, pt dataset.Point) XY {
 		speedup := base.ExecTimeSec / pt.ExecTimeSec * float64(base.NNodes)
 		return XY{X: float64(pt.NNodes), Y: speedup / float64(pt.NNodes)}
 	})
@@ -116,8 +113,7 @@ func Efficiency(src Source, f dataset.Filter) Plot {
 
 // ParetoScatter builds the paper's Figure 6: every scenario as a scatter
 // point plus the Pareto front as a line.
-func ParetoScatter(src Source, f dataset.Filter) Plot {
-	pts := src.Select(f)
+func ParetoScatter(pts []dataset.Point) Plot {
 	p := Plot{
 		Title:  "Advice based on pareto front",
 		XLabel: "Cost (USD)",
@@ -140,64 +136,73 @@ func ParetoScatter(src Source, f dataset.Filter) Plot {
 	return p
 }
 
-// buildSeries groups the dataset into per-(SKU, input) series with a direct
-// point mapping. One GroupSeries call feeds both the series and the
-// subtitle — the groups partition exactly the filtered points, so no second
-// Select is needed.
-func buildSeries(p *Plot, src Source, f dataset.Filter, toXY func(dataset.Point) XY) {
-	groups := src.GroupSeries(f)
-	keys := make([]dataset.SeriesKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	for _, k := range keys {
-		s := Series{Name: k.SKUAlias}
-		if len(keys) > 0 && multipleInputs(keys) {
-			s.Name = k.String()
-		}
-		for _, pt := range groups[k] {
+// buildSeries maps every point of each series directly.
+func buildSeries(p *Plot, pts []dataset.Point, toXY func(dataset.Point) XY) {
+	for _, g := range groups(pts) {
+		s := Series{Name: g.name}
+		for _, pt := range g.pts {
 			s.Points = append(s.Points, toXY(pt))
 		}
 		p.Series = append(p.Series, s)
 	}
-	p.Subtitle = subtitleFromGroups(groups)
+	p.Subtitle = subtitleFor(pts)
 }
 
 // buildRelativeSeries maps each point relative to its series' smallest-n
 // baseline; series without at least two points are omitted. The subtitle
-// still reflects every filtered point, including those in omitted series.
-func buildRelativeSeries(p *Plot, src Source, f dataset.Filter, toXY func(base, pt dataset.Point) XY) {
-	groups := src.GroupSeries(f)
-	keys := make([]dataset.SeriesKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	for _, k := range keys {
-		pts := groups[k]
-		if len(pts) < 2 {
+// still reflects every point, including those in omitted series.
+func buildRelativeSeries(p *Plot, pts []dataset.Point, toXY func(base, pt dataset.Point) XY) {
+	for _, g := range groups(pts) {
+		if len(g.pts) < 2 {
 			continue
 		}
-		base := pts[0] // sorted by node count; the paper uses single node
-		s := Series{Name: k.SKUAlias}
-		if multipleInputs(keys) {
-			s.Name = k.String()
-		}
-		for _, pt := range pts {
+		base := g.pts[0] // sorted by node count; the paper uses single node
+		s := Series{Name: g.name}
+		for _, pt := range g.pts {
 			s.Points = append(s.Points, toXY(base, pt))
 		}
 		p.Series = append(p.Series, s)
 	}
-	p.Subtitle = subtitleFromGroups(groups)
+	p.Subtitle = subtitleFor(pts)
 }
 
-func multipleInputs(keys []dataset.SeriesKey) bool {
-	seen := map[string]bool{}
-	for _, k := range keys {
-		seen[k.InputDesc] = true
+// group is one plotted line: a VM type at one application input.
+type group struct {
+	legend string          // "alias (input)", or the alias alone for no input
+	name   string          // the series name: the legend when pts hold several inputs, else the alias
+	pts    []dataset.Point // a run of the selection, sorted by node count
+}
+
+// groups cuts pts, in Select's canonical order, into one group per
+// contiguous run of equal (SKUAlias, InputDesc), and orders the groups by
+// legend. The sort is stable, so two groups that share a legend (alias
+// "x (y)" with no input, alias "x" at input "y") keep their canonical order
+// and every build of one selection is the same. The runs are subslices of
+// pts; the three-index slice makes a stray append reallocate.
+func groups(pts []dataset.Point) []group {
+	var gs []group
+	multi := false
+	for start := 0; start < len(pts); {
+		a, in := pts[start].SKUAlias, pts[start].InputDesc
+		end := start + 1
+		for end < len(pts) && pts[end].SKUAlias == a && pts[end].InputDesc == in {
+			end++
+		}
+		g := group{legend: a, name: a, pts: pts[start:end:end]}
+		if in != "" {
+			g.legend = a + " (" + in + ")"
+		}
+		multi = multi || in != pts[0].InputDesc
+		gs = append(gs, g)
+		start = end
 	}
-	return len(seen) > 1
+	sort.SliceStable(gs, func(i, j int) bool { return gs[i].legend < gs[j].legend })
+	if multi {
+		for i := range gs {
+			gs[i].name = gs[i].legend
+		}
+	}
+	return gs
 }
 
 // subtitleFor reproduces the paper's plot subtitles ("atoms=860M"): the
@@ -209,25 +214,6 @@ func subtitleFor(pts []dataset.Point) string {
 	desc := pts[0].InputDesc
 	for _, p := range pts {
 		if p.InputDesc != desc {
-			return ""
-		}
-	}
-	return desc
-}
-
-// subtitleFromGroups derives the same subtitle from already-grouped points:
-// the group keys carry every distinct input description.
-func subtitleFromGroups(groups map[dataset.SeriesKey][]dataset.Point) string {
-	desc, first := "", true
-	for k, pts := range groups {
-		if len(pts) == 0 {
-			continue
-		}
-		if first {
-			desc, first = k.InputDesc, false
-			continue
-		}
-		if k.InputDesc != desc {
 			return ""
 		}
 	}

@@ -1,6 +1,11 @@
 package plot
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -40,7 +45,7 @@ func lammpsStore() *dataset.Store {
 }
 
 func TestExecTimeVsNodesShape(t *testing.T) {
-	p := ExecTimeVsNodes(lammpsStore(), dataset.Filter{AppName: "lammps"})
+	p := ExecTimeVsNodes(lammpsStore().Select(dataset.Filter{AppName: "lammps"}))
 	if len(p.Series) != 3 {
 		t.Fatalf("series = %d, want 3 (one per SKU, as in Fig. 2)", len(p.Series))
 	}
@@ -67,7 +72,7 @@ func TestExecTimeVsNodesShape(t *testing.T) {
 }
 
 func TestExecTimeVsCostIsScatter(t *testing.T) {
-	p := ExecTimeVsCost(lammpsStore(), dataset.Filter{AppName: "lammps"})
+	p := ExecTimeVsCost(lammpsStore().Select(dataset.Filter{AppName: "lammps"}))
 	for _, s := range p.Series {
 		if !s.Scatter {
 			t.Errorf("%s should be scatter (Fig. 3 plots one dot per scenario)", s.Name)
@@ -79,7 +84,7 @@ func TestExecTimeVsCostIsScatter(t *testing.T) {
 }
 
 func TestSpeedupBaselineIsSmallestNodeCount(t *testing.T) {
-	p := Speedup(lammpsStore(), dataset.Filter{AppName: "lammps"})
+	p := Speedup(lammpsStore().Select(dataset.Filter{AppName: "lammps"}))
 	for _, s := range p.Series {
 		if s.Points[0].X != 1 || s.Points[0].Y != 1 {
 			t.Errorf("%s baseline = (%v, %v), want (1, 1)", s.Name, s.Points[0].X, s.Points[0].Y)
@@ -93,7 +98,7 @@ func TestSpeedupBaselineIsSmallestNodeCount(t *testing.T) {
 }
 
 func TestEfficiencyShowsSuperLinear(t *testing.T) {
-	p := Efficiency(lammpsStore(), dataset.Filter{AppName: "lammps"})
+	p := Efficiency(lammpsStore().Select(dataset.Filter{AppName: "lammps"}))
 	super := false
 	for _, s := range p.Series {
 		for _, pt := range s.Points {
@@ -110,14 +115,14 @@ func TestEfficiencyShowsSuperLinear(t *testing.T) {
 func TestRelativePlotsSkipSingletonSeries(t *testing.T) {
 	s := dataset.NewStore()
 	s.Add(dataset.Point{ScenarioID: "only", AppName: "x", SKUAlias: "a", NNodes: 4, ExecTimeSec: 10, CostUSD: 1})
-	p := Speedup(s, dataset.Filter{})
+	p := Speedup(s.Select(dataset.Filter{}))
 	if len(p.Series) != 0 {
 		t.Errorf("series = %d, want 0 (cannot compute speedup from one point)", len(p.Series))
 	}
 }
 
 func TestParetoScatterHasFrontLine(t *testing.T) {
-	p := ParetoScatter(lammpsStore(), dataset.Filter{AppName: "lammps"})
+	p := ParetoScatter(lammpsStore().Select(dataset.Filter{AppName: "lammps"}))
 	if len(p.Series) != 2 {
 		t.Fatalf("series = %d, want scenarios + front", len(p.Series))
 	}
@@ -141,7 +146,7 @@ func TestParetoScatterHasFrontLine(t *testing.T) {
 
 func TestSeriesNamesIncludeInputOnlyWhenMultiple(t *testing.T) {
 	s := lammpsStore()
-	p := ExecTimeVsNodes(s, dataset.Filter{})
+	p := ExecTimeVsNodes(s.Select(dataset.Filter{}))
 	for _, sr := range p.Series {
 		if strings.Contains(sr.Name, "atoms") {
 			t.Errorf("single-input series name %q should be the SKU alias only", sr.Name)
@@ -150,7 +155,7 @@ func TestSeriesNamesIncludeInputOnlyWhenMultiple(t *testing.T) {
 	// Add a second input: names must disambiguate and the subtitle drops.
 	s.Add(dataset.Point{ScenarioID: "x", AppName: "lammps", SKUAlias: "hb120rs_v3",
 		NNodes: 1, InputDesc: "atoms=4M", ExecTimeSec: 5, CostUSD: 0.01})
-	p = ExecTimeVsNodes(s, dataset.Filter{})
+	p = ExecTimeVsNodes(s.Select(dataset.Filter{}))
 	foundQualified := false
 	for _, sr := range p.Series {
 		if strings.Contains(sr.Name, "(atoms=") {
@@ -174,7 +179,7 @@ func TestBounds(t *testing.T) {
 	if !empty.Empty() {
 		t.Error("empty plot should report Empty")
 	}
-	p := ExecTimeVsNodes(lammpsStore(), dataset.Filter{})
+	p := ExecTimeVsNodes(lammpsStore().Select(dataset.Filter{}))
 	x0, x1, y0, y1 = p.Bounds()
 	if x0 != 1 || x1 != 16 {
 		t.Errorf("x bounds = %v..%v", x0, x1)
@@ -189,11 +194,11 @@ func TestBounds(t *testing.T) {
 
 func TestRenderSVGWellFormed(t *testing.T) {
 	for _, p := range []Plot{
-		ExecTimeVsNodes(lammpsStore(), dataset.Filter{}),
-		ExecTimeVsCost(lammpsStore(), dataset.Filter{}),
-		Speedup(lammpsStore(), dataset.Filter{}),
-		Efficiency(lammpsStore(), dataset.Filter{}),
-		ParetoScatter(lammpsStore(), dataset.Filter{}),
+		ExecTimeVsNodes(lammpsStore().Select(dataset.Filter{})),
+		ExecTimeVsCost(lammpsStore().Select(dataset.Filter{})),
+		Speedup(lammpsStore().Select(dataset.Filter{})),
+		Efficiency(lammpsStore().Select(dataset.Filter{})),
+		ParetoScatter(lammpsStore().Select(dataset.Filter{})),
 	} {
 		svg := string(RenderSVG(p))
 		if !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(strings.TrimSpace(svg), "</svg>") {
@@ -226,7 +231,7 @@ func TestRenderSVGEscapesLabels(t *testing.T) {
 }
 
 func TestRenderASCII(t *testing.T) {
-	p := ExecTimeVsNodes(lammpsStore(), dataset.Filter{})
+	p := ExecTimeVsNodes(lammpsStore().Select(dataset.Filter{}))
 	out := RenderASCII(p, 60, 20)
 	if !strings.Contains(out, "Exectime") || !strings.Contains(out, "atoms=864M") {
 		t.Errorf("missing title/subtitle:\n%s", out)
@@ -263,9 +268,163 @@ func TestTicks(t *testing.T) {
 }
 
 func TestPlotString(t *testing.T) {
-	p := ExecTimeVsNodes(lammpsStore(), dataset.Filter{})
+	p := ExecTimeVsNodes(lammpsStore().Select(dataset.Filter{}))
 	s := p.String()
 	if !strings.Contains(s, "3 series") || !strings.Contains(s, "18 points") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestSeriesMatchNaiveGrouping checks the one series cut every builder
+// shares against a naive map grouping: over randomized selections in
+// Select's canonical order — aliases that differ only in case, several
+// inputs, repeated node counts — each series must hold exactly one
+// (alias, input)'s points in selection order, the series must be ordered
+// by legend, and a series is named by its legend only when the selection
+// holds more than one input.
+func TestSeriesMatchNaiveGrouping(t *testing.T) {
+	for _, tc := range []struct{ alias, input, legend string }{
+		{"x", "", "x"},
+		{"hb120rs_v3", "atoms=864M", "hb120rs_v3 (atoms=864M)"},
+	} {
+		pts := []dataset.Point{
+			{AppName: "a", SKUAlias: tc.alias, InputDesc: tc.input, NNodes: 1, ExecTimeSec: 2, CostUSD: 1},
+			{AppName: "a", SKUAlias: tc.alias, InputDesc: tc.input + "-other", NNodes: 1, ExecTimeSec: 2, CostUSD: 1},
+		}
+		if got := ExecTimeVsNodes(pts).Series[0].Name; got != tc.legend {
+			t.Errorf("legend of (%q, %q) = %q, want %q", tc.alias, tc.input, got, tc.legend)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	aliases := []string{"hb", "HB", "Hb", "hc44rs"}
+	inputs := []string{"", "atoms=4M", "atoms=864M"}
+	for trial := 0; trial < 200; trial++ {
+		s := dataset.NewStore()
+		nIn := 1 + rng.Intn(len(inputs))
+		for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+			s.Add(dataset.Point{
+				ScenarioID:  fmt.Sprintf("t%d-%d", trial, i),
+				AppName:     "app",
+				SKUAlias:    aliases[rng.Intn(len(aliases))],
+				InputDesc:   inputs[rng.Intn(nIn)],
+				NNodes:      1 << rng.Intn(4), // few counts, so ties are common
+				ExecTimeSec: float64(1 + rng.Intn(1000)),
+				CostUSD:     float64(1+rng.Intn(100)) / 10,
+			})
+		}
+		pts := s.Select(dataset.Filter{})
+
+		type key struct{ alias, input string }
+		naive := map[key][]dataset.Point{}
+		distinctInputs := map[string]bool{}
+		for _, p := range pts {
+			k := key{p.SKUAlias, p.InputDesc}
+			naive[k] = append(naive[k], p)
+			distinctInputs[p.InputDesc] = true
+		}
+		legend := func(k key) string {
+			if k.input == "" {
+				return k.alias
+			}
+			return k.alias + " (" + k.input + ")"
+		}
+		keys := make([]key, 0, len(naive))
+		for k := range naive {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return legend(keys[i]) < legend(keys[j]) })
+
+		var wantNodes, wantSpeedup []Series
+		for _, k := range keys {
+			name := k.alias
+			if len(distinctInputs) > 1 {
+				name = legend(k)
+			}
+			g := naive[k]
+			nodes := Series{Name: name}
+			speedup := Series{Name: name}
+			for _, p := range g {
+				nodes.Points = append(nodes.Points, XY{X: float64(p.NNodes), Y: p.ExecTimeSec})
+				speedup.Points = append(speedup.Points, XY{X: float64(p.NNodes), Y: g[0].ExecTimeSec / p.ExecTimeSec * float64(g[0].NNodes)})
+			}
+			wantNodes = append(wantNodes, nodes)
+			if len(g) >= 2 {
+				wantSpeedup = append(wantSpeedup, speedup)
+			}
+		}
+		wantSubtitle := ""
+		if len(distinctInputs) == 1 {
+			wantSubtitle = pts[0].InputDesc
+		}
+
+		set := BuildSet(pts)
+		if !reflect.DeepEqual(set.ExecTimeVsNodes.Series, wantNodes) {
+			t.Fatalf("trial %d: ExecTimeVsNodes series\n got %+v\nwant %+v", trial, set.ExecTimeVsNodes.Series, wantNodes)
+		}
+		if !reflect.DeepEqual(set.Speedup.Series, wantSpeedup) {
+			t.Fatalf("trial %d: Speedup series\n got %+v\nwant %+v", trial, set.Speedup.Series, wantSpeedup)
+		}
+		for _, p := range set.All() {
+			if p.Subtitle != wantSubtitle {
+				t.Fatalf("trial %d: %s subtitle = %q, want %q", trial, p.Title, p.Subtitle, wantSubtitle)
+			}
+		}
+	}
+}
+
+// TestSharedLegendRendersDeterministically builds one selection whose two
+// series share a legend — alias "x (y)" with no input and alias "x" at
+// input "y" — and renders its set repeatedly. Every render of one
+// generation must be the same bytes, since the API serves them under one
+// strong ETag.
+func TestSharedLegendRendersDeterministically(t *testing.T) {
+	s := dataset.NewStore()
+	for n := 1; n <= 3; n++ {
+		s.Add(dataset.Point{ScenarioID: fmt.Sprintf("a%d", n), AppName: "app", SKUAlias: "x (y)", NNodes: n, ExecTimeSec: float64(100 / n), CostUSD: 1})
+		s.Add(dataset.Point{ScenarioID: fmt.Sprintf("b%d", n), AppName: "app", SKUAlias: "x", InputDesc: "y", NNodes: n, ExecTimeSec: float64(300 / n), CostUSD: 2})
+	}
+	pts := s.Select(dataset.Filter{})
+	var first [][]byte
+	for i := 0; i < 50; i++ {
+		var cur [][]byte
+		for _, p := range BuildSet(pts).All() {
+			cur = append(cur, RenderSVG(p))
+		}
+		if first == nil {
+			first = cur
+			continue
+		}
+		for j := range cur {
+			if !bytes.Equal(cur[j], first[j]) {
+				t.Fatalf("render %d: %s differs from the first render", i, SetNames[j])
+			}
+		}
+	}
+}
+
+// TestTicksBounded feeds ranges whose step is below the float spacing of
+// their values, or whose width overflows, and requires a bounded tick list
+// for each: a tick loop whose step does not advance never ends.
+func TestTicksBounded(t *testing.T) {
+	for _, r := range [][2]float64{
+		{1e17, 1e17 + 16},
+		{-1e17 - 16, -1e17},
+		{1 << 60, 1<<60 + 256},
+		{0, 5e-324},
+		{-1e308, 1e308},
+		{0, 100},
+	} {
+		ts := ticks(r[0], r[1], 8)
+		if len(ts) > 2*8+3 {
+			t.Errorf("ticks(%v, %v) = %d ticks", r[0], r[1], len(ts))
+		}
+	}
+	if got := ticks(1e17, 1e17+16, 8); !reflect.DeepEqual(got, []float64{1e17, 1e17 + 16}) {
+		t.Errorf("ticks(1e17, 1e17+16) = %v, want the two ends", got)
+	}
+	p := Plot{Series: []Series{{Points: []XY{{1e17, 1}, {1e17 + 16, 2}}}}}
+	if !strings.HasSuffix(string(RenderSVG(p)), "</svg>\n") {
+		t.Error("render of a sub-ulp axis did not finish")
 	}
 }

@@ -212,7 +212,9 @@ func RenderASCII(p Plot, width, height int) string {
 	return b.String()
 }
 
-// ticks produces up to n rounded tick positions covering [lo, hi].
+// ticks produces up to n rounded tick positions covering [lo, hi]. A range
+// narrower than the float spacing of its values (1e17 to 1e17+16) gets a
+// step that does not advance t; it falls back to the two ends.
 func ticks(lo, hi float64, n int) []float64 {
 	if n < 2 || hi <= lo {
 		return []float64{lo, hi}
@@ -229,6 +231,9 @@ func ticks(lo, hi float64, n int) []float64 {
 	start := math.Ceil(lo/step) * step
 	var out []float64
 	for t := start; t <= hi+step/1e6; t += step {
+		if t+step == t {
+			return []float64{lo, hi}
+		}
 		out = append(out, t)
 	}
 	return out

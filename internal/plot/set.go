@@ -18,15 +18,16 @@ type Set struct {
 // values.
 var SetNames = []string{"exectime_vs_nodes", "exectime_vs_cost", "speedup", "efficiency", "pareto"}
 
-// BuildSet computes all five plots from one source, so a set served from a
-// snapshot is internally consistent at a single store generation.
-func BuildSet(src Source, f dataset.Filter) Set {
+// BuildSet computes all five plots from one selection, in Select's
+// canonical order, so a set built from one Select is internally consistent
+// at that snapshot's generation.
+func BuildSet(pts []dataset.Point) Set {
 	return Set{
-		ExecTimeVsNodes: ExecTimeVsNodes(src, f),
-		ExecTimeVsCost:  ExecTimeVsCost(src, f),
-		Speedup:         Speedup(src, f),
-		Efficiency:      Efficiency(src, f),
-		Pareto:          ParetoScatter(src, f),
+		ExecTimeVsNodes: ExecTimeVsNodes(pts),
+		ExecTimeVsCost:  ExecTimeVsCost(pts),
+		Speedup:         Speedup(pts),
+		Efficiency:      Efficiency(pts),
+		Pareto:          ParetoScatter(pts),
 	}
 }
 

@@ -15,7 +15,7 @@ func overlayFixture(t *testing.T) (plot.Set, []dataset.Point, Config) {
 	store.AddAll(pts)
 	cfg := testConfig()
 	cfg.Grid = []int{1, 2, 4, 8, 16, 32}
-	return plot.BuildSet(store, dataset.Filter{}), pts, cfg
+	return plot.BuildSet(store.Select(dataset.Filter{})), pts, cfg
 }
 
 func TestOverlayAddsPredictedSeries(t *testing.T) {
@@ -100,7 +100,7 @@ func TestOverlayWithoutFitsIsIdentity(t *testing.T) {
 	pts := amdahlSweep(t, []int{1, 2}) // below the evidence gate
 	store := dataset.NewStore()
 	store.AddAll(pts)
-	base := plot.BuildSet(store, dataset.Filter{})
+	base := plot.BuildSet(store.Select(dataset.Filter{}))
 	over := Overlay(base, pts, testConfig())
 	if len(over.ExecTimeVsNodes.Series) != len(base.ExecTimeVsNodes.Series) {
 		t.Error("overlay added series without a trusted fit")

@@ -466,7 +466,7 @@ func TestOverlayCurveCoversGridBelowMeasuredRange(t *testing.T) {
 	cfg.Grid = []int{1, 2, 4, 8, 16, 32}
 	store := dataset.NewStore()
 	store.AddAll(pts)
-	over := Overlay(plot.BuildSet(store, dataset.Filter{}), pts, cfg)
+	over := Overlay(plot.BuildSet(store.Select(dataset.Filter{})), pts, cfg)
 	series := over.ExecTimeVsNodes.Series
 	curve := series[len(series)-1]
 	if !curve.Dashed {

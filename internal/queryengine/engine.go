@@ -12,7 +12,8 @@
 // through immutable dataset.Snapshots (see internal/dataset/snapshot.go).
 // Every query takes the snapshot it answers at as its first argument; the
 // caller pins one with Snapshot and passes it to each query of a request,
-// so nothing the engine returns can mix generations.
+// so nothing the engine returns can mix generations. A plot set is built
+// from one Select at its pinned snapshot.
 package queryengine
 
 import (
@@ -211,15 +212,16 @@ func (e *Engine) AdviceTable(sn *dataset.Snapshot, f dataset.Filter, order paret
 	return v.(string)
 }
 
-// PlotSet returns all five plots for the filter, computed from sn so the
-// set is internally consistent, memoized per (filter, generation): every
-// consumer of one (filter, generation) — PlotSet calls and all five SVG
-// renders — shares a single set computation. The set is returned by value;
-// its series slices are shared and read-only.
+// PlotSet returns all five plots for the filter, built by plot.BuildSet
+// from one Select at sn, so the set costs one selection and is internally
+// consistent. It is memoized per (filter, generation): every consumer of
+// one (filter, generation) — PlotSet calls and all five SVG renders —
+// shares a single set computation. The set is returned by value; its
+// series slices are shared and read-only.
 func (e *Engine) PlotSet(sn *dataset.Snapshot, f dataset.Filter) plot.Set {
 	c := f.Canonical()
 	v := e.get(sn.Generation(), key("plotset", &c, ""), func() any {
-		return plot.BuildSet(&memoSource{sn: sn}, f)
+		return plot.BuildSet(sn.Select(f))
 	})
 	return v.(plot.Set)
 }
@@ -310,32 +312,4 @@ func (e *Engine) PredictedSVG(sn *dataset.Snapshot, name string, f dataset.Filte
 		return plot.RenderSVG(p)
 	})
 	return v.([]byte), nil
-}
-
-// memoSource caches the Select and GroupSeries of a single snapshot while
-// one plot set is built: the five builders share one Select and one
-// grouping instead of five of each. It is used by exactly one goroutine
-// during one BuildSet call.
-type memoSource struct {
-	sn        *dataset.Snapshot
-	selected  []dataset.Point
-	selectOK  bool
-	grouped   map[dataset.SeriesKey][]dataset.Point
-	groupedOK bool
-}
-
-func (m *memoSource) Select(f dataset.Filter) []dataset.Point {
-	if !m.selectOK {
-		m.selected = m.sn.Select(f)
-		m.selectOK = true
-	}
-	return m.selected
-}
-
-func (m *memoSource) GroupSeries(f dataset.Filter) map[dataset.SeriesKey][]dataset.Point {
-	if !m.groupedOK {
-		m.grouped = m.sn.GroupSeries(f)
-		m.groupedOK = true
-	}
-	return m.grouped
 }

@@ -49,21 +49,6 @@ func collectedAdvisor(t *testing.T) *core.Advisor {
 	return adv
 }
 
-// scanSource serves plots through the seed path: full scans via SelectScan,
-// grouped without indexes. It is the pre-engine reference.
-type scanSource struct{ store *dataset.Store }
-
-func (s scanSource) Select(f dataset.Filter) []dataset.Point { return s.store.SelectScan(f) }
-
-func (s scanSource) GroupSeries(f dataset.Filter) map[dataset.SeriesKey][]dataset.Point {
-	out := make(map[dataset.SeriesKey][]dataset.Point)
-	for _, p := range s.store.SelectScan(f) {
-		k := dataset.SeriesKey{SKUAlias: p.SKUAlias, InputDesc: p.InputDesc}
-		out[k] = append(out[k], p)
-	}
-	return out
-}
-
 var equivalenceFilters = []dataset.Filter{
 	{},
 	{AppName: "lammps"},
@@ -150,7 +135,7 @@ func TestPlotSetAndSVGByteIdenticalToScanPath(t *testing.T) {
 	adv := collectedAdvisor(t)
 	eng := queryengine.New(adv.Store)
 	for _, f := range equivalenceFilters {
-		wantSet := plot.BuildSet(scanSource{adv.Store}, f)
+		wantSet := plot.BuildSet(adv.Store.SelectScan(f))
 		gotSet := eng.PlotSet(eng.Snapshot(), f)
 		if !reflect.DeepEqual(wantSet, gotSet) {
 			t.Errorf("filter %+v: plot set diverges from scan path", f)

@@ -15,7 +15,7 @@ import (
 // the pareto SVG, and the advice table (the Cached probe's derivation).
 func scanAt(store *dataset.Store, f dataset.Filter) ([]dataset.Point, []byte, string) {
 	rows := pareto.Advice(store.SelectScan(f), pareto.ByTime)
-	p, _ := plot.BuildSet(scanSource{store}, f).ByName("pareto")
+	p, _ := plot.BuildSet(store.SelectScan(f)).ByName("pareto")
 	return rows, plot.RenderSVG(p), pareto.FormatAdviceTable(rows)
 }
 
