@@ -59,7 +59,7 @@ func BenchmarkSnapshotFold(b *testing.B) {
 	}{
 		{"heap", func() *run { return heap }},
 		{"mapped-base", func() *run {
-			sn, err := newMappedSnapshot(col, nil, nil)
+			sn, err := newMappedSnapshot(col)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -23,7 +23,8 @@ import "sync"
 // included: the storage load path fills one from file sections for
 // NewMappedStore, and a fold or a compaction builds one by merging a base
 // and a delta (Snapshot.merge; Store.Image hands it to the segment
-// writer). A delta run's carries no rows or append indexes. Slices handed
+// writer). A delta run's carries its append indexes, through which the run
+// reads the store's appended points, but no row bytes. Slices handed
 // to NewMappedStore may alias mapped read-only memory and must never be
 // written through; string fields are always heap strings.
 //
@@ -43,7 +44,7 @@ type Columnar struct {
 
 	// AppendIdx maps sorted position -> append-order index, a permutation
 	// of 0..Count-1 (the same per-row index the v1 frame format carries).
-	// Nil on a delta run.
+	// Every run reads its row at sorted position i as rows[AppendIdx[i]].
 	AppendIdx []uint32
 
 	// Syms is the dense symbol table: Syms[id] is the interned string the
@@ -145,12 +146,9 @@ func (r *run) matchAt(cf *colFilter, i int) bool {
 	if cf.c.maxNodes > 0 && int(col.Nodes[i]) > cf.c.maxNodes {
 		return false
 	}
-	if len(cf.c.tags) > 0 {
-		r.ensureRow(i) // tags are a row residual; lazy rows must exist first
-		for _, t := range cf.c.tags {
-			if r.sorted[i].Tags[t.k] != t.v {
-				return false
-			}
+	for _, t := range cf.c.tags { // tags are a row residual; row decodes a lazy row first
+		if r.row(int32(i)).Tags[t.k] != t.v {
+			return false
 		}
 	}
 	return true

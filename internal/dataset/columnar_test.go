@@ -333,7 +333,7 @@ func TestSortByTimeCostStable(t *testing.T) {
 // store's points (see mappedColumnar). Every row starts undecoded.
 func mappedSnapshot(t testing.TB, s *Store) *Snapshot {
 	t.Helper()
-	sn, err := newMappedSnapshot(mappedColumnar(t, s.All()), nil, nil)
+	sn, err := newMappedSnapshot(mappedColumnar(t, s.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +344,8 @@ func mappedSnapshot(t testing.TB, s *Store) *Snapshot {
 // of its rows has been decoded (every test row has a ScenarioID).
 func decodedChunks(r *run) []bool {
 	out := make([]bool, len(r.lazy.chunks))
-	for i := range r.sorted {
-		if r.sorted[i].ScenarioID != "" {
+	for i := range r.rows {
+		if r.rows[r.col.AppendIdx[i]].ScenarioID != "" {
 			out[i/lazyChunkRows] = true
 		}
 	}
@@ -376,8 +376,9 @@ func TestColdAdviceOnMappedSnapshotDecodesOnlySurvivors(t *testing.T) {
 		t.Fatalf("%d chunks: too few for the decode check to mean anything", len(sn.base.lazy.chunks))
 	}
 	posOf := map[string]int{}
-	for i, p := range s.Snapshot().base.sorted {
-		posOf[p.ScenarioID] = i
+	heap := s.Snapshot().base
+	for i := range heap.rows {
+		posOf[heap.row(int32(i)).ScenarioID] = i
 	}
 	filters := []Filter{
 		{AppName: "nosuchapp"},                        // unknown symbol

@@ -101,7 +101,7 @@ type Store struct {
 
 // emptyImage is the base every new store starts from: the image of no
 // points, served like any other and shared, since a run is immutable.
-var emptyImage, _ = newMappedSnapshot(&Columnar{RowOffs: []uint64{0}}, nil, nil)
+var emptyImage, _ = newMappedSnapshot(&Columnar{RowOffs: []uint64{0}})
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{base: emptyImage.base} }
@@ -277,8 +277,7 @@ func (s *Store) Image() (*Columnar, error) {
 	if sn.delta == nil {
 		return sn.base.col, nil
 	}
-	c, _, _, err := sn.merge(false)
-	return c, err
+	return sn.merge()
 }
 
 // setBaseLocked makes base, which extends the current base by a prefix of
@@ -309,9 +308,7 @@ func (s *Store) Len() int {
 func (s *Store) All() []Point {
 	base, tail := s.view()
 	out := make([]Point, 0, base.len()+len(tail))
-	for _, k := range base.appendOrder() {
-		out = append(out, *base.row(k))
-	}
+	out = append(out, base.appendRows()...)
 	return append(out, tail...)
 }
 
@@ -354,14 +351,11 @@ func (s *Store) SelectScan(f Filter) []Point {
 	c := f.Canonical()
 	base, tail := s.view()
 	var out []Point
-	for _, k := range base.appendOrder() {
-		if p := base.row(k); c.Match(p) {
-			out = append(out, *p)
-		}
-	}
-	for i := range tail {
-		if c.Match(&tail[i]) {
-			out = append(out, tail[i])
+	for _, rows := range [][]Point{base.appendRows(), tail} {
+		for i := range rows {
+			if c.Match(&rows[i]) {
+				out = append(out, rows[i])
+			}
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return pointLess(&out[i], &out[j]) })
@@ -389,8 +383,9 @@ func (s *Store) Marshal() ([]byte, error) {
 		}
 		return nil
 	}
-	for _, k := range base.appendOrder() {
-		if err := encode(base.row(k)); err != nil {
+	rows := base.appendRows()
+	for i := range rows {
+		if err := encode(&rows[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -11,10 +11,11 @@ import (
 // merge that folds it into the base. A Store serves an immutable base run
 // — a columnar image, mapped from a v2 segment or built by a fold — plus
 // the points appended since, the delta. A generation roll builds only the
-// delta's own small run (its points in canonical order with their own
-// symbol table, columns and posting lists) and never touches the base's
-// rows, columns or posting lists, so it costs O(|delta|). Queries run on
-// both halves and merge:
+// delta's own small run (its canonical order as append indexes, with its
+// own symbol table, columns and posting lists) over the store's appended
+// points as they are, copying none, and never touches the base's rows,
+// columns or posting lists, so it costs O(|delta|). Queries run on both
+// halves and merge:
 //
 //   - Canonical order. Each delta point carries its merge rank: the upper
 //     bound of the point in the base by pointLess (on equal keys the base
@@ -69,7 +70,7 @@ type deltaKey struct {
 // grown name list, and only appends to syms.
 type deltaLog struct {
 	keys []deltaKey // per delta point, append order
-	ord  []int32    // delta append indexes in canonical order
+	ord  []uint32   // delta append indexes in canonical order: the delta run's AppendIdx
 	syms []string
 	ids  map[string]uint32
 
@@ -93,7 +94,7 @@ func (lg *deltaLog) intern(s string) uint32 {
 // them into the canonical order.
 func (lg *deltaLog) extend(base *run, pts []Point) {
 	n0 := len(lg.keys)
-	fresh := make([]int32, 0, len(pts)-n0)
+	fresh := make([]uint32, 0, len(pts)-n0)
 	for j := n0; j < len(pts); j++ {
 		p := &pts[j]
 		lg.keys = append(lg.keys, deltaKey{
@@ -106,19 +107,19 @@ func (lg *deltaLog) extend(base *run, pts []Point) {
 		lg.apps = insertName(lg.apps, p.AppName)
 		lg.aliases = insertName(lg.aliases, p.SKUAlias)
 		lg.inputs = insertName(lg.inputs, p.InputDesc)
-		fresh = append(fresh, int32(j))
+		fresh = append(fresh, uint32(j))
 	}
 	// Ranks order points of different ranks exactly as pointLess does
 	// (rank[a] < rank[b] puts a base row between them), so strings are
 	// compared only within a rank.
-	less := func(a, b int32) bool {
+	less := func(a, b uint32) bool {
 		if ra, rb := lg.keys[a].rank, lg.keys[b].rank; ra != rb {
 			return ra < rb
 		}
 		return pointLess(&pts[a], &pts[b])
 	}
 	sort.SliceStable(fresh, func(a, b int) bool { return less(fresh[a], fresh[b]) })
-	ord := make([]int32, 0, len(pts))
+	ord := make([]uint32, 0, len(pts))
 	old := lg.ord
 	for _, f := range fresh {
 		for len(old) > 0 && !less(f, old[0]) { // ties: the earlier append first
@@ -131,18 +132,19 @@ func (lg *deltaLog) extend(base *run, pts []Point) {
 }
 
 // snapshot publishes the log as the base + delta snapshot at gen: the
-// delta's rows and columns gathered into canonical order and served by the
-// one run constructor.
+// delta's columns gathered into canonical order, with ord as their append
+// indexes, served by the one run constructor over pts itself. pts is the
+// store's append-only delta: the run reads only its first len(pts) points,
+// which no later append changes.
 func (lg *deltaLog) snapshot(base *run, pts []Point, gen uint64) *Snapshot {
 	n := len(lg.ord)
 	c := newColumns(n)
+	c.AppendIdx = lg.ord
 	c.Syms = lg.syms[:len(lg.syms):len(lg.syms)]
 	c.Apps, c.SKUAliases, c.Inputs = lg.apps, lg.aliases, lg.inputs
-	sorted := make([]Point, n)
 	rank := make([]int32, n)
 	for k, j := range lg.ord {
 		p, key := &pts[j], &lg.keys[j]
-		sorted[k] = *p
 		rank[k] = key.rank
 		c.App[k], c.SKU[k], c.Alias[k], c.Input[k] = key.app, key.sku, key.alias, key.input
 		c.Nodes[k], c.Exec[k], c.Cost[k] = int32(p.NNodes), p.ExecTimeSec, p.CostUSD
@@ -150,7 +152,7 @@ func (lg *deltaLog) snapshot(base *run, pts []Point, gen uint64) *Snapshot {
 			c.Failed[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}
-	return &Snapshot{gen: gen, base: base, delta: newRun(c, sorted, nil), rank: rank, ord: lg.ord}
+	return &Snapshot{gen: gen, base: base, delta: newRun(c, pts[:n:n], nil), rank: rank}
 }
 
 // insertName returns names with s added in sorted position: names itself
@@ -205,33 +207,27 @@ func newColumns(n int) *Columnar {
 // append indexes, and each delta row is marshalled once. Symbol IDs are
 // re-interned in first-use order (app, SKU, alias, input per row) and the
 // name lists are unioned, so the image holds exactly the bytes a v2 file
-// written from scratch over the same points holds. With rows set it also
-// returns the rows it holds as structs (every delta row, and each base row
-// already materialized) at their merged positions, flagged in have. A
-// delta point that cannot marshal, such as one with a NaN metric, is an
-// error: no image can hold it.
-func (sn *Snapshot) merge(rows bool) (c *Columnar, sorted []Point, have []uint64, err error) {
+// written from scratch over the same points holds. A delta point that
+// cannot marshal, such as one with a NaN metric, is an error: no image can
+// hold it.
+func (sn *Snapshot) merge() (*Columnar, error) {
 	b, d := sn.base, sn.delta
 	nb, nd := b.len(), d.len()
 	enc := make([][]byte, nd)
 	size := len(b.col.Rows)
 	for k := range enc {
-		if enc[k], err = json.Marshal(&d.sorted[k]); err != nil {
-			return nil, nil, nil, fmt.Errorf("dataset: point %s cannot be stored in a snapshot image: %w", d.sorted[k].ScenarioID, err)
+		p := d.row(int32(k))
+		var err error
+		if enc[k], err = json.Marshal(p); err != nil {
+			return nil, fmt.Errorf("dataset: point %s cannot be stored in a snapshot image: %w", p.ScenarioID, err)
 		}
 		size += len(enc[k])
 	}
-	c = newColumns(nb + nd)
+	c := newColumns(nb + nd)
 	c.Rows, c.RowOffs, c.AppendIdx = make([]byte, 0, size), make([]uint64, 1, nb+nd+1), make([]uint32, nb+nd)
 	c.Apps = unionNames(b.col.Apps, d.col.Apps)
 	c.SKUAliases = unionNames(b.col.SKUAliases, d.col.SKUAliases)
 	c.Inputs = unionNames(b.col.Inputs, d.col.Inputs)
-	if rows {
-		sorted, have = d.sorted, make([]uint64, len(c.Failed))
-		if nb > 0 { // with no base row the merged order is the delta's own
-			sorted = make([]Point, nb+nd)
-		}
-	}
 	// Each run's symbol IDs map to the image's on first use: to[id] is the
 	// image's ID plus one, 0 until then.
 	ids := make(map[string]uint32)
@@ -259,12 +255,6 @@ func (sn *Snapshot) merge(rows bool) (c *Columnar, sorted []Point, have []uint64
 		}
 		c.Rows = append(c.Rows, row...)
 		c.RowOffs = append(c.RowOffs, uint64(len(c.Rows)))
-		if rows && (r == d || b.lazy.known(i)) {
-			if nb > 0 {
-				sorted[p] = r.sorted[i]
-			}
-			have[p>>6] |= 1 << (uint(p) & 63)
-		}
 		p++
 	}
 	i := 0
@@ -277,21 +267,22 @@ func (sn *Snapshot) merge(rows bool) (c *Columnar, sorted []Point, have []uint64
 			put(b, bto, i, b.col.Rows[b.col.RowOffs[i]:b.col.RowOffs[i+1]], b.col.AppendIdx[i])
 		}
 		if k < nd {
-			put(d, dto, k, enc[k], uint32(nb)+uint32(sn.ord[k]))
+			put(d, dto, k, enc[k], uint32(nb)+d.col.AppendIdx[k])
 		}
 	}
-	return c, sorted, have, nil
+	return c, nil
 }
 
 // fold builds the base-only snapshot, at the same generation, whose base
 // is the image of this base and delta, served by the mapped constructor.
-// No base row is decoded, and rows held as structs stay materialized.
+// No base row is decoded, and the new base holds no row as a struct: its
+// rows decode on first touch, like any mapped base's.
 func (sn *Snapshot) fold() (*Snapshot, error) {
-	c, sorted, have, err := sn.merge(true)
+	c, err := sn.merge()
 	if err != nil {
 		return nil, err
 	}
-	folded, err := newMappedSnapshot(c, sorted, have)
+	folded, err := newMappedSnapshot(c)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +296,7 @@ func (sn *Snapshot) row(ref int32) *Point {
 	if ref >= 0 {
 		return sn.base.row(ref)
 	}
-	return &sn.delta.sorted[^ref]
+	return sn.delta.row(^ref)
 }
 
 func (sn *Snapshot) rowJSON(ref int32) ([]byte, error) {

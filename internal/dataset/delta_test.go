@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // scanRef is the scan oracle over a plain slice in append order: the
@@ -431,11 +432,40 @@ func TestAppendToMappedStoreDecodesNoBaseRow(t *testing.T) {
 	}
 }
 
+// A generation roll copies no point: the delta run reads the store's
+// appended points through its append indexes. So one Add plus Snapshot
+// over a mapped base with a 2,000-point delta allocates fewer bytes than
+// the delta's points occupy as structs.
+func TestRollCopiesNoPoint(t *testing.T) {
+	const nb, nd = 40_000, 2_000 // below the fold rule: nd*foldRatio < nb
+	rng := rand.New(rand.NewSource(11))
+	base := randomStore(rng, nb).All()
+	tail := deltaPoints(rng, base, nd)
+	s, err := NewMappedStore(mappedColumnar(t, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddAll(tail[:nd-1])
+	s.Snapshot()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Add(tail[nd-1])
+	sn := s.Snapshot()
+	runtime.ReadMemStats(&after)
+	if sn.delta.len() != nd {
+		t.Fatalf("the roll serves a %d-point delta, want %d", sn.delta.len(), nd)
+	}
+	structs := uint64(nd) * uint64(unsafe.Sizeof(Point{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= structs {
+		t.Fatalf("one Add + Snapshot over a %d-point delta allocated %d bytes, want below the %d its points occupy as structs", nd, got, structs)
+	}
+}
+
 // A fold over a mapped base decodes no base row: the merge splices the
-// base's row bytes and column cells, and the new base holds as structs
-// only the delta's rows, which it had already. Hot advice after the fold
-// still equals the oracle, spliced from the new image's row bytes, and
-// still decodes nothing.
+// base's row bytes and column cells, and the new base holds no row as a
+// struct, the delta's included. Hot advice after the fold still equals
+// the oracle, spliced from the new image's row bytes, and still decodes
+// nothing.
 func TestFoldOverMappedBaseDecodesNoBaseRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := randomStore(rng, 5000).All()
@@ -460,27 +490,13 @@ func TestFoldOverMappedBaseDecodesNoBaseRow(t *testing.T) {
 			t.Fatalf("the fold decoded chunk %d of the mapped base", c)
 		}
 	}
-	fromTail := map[string]bool{}
-	for _, p := range tail {
-		fromTail[p.ScenarioID] = true
-	}
-	// undecoded reports the first row the new base holds as a struct
-	// without having built it from the delta, or -1.
+	// undecoded reports the first row the new base holds as a struct, or
+	// -1.
 	undecoded := func() int {
-		held := 0
-		for i := range folded.sorted {
-			id := folded.sorted[i].ScenarioID
-			if folded.lazy.had(i) {
-				held++
-				if !fromTail[id] {
-					return i
-				}
-			} else if id != "" {
+		for i := range folded.rows {
+			if folded.lazy.known(i) || folded.rows[folded.col.AppendIdx[i]].ScenarioID != "" {
 				return i
 			}
-		}
-		if held != len(tail) {
-			t.Fatalf("the new base holds %d rows as structs, want the delta's %d", held, len(tail))
 		}
 		return -1
 	}

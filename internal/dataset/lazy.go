@@ -9,8 +9,9 @@ package dataset
 // re-sort, no column rebuild. Row structs are materialized lazily in
 // fixed-size chunks the first time a query actually touches one, so a
 // cold process serves columnar filters, and advice spliced from the row
-// bytes, without ever decoding most rows. An image a fold built keeps the
-// rows it already held as structs, and those never decode.
+// bytes, without ever decoding most rows. An image a fold built is served
+// the same way: the fold hands over only the image, and its rows decode
+// on first touch like a loaded one's.
 //
 // Integrity model: the storage layer CRC-verifies every section before
 // handing it here, and newMappedSnapshot re-validates the structural
@@ -42,14 +43,12 @@ type lazyChunk struct {
 	done atomic.Bool
 }
 
-// lazyRows defers row materialization for a base run: sorted[i] starts as
-// the zero Point and is decoded from the row bytes (col.Rows) on first
-// touch, chunk by chunk, unless have marks it as materialized when the
-// run was built. Only the per-chunk state and the sticky decode error ever
-// change.
+// lazyRows defers row materialization for a base run: the row at
+// canonical position i starts as the zero Point and is decoded from the
+// row bytes (col.Rows) on first touch, chunk of canonical positions by
+// chunk. Only the per-chunk state and the sticky decode error ever change.
 type lazyRows struct {
 	chunks []lazyChunk
-	have   []uint64 // bitmap of rows the builder materialized; nil for a loaded image
 
 	errOnce sync.Once
 	err     atomic.Value // first decode failure; rows of a failed chunk stay zero
@@ -65,21 +64,18 @@ func (lz *lazyRows) firstErr() error {
 	return err
 }
 
-func (lz *lazyRows) had(i int) bool {
-	return lz.have != nil && lz.have[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// known reports whether sorted[i] is materialized, without decoding it.
+// known reports whether the row at canonical position i is materialized,
+// without decoding it.
 func (lz *lazyRows) known(i int) bool {
-	return lz.had(i) || lz.chunks[i/lazyChunkRows].done.Load()
+	return lz.chunks[i/lazyChunkRows].done.Load()
 }
 
-// ensureRow materializes sorted[i]. On a delta run, whose rows are all
-// structs, it is a single branch, so the hooks on the query paths cost
-// nothing there.
+// ensureRow materializes the row at canonical position i. On a delta run,
+// whose rows are all structs, it is a single branch, so the hooks on the
+// query paths cost nothing there.
 func (r *run) ensureRow(i int) {
 	lz := r.lazy
-	if lz == nil || lz.had(i) {
+	if lz == nil {
 		return
 	}
 	c := &lz.chunks[i/lazyChunkRows]
@@ -91,20 +87,30 @@ func (r *run) ensureRow(i int) {
 	}
 }
 
-// rowJSON returns the JSON encoding of sorted[i]. On a base that is the
-// image's row, which the merge produced with the same json.Marshal, so no
-// row is decoded; on a delta it is a fresh marshal.
+// rowJSON returns the JSON encoding of the row at canonical position i.
+// On a base that is the image's row, which the merge produced with the
+// same json.Marshal, so no row is decoded; on a delta it is a fresh
+// marshal.
 func (r *run) rowJSON(i int32) ([]byte, error) {
 	if r.lazy != nil {
 		return r.col.Rows[r.col.RowOffs[i]:r.col.RowOffs[i+1]], nil
 	}
-	return json.Marshal(&r.sorted[i])
+	return json.Marshal(r.row(i))
 }
 
-// row returns sorted[i], materialized.
+// row returns the row at canonical position i, materialized.
 func (r *run) row(i int32) *Point {
 	r.ensureRow(int(i))
-	return &r.sorted[i]
+	return &r.rows[r.col.AppendIdx[i]]
+}
+
+// appendRows returns the run's rows in append order, every one
+// materialized. The slice is the run's own and read-only.
+func (r *run) appendRows() []Point {
+	for i := 0; i < len(r.rows); i += lazyChunkRows {
+		r.ensureRow(i)
+	}
+	return r.rows
 }
 
 // rowKey decodes the fields pointLess reads from base row i's bytes,
@@ -122,24 +128,20 @@ func (r *run) rowKey(i int) Point {
 	return Point{SKUAlias: k.SKUAlias, InputDesc: k.InputDesc, NNodes: k.NNodes}
 }
 
-// decodeChunk decodes the rows of chunk c the builder did not materialize.
+// decodeChunk decodes the rows at the canonical positions of chunk c into
+// their append-order slots.
 func (r *run) decodeChunk(c int) {
-	lz, rows, offs := r.lazy, r.col.Rows, r.col.RowOffs
+	col := r.col
 	lo := c * lazyChunkRows
-	hi := lo + lazyChunkRows
-	if hi > len(r.sorted) {
-		hi = len(r.sorted)
-	}
+	hi := min(lo+lazyChunkRows, len(r.rows))
 	for i := lo; i < hi; i++ {
-		if lz.had(i) {
-			continue
-		}
-		if err := json.Unmarshal(rows[offs[i]:offs[i+1]], &r.sorted[i]); err != nil {
+		p := &r.rows[col.AppendIdx[i]]
+		if err := json.Unmarshal(col.Rows[col.RowOffs[i]:col.RowOffs[i+1]], p); err != nil {
 			// CRC verified these bytes, so this can only be a writer bug;
 			// record it (sticky) and leave the row zero rather than serve a
 			// partially decoded struct.
-			r.sorted[i] = Point{}
-			lz.recordErr(fmt.Errorf("dataset: mapped row %d: %w", i, err))
+			*p = Point{}
+			r.lazy.recordErr(fmt.Errorf("dataset: mapped row %d: %w", i, err))
 		}
 	}
 }
@@ -154,7 +156,7 @@ func (r *run) decodeChunk(c int) {
 // The store's generation is the log position, c.Count: the same
 // generation a store that appended the same points reports.
 func NewMappedStore(c *Columnar) (*Store, error) {
-	sn, err := newMappedSnapshot(c, nil, nil)
+	sn, err := newMappedSnapshot(c)
 	if err != nil {
 		return nil, err
 	}
@@ -162,10 +164,8 @@ func NewMappedStore(c *Columnar) (*Store, error) {
 }
 
 // newMappedSnapshot validates the image c and serves it as a base-only
-// snapshot. sorted, when non-nil, holds the rows a merge already had as
-// structs at their positions, flagged in have; every other row decodes
-// from c.Rows on first touch.
-func newMappedSnapshot(c *Columnar, sorted []Point, have []uint64) (*Snapshot, error) {
+// snapshot whose rows decode from c.Rows on first touch.
+func newMappedSnapshot(c *Columnar) (*Snapshot, error) {
 	n := c.Count
 	if n < 0 {
 		return nil, fmt.Errorf("dataset: mapped columnar: negative count %d", n)
@@ -198,11 +198,8 @@ func newMappedSnapshot(c *Columnar, sorted []Point, have []uint64) (*Snapshot, e
 		}
 	}
 
-	if sorted == nil {
-		sorted = make([]Point, n)
-	}
-	lazy := &lazyRows{chunks: make([]lazyChunk, (n+lazyChunkRows-1)/lazyChunkRows), have: have}
-	r := newRun(c, sorted, lazy)
+	lazy := &lazyRows{chunks: make([]lazyChunk, (n+lazyChunkRows-1)/lazyChunkRows)}
+	r := newRun(c, make([]Point, n), lazy)
 	if len(r.syms) != len(c.Syms) {
 		for id, s := range c.Syms {
 			if r.syms[s] != uint32(id) { // a later duplicate took the entry

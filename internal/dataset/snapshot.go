@@ -4,12 +4,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // This file implements the read-optimized side of the store: immutable
-// Snapshots holding the points in canonical (SKU alias, input, nodes) order
-// with inverted indexes by application, SKU, and input. A snapshot is built
+// Snapshots serving the points in canonical (SKU alias, input, nodes) order
+// through columns and inverted indexes by application, SKU, and input,
+// while each run holds its points once, in append order. A snapshot is built
 // at most once per store generation and shared by every concurrent reader,
 // so the advice/plot serving path never contends with collectors appending.
 //
@@ -142,21 +142,23 @@ type Snapshot struct {
 	base  *run
 	delta *run    // nil when nothing was appended since the base
 	rank  []int32 // rank[k]: the base position delta position k merges before
-	ord   []int32 // ord[k]: delta append index of delta position k
 }
 
-// run is one immutable, indexed half of a snapshot: its points in
-// canonical sorted order plus inverted indexes. A nil *run is the empty
-// delta of a base-only snapshot; resolve makes every query on it match
-// nothing.
+// run is one immutable, indexed half of a snapshot: its points, held once
+// in append order, served in canonical sorted order through the columns
+// and inverted indexes. A nil *run is the empty delta of a base-only
+// snapshot; resolve makes every query on it match nothing.
 type run struct {
-	sorted []Point
+	// rows holds the points in append order: the row at canonical
+	// position i is rows[col.AppendIdx[i]] (see row). A delta's are the
+	// store's own appended points; a base's are the lazy decode target.
+	rows []Point
 
-	// col is the struct-of-arrays form of sorted (see columnar.go):
-	// interned symbol IDs and typed columns, so matchPositions compares
-	// uint32s over contiguous memory instead of case-folding strings per
-	// candidate. On a mapped run its slices alias the file's bytes, and
-	// col.Ref pins them for the run's lifetime.
+	// col is the struct-of-arrays form of the run in canonical order (see
+	// columnar.go): interned symbol IDs and typed columns, so
+	// matchPositions compares uint32s over contiguous memory instead of
+	// case-folding strings per candidate. On a mapped run its slices alias
+	// the file's bytes, and col.Ref pins them for the run's lifetime.
 	col *Columnar
 
 	// syms inverts col.Syms: interned string -> symbol ID.
@@ -174,25 +176,18 @@ type run struct {
 	hot    [numFields][]hotFront
 
 	// lazy, non-nil on a base and nil on a delta, defers row
-	// materialization: sorted[i] starts zero unless the builder held it,
-	// and is decoded from the row bytes chunk-by-chunk on first touch (see
-	// lazy.go). Every read of a base's sorted[i] must go through
-	// ensureRow(i) first.
+	// materialization: a base's rows start zero and are decoded from the
+	// row bytes chunk-by-chunk on first touch (see lazy.go). Every read of
+	// a base row must go through ensureRow(i) first.
 	lazy *lazyRows
-
-	// inOrder lists the positions in append order (the inverse of
-	// col.AppendIdx), computed on first use by the store's append-order
-	// reads.
-	inOrderOnce sync.Once
-	inOrder     []int32
 }
 
 // newRun is the one run constructor, for bases and deltas alike: it
-// serves sorted over c's columns, inverting the symbol table and building
+// serves rows over c's columns, inverting the symbol table and building
 // one posting list per (field, symbol ID). On a base lazy is non-nil.
-func newRun(c *Columnar, sorted []Point, lazy *lazyRows) *run {
+func newRun(c *Columnar, rows []Point, lazy *lazyRows) *run {
 	nsym := len(c.Syms)
-	r := &run{sorted: sorted, col: c, lazy: lazy, syms: make(map[string]uint32, nsym)}
+	r := &run{rows: rows, col: c, lazy: lazy, syms: make(map[string]uint32, nsym)}
 	for id, s := range c.Syms {
 		r.syms[s] = uint32(id)
 	}
@@ -247,7 +242,7 @@ func (r *run) len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.sorted)
+	return len(r.rows)
 }
 
 // Apps lists distinct application names present, sorted.
@@ -296,8 +291,8 @@ func (r *run) matchPositions(cf *colFilter) []int32 {
 		}
 	}
 	if !indexed {
-		out := make([]int32, 0, len(r.sorted))
-		for i := range r.sorted {
+		out := make([]int32, 0, len(r.rows))
+		for i := range r.rows {
 			if r.matchAt(cf, i) {
 				out = append(out, int32(i))
 			}
@@ -329,7 +324,7 @@ func (sn *Snapshot) Select(f Filter) []Point {
 		for ; len(bp) > 0 && bp[0] < sn.rank[k]; bp = bp[1:] {
 			out = append(out, *sn.base.row(bp[0]))
 		}
-		out = append(out, sn.delta.sorted[k])
+		out = append(out, *sn.delta.row(k))
 	}
 	for _, i := range bp {
 		out = append(out, *sn.base.row(i))
@@ -342,22 +337,11 @@ func (sn *Snapshot) Select(f Filter) []Point {
 // a materialized row compares its struct; any other probe decodes the sort
 // key from the row's bytes, and no chunk is materialized.
 func (r *run) upperBound(p *Point) int32 {
-	return int32(sort.Search(len(r.sorted), func(i int) bool {
+	return int32(sort.Search(len(r.rows), func(i int) bool {
 		if r.lazy.known(i) {
-			return pointLess(p, &r.sorted[i])
+			return pointLess(p, &r.rows[r.col.AppendIdx[i]])
 		}
 		k := r.rowKey(i)
 		return pointLess(p, &k)
 	}))
-}
-
-// appendOrder returns the positions in append order.
-func (r *run) appendOrder() []int32 {
-	r.inOrderOnce.Do(func() {
-		r.inOrder = make([]int32, len(r.col.AppendIdx))
-		for k, idx := range r.col.AppendIdx {
-			r.inOrder[idx] = int32(k)
-		}
-	})
-	return r.inOrder
 }

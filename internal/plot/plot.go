@@ -237,10 +237,10 @@ func (p Plot) Bounds() (xmin, xmax, ymin, ymax float64) {
 		return 0, 1, 0, 1
 	}
 	if xmin == xmax {
-		xmax = xmin + 1
+		xmax = widen(xmin)
 	}
 	if ymin == ymax {
-		ymax = ymin + 1
+		ymax = widen(ymin)
 	}
 	// Anchor Y at zero like the paper's plots, and pad the top.
 	if ymin > 0 {
@@ -248,6 +248,13 @@ func (p Plot) Bounds() (xmin, xmax, ymin, ymax float64) {
 	}
 	ymax += (ymax - ymin) * 0.05
 	return xmin, xmax, ymin, ymax
+}
+
+// widen returns the upper end of a zero-width axis at v: v+1, or, past
+// 2^52 where adding 1 may round back to v, v plus one part in 2^52 of its
+// magnitude, which is at least one step of v's precision.
+func widen(v float64) float64 {
+	return v + math.Max(1, math.Abs(v)*0x1p-52)
 }
 
 // Empty reports whether the plot has no data points.

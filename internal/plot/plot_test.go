@@ -3,6 +3,7 @@ package plot
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -426,5 +427,24 @@ func TestTicksBounded(t *testing.T) {
 	p := Plot{Series: []Series{{Points: []XY{{1e17, 1}, {1e17 + 16, 2}}}}}
 	if !strings.HasSuffix(string(RenderSVG(p)), "</svg>\n") {
 		t.Error("render of a sub-ulp axis did not finish")
+	}
+}
+
+// TestBoundsWidenZeroWidthAxes requires a positive width on an axis whose
+// values are all equal, at any magnitude, so RenderSVG never divides zero
+// by zero into NaN coordinates. Up to 2^52 the width stays 1.
+func TestBoundsWidenZeroWidthAxes(t *testing.T) {
+	for _, v := range []float64{0, 3, -7.5, 1 << 52, 1e17, -1e17, 1 << 60, 1e300, -1e300} {
+		p := Plot{Series: []Series{{Points: []XY{{v, v}, {v, v}}}}}
+		x0, x1, y0, y1 := p.Bounds()
+		if !(x1 > x0) || !(y1 > y0) {
+			t.Errorf("v=%g: bounds x %v..%v, y %v..%v: want a positive width on both axes", v, x0, x1, y0, y1)
+		}
+		if math.Abs(v) <= 1<<52 && x1 != v+1 {
+			t.Errorf("v=%g: xmax = %v, want %v", v, x1, v+1)
+		}
+		if n := strings.Count(string(RenderSVG(p)), "NaN"); n > 0 {
+			t.Errorf("v=%g: RenderSVG writes %d NaN coordinates", v, n)
+		}
 	}
 }

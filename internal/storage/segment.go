@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -139,15 +140,19 @@ type SegmentStore struct {
 	closed         bool
 }
 
-func walName(seq uint64) string  { return fmt.Sprintf("wal-%016x.seg", seq) }
-func snapName(seq uint64) string { return fmt.Sprintf("snapshot-%016x.seg", seq) }
+func segName(prefix string, seq uint64) string { return fmt.Sprintf("%s%016x.seg", prefix, seq) }
+func walName(seq uint64) string                { return segName("wal-", seq) }
+func snapName(seq uint64) string               { return segName("snapshot-", seq) }
 
+// parseSeq returns the seq of a segment file name with the given prefix.
+// Only the exact name segName renders for that seq counts: a stray
+// "wal-1.seg" beside wal-0000000000000001.seg would otherwise read as a
+// second copy of segment 1, and "snapshot-1.seg" would send the open to a
+// canonical name that does not exist.
 func parseSeq(name, prefix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".seg") {
-		return 0, false
-	}
-	var seq uint64
-	if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".seg"), "%x", &seq); err != nil {
+	hex, ok := strings.CutSuffix(strings.TrimPrefix(name, prefix), ".seg")
+	seq, err := strconv.ParseUint(hex, 16, 64)
+	if !ok || err != nil || name != segName(prefix, seq) {
 		return 0, false
 	}
 	return seq, true

@@ -120,6 +120,56 @@ func TestSegmentAppendReopenRoundTrip(t *testing.T) {
 	}
 }
 
+// Only a segment's canonical name is a segment. A stray file whose name
+// parses to a seq the store already has (wal-1.seg, wal-01.seg, an
+// upper-case hex digit) must not read as a second copy of that segment,
+// and one whose name only starts like a segment's (wal-12zz.seg,
+// snapshot-1.seg) must not send the open to a canonical name that does not
+// exist. The store opens with exactly its own points, and
+// ParseSegmentName rejects every stray name.
+func TestOpenIgnoresNonCanonicalSegmentNames(t *testing.T) {
+	pts := points(3)
+	want := marshalOf(t, pts)
+	for _, stray := range []string{"wal-1.seg", "wal-01.seg", "wal-000000000000000A.seg", "wal-12zz.seg", "snapshot-1.seg"} {
+		dir := filepath.Join(t.TempDir(), "data.seg")
+		s, err := OpenSegments(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, s, pts)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := os.ReadFile(filepath.Join(dir, walName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, stray), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := ParseSegmentName(stray); ok {
+			t.Errorf("ParseSegmentName(%q) accepts a non-canonical name", stray)
+		}
+		s, err = OpenSegments(dir, nil)
+		if err != nil {
+			t.Fatalf("open beside %s: %v", stray, err)
+		}
+		info, err := s.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Points != len(pts) {
+			t.Errorf("beside %s: Info().Points = %d, want %d", stray, info.Points, len(pts))
+		}
+		if got := loadMarshal(t, s); !bytes.Equal(got, want) {
+			t.Errorf("beside %s: Load does not return exactly the appended points", stray)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestSegmentSealingRollsSegments(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data.seg")
 	// Tiny segments force many seals.
